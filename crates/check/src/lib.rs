@@ -18,6 +18,7 @@
 //! | `store`     | ledger ↔ entries consistent; gc keeps LRU frontier   | re-derived frontier from pre-gc state |
 //! | `trace`     | span streams form per-thread LIFO trees              | independent stream verifier |
 //! | `hierarchy` | arena link-value engine ≡ kept textbook baseline     | `baseline::link_values_ref` |
+//! | `distortion`| allocation-free Brandes ≡ DAG-based Brandes; center reuse ≡ fresh thread | the kept DAG loop; a fresh thread |
 //!
 //! Every failure is replayable: the runner prints (and records in
 //! `check-report.json`) a one-line `TOPOGEN_CHECK=suite:invariant:seed`
@@ -47,6 +48,7 @@ pub fn registry() -> Vec<Suite> {
         suites::trace::suite(),
         suites::hierarchy::suite(),
         suites::scale::suite(),
+        suites::distortion::suite(),
     ]
 }
 

@@ -2,6 +2,7 @@
 
 pub mod codec;
 pub mod degseq;
+pub mod distortion;
 pub mod hierarchy;
 pub mod kernels;
 pub mod scale;

@@ -5,7 +5,7 @@
 //! hop distances on ball subgraphs. Dense Floyd–Warshall would be O(n³);
 //! repeated BFS is O(n·m) and wins on the sparse graphs at hand.
 
-use crate::bfs::{distances, shortest_path_dag};
+use crate::bfs::distances;
 use crate::{Graph, NodeId, UNREACHED};
 
 /// All-pairs hop distance matrix, row-major: `d[u * n + v]`.
@@ -24,22 +24,56 @@ pub fn all_pairs_distances(g: &Graph) -> Vec<u32> {
 /// the per-node betweenness (sum over ordered source–target pairs of the
 /// fraction of shortest paths through the node). Used to pick ball
 /// "centers" for the distortion metric.
-#[allow(clippy::needless_range_loop)] // index loops mirror Brandes' pseudocode
+///
+/// Allocation-free per source: `dist`/`sigma`/`delta` live across
+/// sources and only the previous source's reached nodes are reset;
+/// `order` doubles as the BFS queue. Predecessor lists are not stored —
+/// in the accumulation, `w`'s predecessors are its neighbours one hop
+/// closer to the source. Every `delta[v]` and `bc[w]` receives the same
+/// addends in the same order as the textbook per-source DAG loop, so
+/// the result is bit-identical to it.
 pub fn betweenness(g: &Graph) -> Vec<f64> {
     let n = g.node_count();
     let mut bc = vec![0.0f64; n];
+    let mut dist = vec![UNREACHED; n];
+    let mut sigma = vec![0.0f64; n];
     let mut delta = vec![0.0f64; n];
+    let mut order: Vec<NodeId> = Vec::with_capacity(n);
     for s in 0..n as NodeId {
-        let dag = shortest_path_dag(g, s);
-        for d in delta.iter_mut() {
-            *d = 0.0;
+        for &v in &order {
+            dist[v as usize] = UNREACHED;
+            sigma[v as usize] = 0.0;
+            delta[v as usize] = 0.0;
         }
-        // Accumulate in reverse BFS order.
-        for &w in dag.order.iter().rev() {
-            for &v in &dag.preds[w as usize] {
-                let share =
-                    dag.sigma[v as usize] / dag.sigma[w as usize] * (1.0 + delta[w as usize]);
-                delta[v as usize] += share;
+        order.clear();
+        dist[s as usize] = 0;
+        sigma[s as usize] = 1.0;
+        order.push(s);
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            let du = dist[u as usize];
+            for &v in g.neighbors(u) {
+                if dist[v as usize] == UNREACHED {
+                    dist[v as usize] = du + 1;
+                    order.push(v);
+                }
+                if dist[v as usize] == du + 1 {
+                    sigma[v as usize] += sigma[u as usize];
+                }
+            }
+        }
+        // Accumulate in reverse BFS order. A node at distance 1 has the
+        // source as its only predecessor, whose `delta` is never read.
+        for &w in order.iter().rev() {
+            let dw = dist[w as usize];
+            if dw >= 2 {
+                let (sigma_w, delta_w) = (sigma[w as usize], delta[w as usize]);
+                for &v in g.neighbors(w) {
+                    if dist[v as usize] + 1 == dw {
+                        delta[v as usize] += sigma[v as usize] / sigma_w * (1.0 + delta_w);
+                    }
+                }
             }
             if w != s {
                 bc[w as usize] += delta[w as usize];

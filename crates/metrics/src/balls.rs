@@ -9,7 +9,7 @@
 use crate::CurvePoint;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use topogen_graph::subgraph::{ball, SubgraphMap};
+use topogen_graph::subgraph::{induced_subgraph, SubgraphMap};
 use topogen_graph::{bfs, Graph, NodeId};
 use topogen_par::par_map;
 use topogen_policy::balls::policy_ball_from_dag;
@@ -49,7 +49,21 @@ impl<'a> BallSource for PlainBalls<'a> {
     }
 
     fn balls_up_to(&self, center: NodeId, max_h: u32) -> Vec<(Graph, SubgraphMap)> {
-        (0..=max_h).map(|h| ball(self.graph, center, h)).collect()
+        // One bounded BFS serves every radius: ball `h` is the prefix of
+        // the `(distance, id)`-sorted reached set up to the cumulative
+        // ring size — the membership and order `subgraph::ball` builds.
+        let (sorted, rings) = bfs::with_scratch(|s| {
+            s.run_bounded(self.graph, center, max_h);
+            (s.ball_nodes_sorted(), s.ring_sizes(max_h))
+        });
+        let mut size = 0;
+        rings
+            .iter()
+            .map(|&ring| {
+                size += ring;
+                induced_subgraph(self.graph, &sorted[..size])
+            })
+            .collect()
     }
 
     fn distances(&self, center: NodeId) -> Vec<u32> {

@@ -14,6 +14,7 @@ use crate::CurvePoint;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use topogen_graph::apsp::betweenness_center;
 use topogen_graph::tree::{distortion_of_tree, RootedTree};
 use topogen_graph::{Graph, NodeId};
@@ -64,7 +65,9 @@ pub fn graph_distortion(g: &Graph, params: &DistortionParams) -> Option<f64> {
         }
     };
     // Root 1: the betweenness center (the paper's footnote-14 heuristic).
-    if let Some(center) = betweenness_center(g) {
+    let center = ball_center(g);
+    let tree_span = topogen_par::trace::span("tree");
+    if let Some(center) = center {
         consider(RootedTree::bfs_tree(g, center), &mut best);
     }
     // Root 2: the maximum-degree node.
@@ -72,8 +75,10 @@ pub fn graph_distortion(g: &Graph, params: &DistortionParams) -> Option<f64> {
     if let Some(hub) = hub {
         consider(RootedTree::bfs_tree(g, hub), &mut best);
     }
+    drop(tree_span);
     // Cross-check: Bartal-style random decomposition tree.
     if params.use_bartal {
+        let _bartal_span = topogen_par::trace::span("bartal");
         let mut rng = StdRng::seed_from_u64(params.seed);
         for _ in 0..2 {
             consider(bartal_tree(g, &mut rng), &mut best);
@@ -84,6 +89,32 @@ pub fn graph_distortion(g: &Graph, params: &DistortionParams) -> Option<f64> {
     } else {
         None
     }
+}
+
+thread_local! {
+    /// This worker's last ball whose center was computed, and that center.
+    static LAST_CENTER: RefCell<Option<(Graph, Option<NodeId>)>> = const { RefCell::new(None) };
+}
+
+/// [`betweenness_center`] of `g`, reusing this worker's previous answer
+/// when `g` is the same ball. Every radius past a center's eccentricity
+/// regrows an identical ball under a new seed, which only the Bartal
+/// trees read. Only the center — a pure function of the ball — is kept,
+/// never a distortion, so calls that differ in `polish` or seed cannot
+/// alias.
+fn ball_center(g: &Graph) -> Option<NodeId> {
+    LAST_CENTER.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        if let Some((ball, center)) = slot.as_ref() {
+            if ball == g {
+                return *center;
+            }
+        }
+        let _span = topogen_par::trace::span("betweenness");
+        let center = betweenness_center(g);
+        *slot = Some((g.clone(), center));
+        center
+    })
 }
 
 /// Local search over spanning trees: repeatedly take the non-tree edges
@@ -237,6 +268,7 @@ fn decompose<R: Rng>(
     // node to the first sub-center within radius/2 (BFS order).
     let half = (radius / 2).max(1);
     let mut assigned = vec![false; g.node_count()];
+    let mut claimed = 0;
     let mut order: Vec<NodeId> = nodes.to_vec();
     order.shuffle(rng);
     let mut subcenters: Vec<NodeId> = vec![center];
@@ -252,10 +284,9 @@ fn decompose<R: Rng>(
         }
         // Hop-bounded BFS within the cluster claiming unassigned nodes.
         let members = claim_ball(g, &in_cluster, &mut assigned, c, half);
-        if !members.is_empty() {
-            clusters.push((c, members));
-        }
-        if nodes.iter().all(|&v| assigned[v as usize]) {
+        claimed += members.len();
+        clusters.push((c, members));
+        if claimed == nodes.len() {
             break;
         }
     }
@@ -274,7 +305,9 @@ fn decompose<R: Rng>(
     }
 }
 
-/// Claim all unassigned in-cluster nodes within `h` hops of `c`.
+/// Claim `c` and every unassigned in-cluster node within `h` hops of it,
+/// in BFS order. A node is claimed when first reached, so `members` is
+/// also the BFS queue, walked one hop level at a time.
 fn claim_ball(
     g: &Graph,
     in_cluster: &[bool],
@@ -282,25 +315,21 @@ fn claim_ball(
     c: NodeId,
     h: u32,
 ) -> Vec<NodeId> {
-    let mut members = Vec::new();
-    let mut dist = std::collections::HashMap::new();
-    let mut q = std::collections::VecDeque::new();
-    dist.insert(c, 0u32);
-    q.push_back(c);
-    while let Some(u) = q.pop_front() {
-        let du = dist[&u];
-        if !assigned[u as usize] {
-            assigned[u as usize] = true;
-            members.push(u);
-        }
-        if du >= h {
-            continue;
-        }
-        for &w in g.neighbors(u) {
-            if in_cluster[w as usize] && !assigned[w as usize] && !dist.contains_key(&w) {
-                dist.insert(w, du + 1);
-                q.push_back(w);
+    assigned[c as usize] = true;
+    let mut members = vec![c];
+    let mut level = 0..1;
+    for _ in 0..h {
+        for i in level.clone() {
+            for &w in g.neighbors(members[i]) {
+                if in_cluster[w as usize] && !assigned[w as usize] {
+                    assigned[w as usize] = true;
+                    members.push(w);
+                }
             }
+        }
+        level = level.end..members.len();
+        if level.is_empty() {
+            break;
         }
     }
     members
