@@ -117,9 +117,15 @@ impl ExpCtx {
     /// table stays CI-feasible: fewer, shallower balls as the graphs
     /// grow, leaning on the batched bitset BFS kernels for the
     /// expansion sweeps. The sampled tiers additionally run in
-    /// checkpointed batches (partials land in the store, so a killed
-    /// suite resumes mid-run) and attach bootstrap 95% CIs to the
-    /// sampled estimates; the archived tiers keep both off.
+    /// checkpointed batches when a store is attached (partials land in
+    /// the store, so a killed suite resumes mid-run) and attach
+    /// bootstrap 95% CIs to the sampled estimates; the archived tiers
+    /// keep both off. A batch holds [`MAX_LANES`] jobs, at most one
+    /// lane pass plus enough ball centers to fill the workers; it must
+    /// not depend on the thread count, because the batch size is part
+    /// of every partial's store key.
+    ///
+    /// [`MAX_LANES`]: topogen_graph::bfs_bitset::MAX_LANES
     pub fn suite_params(&self) -> topogen_core::suite::SuiteParams {
         let mut p = if self.quick {
             topogen_core::suite::SuiteParams::quick()
@@ -133,7 +139,7 @@ impl ExpCtx {
                 p.expansion_sources = 128;
                 p.max_radius = 40;
                 p.max_ball_nodes = 900;
-                p.batch = Some(4);
+                p.batch = Some(topogen_graph::bfs_bitset::MAX_LANES);
                 p.bootstrap = Some(200);
             }
             Scale::Xl => {
@@ -141,7 +147,7 @@ impl ExpCtx {
                 p.expansion_sources = 64;
                 p.max_radius = 32;
                 p.max_ball_nodes = 900;
-                p.batch = Some(4);
+                p.batch = Some(topogen_graph::bfs_bitset::MAX_LANES);
                 p.bootstrap = Some(200);
             }
         }

@@ -31,7 +31,8 @@ pub fn suite() -> Suite {
             Box::new(Check {
                 name: "ballplan-kernel-identity",
                 property: "a BallPlan forced to the bitset kernels reproduces the \
-                           forced-scalar curves bit-for-bit on arbitrary connected graphs",
+                           forced-scalar curves bit-for-bit on arbitrary connected graphs, \
+                           with expansion-only centers spanning one or more lane passes",
                 oracle: "the same plan with KernelPolicy::Scalar",
                 shrink_hint: "shrink the node count, then drop the distortion metric",
                 max_cases: u32::MAX,
@@ -85,10 +86,14 @@ fn bfs_bitset_vs_scalar(seed: u64) -> Result<(), String> {
 
 fn ballplan_kernel_identity(seed: u64) -> Result<(), String> {
     let mut rng = gen::Lcg::new(seed);
-    let n = 8 + rng.below(60);
+    // Above 64 expansion-only centers the lane task needs a second pass.
+    let n = 8 + rng.below(153);
     let g = gen::connected_graph(n, rng.below(2 * n), rng.next() as u64);
     let src = PlainBalls { graph: &g };
-    let centers: Vec<NodeId> = g.nodes().collect();
+    // Every node is an expansion center and about a quarter are also
+    // ball centers, so the multi-source lane kernel serves the rest.
+    let exp_centers: Vec<NodeId> = g.nodes().collect();
+    let centers: Vec<NodeId> = g.nodes().filter(|_| rng.below(4) == 0).collect();
     let res = ResilienceMetric {
         restarts: 2,
         max_ball_nodes: 1_000,
@@ -101,7 +106,7 @@ fn ballplan_kernel_identity(seed: u64) -> Result<(), String> {
     let run = |policy: KernelPolicy| {
         BallPlan::new(&src, 8, seed)
             .ball_centers(centers.clone())
-            .expansion_centers(centers.clone())
+            .expansion_centers(exp_centers.clone())
             .kernel(policy)
             .metric(&res)
             .metric(&dis)

@@ -30,12 +30,14 @@ pub struct SuiteParams {
     pub restarts: usize,
     /// Master seed.
     pub seed: u64,
-    /// Centers per checkpointed batch. `Some(b)`: the engine's job list
-    /// is collected `b` jobs at a time, each batch's outputs persisted
-    /// under a deterministic [`crate::cache::suite_partial_key`] before
-    /// the next starts — a killed run resumes from the last completed
-    /// batch. `None` (the historical default) runs one-shot. Results
-    /// are bit-identical either way (see
+    /// Centers per checkpointed batch. A batch is a checkpoint unit, so
+    /// this applies only when the run context has a store: `Some(b)`
+    /// then collects the engine's job list `b` jobs at a time, each
+    /// batch's outputs persisted under a deterministic
+    /// [`crate::cache::suite_partial_key`] before the next starts — a
+    /// killed run resumes from the last completed batch. Without a
+    /// store, or with `None` (the historical default), every job runs in
+    /// one engine call. Results are bit-identical either way (see
     /// [`topogen_metrics::engine::JobOut`]), so this knob is *not* part
     /// of the curves cache key.
     pub batch: Option<usize>,
@@ -354,10 +356,14 @@ fn run_with_source<S: BallSource>(
         }
         batch => {
             let jobs = plan.jobs();
-            let chunk = batch.unwrap_or(jobs.len().max(1));
+            // Nothing to persist without a store: one engine call.
+            let chunk = batch
+                .filter(|_| ctx.store.is_some())
+                .unwrap_or(jobs.len())
+                .max(1);
             let mut outputs = Vec::with_capacity(jobs.len());
             let mut timings = TimingReport::default();
-            for (i, slice) in jobs.chunks(chunk.max(1)).enumerate() {
+            for (i, slice) in jobs.chunks(chunk).enumerate() {
                 // Serve completed batches from the store (that is the
                 // whole restart story: a killed run left them behind),
                 // compute and persist the rest before moving on.
@@ -539,6 +545,7 @@ fn percentile_interval(samples: &mut Vec<f64>) -> (f64, f64) {
 mod tests {
     use super::*;
     use crate::zoo::{build, Scale, TopologySpec};
+    use topogen_metrics::engine::KernelPolicy;
 
     fn sig(spec: &TopologySpec) -> String {
         let t = build(spec, Scale::Small, 42);
@@ -620,10 +627,30 @@ mod tests {
         for batch in [1usize, 3, 1000] {
             let mut p = params;
             p.batch = Some(batch);
-            // No store: batched collection, nothing persisted.
+            // No store: nothing persisted.
             let r = run_suite_in(&crate::ctx::RunCtx::new(), &t, &p);
             assert_eq!(fp(&r), fp(&one_shot), "batch={batch}, no store");
         }
+
+        // Without a store a batch checkpoints nothing, so the batched
+        // run is the one-shot run's single engine call, down to the
+        // bitset kernels' lane passes.
+        let bitset = crate::ctx::RunCtx::new().with_kernel(KernelPolicy::Bitset);
+        let one_call = run_suite_in(&bitset, &t, &params);
+        let mut p = params;
+        p.batch = Some(4);
+        p.bootstrap = Some(50);
+        let batched = run_suite_in(&bitset, &t, &p);
+        assert_eq!(fp(&one_call), fp(&one_shot), "bitset one-shot");
+        assert_eq!(fp(&batched), fp(&one_shot), "bitset batched, no store");
+        assert_eq!(
+            batched.timings.frontier_passes,
+            one_call.timings.frontier_passes
+        );
+        assert_eq!(
+            batched.timings.words_scanned,
+            one_call.timings.words_scanned
+        );
 
         let dir = std::env::temp_dir().join(format!("topogen-suite-batch-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -35,6 +35,7 @@
 //! for choosing between the scalar and bitset paths, so the batch CLI
 //! and the serve daemon share one instrumented decision point.
 
+use crate::subgraph::{induced_subgraph_by, SubgraphMap};
 use crate::{Graph, NodeId, UNREACHED};
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -176,10 +177,11 @@ const ALPHA: u64 = 14;
 /// Reusable single-source bitset BFS state: one visited bitmap, one
 /// frontier bitmap (materialized only for bottom-up levels), a distance
 /// field valid where the visited bit is set, and the touched-node list.
+/// Each level's frontier is the `touched[lo..hi]` slice the previous
+/// level appended, so no separate frontier lists are kept.
 ///
-/// Like [`crate::bfs::DistScratch`] this lives per worker thread and is
-/// reused across centers, so steady-state cost is O(ball + n/64) per
-/// BFS with zero allocation.
+/// Like [`crate::bfs::DistScratch`] this is reused across centers, so
+/// steady-state cost is O(ball + n/64) per BFS with zero allocation.
 #[derive(Debug, Default)]
 pub struct BitsetScratch {
     /// Visited bitmap; `dist[v]` is valid iff bit `v` is set.
@@ -187,8 +189,6 @@ pub struct BitsetScratch {
     /// Frontier bitmap, nonzero only inside a bottom-up level.
     front_bits: Vec<u64>,
     dist: Vec<u32>,
-    front: Vec<NodeId>,
-    next: Vec<NodeId>,
     touched: Vec<NodeId>,
 }
 
@@ -196,6 +196,18 @@ impl BitsetScratch {
     /// A fresh scratch; buffers grow lazily on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A scratch sized for graphs of up to `n` nodes, allocated up front
+    /// so that runs on other threads never grow it.
+    pub fn with_nodes(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        BitsetScratch {
+            visited: vec![0; words],
+            front_bits: vec![0; words],
+            dist: vec![0; n],
+            touched: Vec::with_capacity(n),
+        }
     }
 
     /// Run a bounded direction-optimizing BFS from `src`, replacing any
@@ -213,29 +225,27 @@ impl BitsetScratch {
             self.dist.resize(n, 0);
         }
         self.touched.clear();
-        self.front.clear();
-        self.next.clear();
 
         self.visited[src as usize / 64] |= 1u64 << (src % 64);
         self.dist[src as usize] = 0;
         self.touched.push(src);
-        self.front.push(src);
         stats.words_scanned += 1;
 
         let m2 = 2 * g.edge_count() as u64; // directed edge endpoints
+
+        // The frontier is `touched[lo..hi]`; each level appends the next.
+        let (mut lo, mut hi) = (0, 1);
         let mut level = 1u32;
-        while !self.front.is_empty() && level <= max_h {
-            let frontier_edges: u64 = self
-                .front
+        while lo < hi && level <= max_h {
+            let frontier_edges: u64 = self.touched[lo..hi]
                 .iter()
                 .map(|&u| g.neighbors(u).len() as u64)
                 .sum();
-            self.next.clear();
             if frontier_edges * ALPHA > m2 {
                 // Bottom-up: scan unvisited nodes, probe their
                 // neighbors against the frontier bitmap, stop at the
                 // first hit.
-                for &u in &self.front {
+                for &u in &self.touched[lo..hi] {
                     self.front_bits[u as usize / 64] |= 1u64 << (u % 64);
                 }
                 let mut probes = 0u64;
@@ -254,20 +264,20 @@ impl BitsetScratch {
                                 self.visited[w] |= 1u64 << b;
                                 self.dist[v as usize] = level;
                                 self.touched.push(v);
-                                self.next.push(v);
                                 break;
                             }
                         }
                     }
                 }
-                for &u in &self.front {
+                for &u in &self.touched[lo..hi] {
                     self.front_bits[u as usize / 64] = 0;
                 }
-                stats.words_scanned += words as u64 + probes + 2 * self.front.len() as u64;
+                stats.words_scanned += words as u64 + probes + 2 * (hi - lo) as u64;
             } else {
                 // Top-down: expand the frontier list, one visited-word
                 // probe per edge.
-                for &u in &self.front {
+                for i in lo..hi {
+                    let u = self.touched[i];
                     for &v in g.neighbors(u) {
                         let w = v as usize / 64;
                         let bit = 1u64 << (v % 64);
@@ -275,14 +285,13 @@ impl BitsetScratch {
                             self.visited[w] |= bit;
                             self.dist[v as usize] = level;
                             self.touched.push(v);
-                            self.next.push(v);
                         }
                     }
                 }
                 stats.words_scanned += frontier_edges;
             }
             stats.frontier_passes += 1;
-            std::mem::swap(&mut self.front, &mut self.next);
+            (lo, hi) = (hi, self.touched.len());
             level += 1;
         }
     }
@@ -307,12 +316,44 @@ impl BitsetScratch {
         &self.touched
     }
 
+    /// Sort the first `len` reached nodes in place by `(distance, id)`.
+    /// Reached nodes are stored in non-decreasing distance order, so
+    /// when `len` is a cumulative ring size (the prefix sum of
+    /// [`ring_sizes`](Self::ring_sizes) up to radius `h`) the prefix is
+    /// then the ball of radius `h` in the order of
+    /// [`crate::bfs::ball_nodes`], and so is every shorter such prefix.
+    ///
+    /// # Panics
+    /// Panics if `len` exceeds the number of reached nodes.
+    pub fn sort_prefix(&mut self, len: usize) {
+        let dist = &self.dist;
+        // Ids are distinct, so the unstable sort is deterministic.
+        self.touched[..len].sort_unstable_by_key(|&v| (dist[v as usize], v));
+    }
+
     /// Nodes reached by the most recent run, sorted by `(distance, id)`
     /// — the deterministic ball order of [`crate::bfs::ball_nodes`].
-    pub fn ball_nodes_sorted(&self) -> Vec<NodeId> {
-        let mut out = self.touched.clone();
-        out.sort_by_key(|&v| (self.dist[v as usize], v));
-        out
+    pub fn ball_nodes_sorted(&mut self) -> Vec<NodeId> {
+        self.sort_prefix(self.touched.len());
+        self.touched.clone()
+    }
+
+    /// The ball of radius `h` of the most recent run — the subgraph and
+    /// node order [`crate::subgraph::ball`] builds. `cum` holds the
+    /// cumulative ring sizes, and the prefix up to `cum[h]` must have
+    /// been sorted with [`sort_prefix`](Self::sort_prefix). A neighbor's
+    /// ball index is found by binary search within its distance level,
+    /// so no `n`-sized inverse map is allocated per ball.
+    pub fn ball(&self, g: &Graph, cum: &[usize], h: usize) -> (Graph, SubgraphMap) {
+        induced_subgraph_by(g, &self.touched[..cum[h]], |w| {
+            let d = self.dist(w) as usize; // `UNREACHED` is past every h
+            if d > h {
+                return None;
+            }
+            let start = if d == 0 { 0 } else { cum[d - 1] };
+            let level = &self.touched[start..cum[d]];
+            level.binary_search(&w).ok().map(|k| (start + k) as u32)
+        })
     }
 
     /// Counts of nodes at *exactly* each hop distance `0..=max_h` for
@@ -350,7 +391,8 @@ pub const MAX_LANES: usize = 64;
 /// order — exactly what [`crate::bfs::ring_sizes`] returns per source,
 /// at one lane-parallel frontier sweep per level instead of one BFS per
 /// source. Prefix-summing a row yields the expansion metric's
-/// cumulative reachable-set sizes.
+/// cumulative reachable-set sizes. One-off form of
+/// [`LaneScratch::ring_counts`].
 ///
 /// # Panics
 /// Panics if `sources.len() > 64`.
@@ -360,81 +402,141 @@ pub fn multi_source_ring_counts(
     max_h: u32,
     stats: &mut BfsStats,
 ) -> Vec<Vec<usize>> {
-    assert!(
-        sources.len() <= MAX_LANES,
-        "at most {MAX_LANES} sources per pass, got {}",
-        sources.len()
-    );
-    let n = g.node_count();
-    let lanes = sources.len();
-    let mut rings = vec![vec![0usize; max_h as usize + 1]; lanes];
-    if lanes == 0 {
-        return rings;
+    LaneScratch::new().ring_counts(g, sources, max_h, stats)
+}
+
+/// Reusable multi-source lane state: per-node visited/frontier/next
+/// lane masks (bit `k` of `visited[v]` = source `k` has reached `v`)
+/// plus the frontier node lists. Between passes `front` and `next` are
+/// all zero and the lists empty; each pass clears `visited` itself, so
+/// one scratch serves any number of passes over graphs of any size.
+#[derive(Debug, Default)]
+pub struct LaneScratch {
+    visited: Vec<u64>,
+    front: Vec<u64>,
+    next: Vec<u64>,
+    front_nodes: Vec<NodeId>,
+    next_nodes: Vec<NodeId>,
+}
+
+impl LaneScratch {
+    /// A fresh scratch; buffers grow lazily on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    // Per-node lane masks: bit k set in visited[v] = source k reached v.
-    let mut visited = vec![0u64; n];
-    let mut front = vec![0u64; n];
-    let mut next = vec![0u64; n];
-    let mut front_nodes: Vec<NodeId> = Vec::new();
-    let mut next_nodes: Vec<NodeId> = Vec::new();
-
-    for (k, &s) in sources.iter().enumerate() {
-        if front[s as usize] == 0 {
-            front_nodes.push(s);
+    /// A scratch sized for graphs of up to `n` nodes, allocated up front
+    /// so that passes on other threads never grow it.
+    pub fn with_nodes(n: usize) -> Self {
+        LaneScratch {
+            visited: vec![0; n],
+            front: vec![0; n],
+            next: vec![0; n],
+            front_nodes: Vec::with_capacity(n),
+            next_nodes: Vec::with_capacity(n),
         }
-        visited[s as usize] |= 1u64 << k;
-        front[s as usize] |= 1u64 << k;
-        rings[k][0] += 1;
     }
-    stats.words_scanned += lanes as u64;
 
-    let mut level = 1u32;
-    while !front_nodes.is_empty() && level <= max_h {
-        next_nodes.clear();
-        let mut edge_words = 0u64;
-        for &v in &front_nodes {
-            let f = front[v as usize];
-            for &u in g.neighbors(v) {
-                if next[u as usize] == 0 {
-                    next_nodes.push(u);
-                }
-                next[u as usize] |= f;
+    /// One lane-parallel pass: the ring counts of
+    /// [`multi_source_ring_counts`], reusing this scratch's buffers.
+    ///
+    /// # Panics
+    /// Panics if `sources.len() > 64`.
+    pub fn ring_counts(
+        &mut self,
+        g: &Graph,
+        sources: &[NodeId],
+        max_h: u32,
+        stats: &mut BfsStats,
+    ) -> Vec<Vec<usize>> {
+        assert!(
+            sources.len() <= MAX_LANES,
+            "at most {MAX_LANES} sources per pass, got {}",
+            sources.len()
+        );
+        let n = g.node_count();
+        let lanes = sources.len();
+        let mut rings = vec![vec![0usize; max_h as usize + 1]; lanes];
+        if lanes == 0 {
+            return rings;
+        }
+        if self.visited.len() < n {
+            self.visited.resize(n, 0);
+            self.front.resize(n, 0);
+            self.next.resize(n, 0);
+        }
+        let Self {
+            visited,
+            front,
+            next,
+            front_nodes,
+            next_nodes,
+        } = self;
+        visited[..n].fill(0);
+
+        for (k, &s) in sources.iter().enumerate() {
+            if front[s as usize] == 0 {
+                front_nodes.push(s);
             }
-            edge_words += g.neighbors(v).len() as u64;
+            visited[s as usize] |= 1u64 << k;
+            front[s as usize] |= 1u64 << k;
+            rings[k][0] += 1;
         }
-        for &v in &front_nodes {
+        stats.words_scanned += lanes as u64;
+
+        let mut level = 1u32;
+        while !front_nodes.is_empty() && level <= max_h {
+            next_nodes.clear();
+            let mut edge_words = 0u64;
+            for &v in front_nodes.iter() {
+                let f = front[v as usize];
+                for &u in g.neighbors(v) {
+                    if next[u as usize] == 0 {
+                        next_nodes.push(u);
+                    }
+                    next[u as usize] |= f;
+                }
+                edge_words += g.neighbors(v).len() as u64;
+            }
+            for &v in front_nodes.iter() {
+                front[v as usize] = 0;
+            }
+            front_nodes.clear();
+            for &u in next_nodes.iter() {
+                let new = next[u as usize] & !visited[u as usize];
+                next[u as usize] = 0;
+                if new != 0 {
+                    visited[u as usize] |= new;
+                    front[u as usize] = new;
+                    front_nodes.push(u);
+                    let mut bits = new;
+                    while bits != 0 {
+                        let k = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        rings[k][level as usize] += 1;
+                    }
+                }
+            }
+            // `front_nodes` was cleared above and now holds the new
+            // frontier; `next_nodes` is free scratch for the next level.
+            stats.words_scanned += edge_words + 3 * next_nodes.len() as u64;
+            stats.frontier_passes += 1;
+            level += 1;
+        }
+        // A radius-bounded pass can stop with a live frontier: zero it so
+        // the next pass starts from clean lanes.
+        for &v in front_nodes.iter() {
             front[v as usize] = 0;
         }
         front_nodes.clear();
-        for &u in &next_nodes {
-            let new = next[u as usize] & !visited[u as usize];
-            next[u as usize] = 0;
-            if new != 0 {
-                visited[u as usize] |= new;
-                front[u as usize] = new;
-                front_nodes.push(u);
-                let mut bits = new;
-                while bits != 0 {
-                    let k = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    rings[k][level as usize] += 1;
-                }
-            }
-        }
-        // `front_nodes` was cleared above and now holds the new
-        // frontier; `next_nodes` is free scratch for the next level.
-        stats.words_scanned += edge_words + 3 * next_nodes.len() as u64;
-        stats.frontier_passes += 1;
-        level += 1;
+        rings
     }
-    rings
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs;
+    use crate::{bfs, subgraph};
 
     fn path5() -> Graph {
         Graph::from_edges(5, (0..4).map(|i| (i, i + 1)))
@@ -477,10 +579,27 @@ mod tests {
         for src in [0u32, 7, 8, 11] {
             for max_h in [1, 2, u32::MAX] {
                 s.run_bounded(&g, src, max_h, &mut stats);
-                assert_eq!(s.ball_nodes_sorted(), bfs::ball_nodes(&g, src, max_h));
                 if max_h != u32::MAX {
                     assert_eq!(s.ring_sizes(max_h), bfs::ring_sizes(&g, src, max_h));
+                    // Sorting the radius-1 prefix serves every ball up
+                    // to radius 1.
+                    let cum: Vec<usize> = s
+                        .ring_sizes(max_h)
+                        .iter()
+                        .scan(0, |acc, &r| {
+                            *acc += r;
+                            Some(*acc)
+                        })
+                        .collect();
+                    s.sort_prefix(cum[1]);
+                    for h in 0..=1 {
+                        let (ball, map) = s.ball(&g, &cum, h);
+                        let (want, want_map) = subgraph::ball(&g, src, h as u32);
+                        assert_eq!(map.originals(), want_map.originals(), "src {src} h {h}");
+                        assert_eq!(ball, want, "src {src} h {h}");
+                    }
                 }
+                assert_eq!(s.ball_nodes_sorted(), bfs::ball_nodes(&g, src, max_h));
             }
         }
     }
@@ -505,6 +624,33 @@ mod tests {
         let rings = multi_source_ring_counts(&g, &sources, 3, &mut stats);
         for (k, &s) in sources.iter().enumerate() {
             assert_eq!(rings[k], bfs::ring_sizes(&g, s, 3), "lane {k}");
+        }
+    }
+
+    #[test]
+    fn lane_scratch_reuse_across_graphs_and_passes() {
+        // One scratch, graphs of both sizes in both orders, radius-bounded
+        // passes that stop with a live frontier: no lane state may leak
+        // into the next pass.
+        let (small, large) = (path5(), mixed());
+        let mut lanes = LaneScratch::new();
+        let mut stats = BfsStats::default();
+        for (g, max_h) in [
+            (&small, 1),
+            (&large, 2),
+            (&small, 4),
+            (&large, 1),
+            (&large, 5),
+        ] {
+            let sources: Vec<NodeId> = (0..g.node_count() as NodeId).rev().collect();
+            let rings = lanes.ring_counts(g, &sources, max_h, &mut stats);
+            for (k, &s) in sources.iter().enumerate() {
+                assert_eq!(
+                    rings[k],
+                    bfs::ring_sizes(g, s, max_h),
+                    "lane {k} source {s}"
+                );
+            }
         }
     }
 

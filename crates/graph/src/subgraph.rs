@@ -59,13 +59,27 @@ pub fn induced_subgraph(g: &Graph, keep: &[NodeId]) -> (Graph, SubgraphMap) {
         debug_assert_eq!(inv[v as usize], u32::MAX, "duplicate node in keep set");
         inv[v as usize] = i as u32;
     }
+    induced_subgraph_by(g, keep, |w| {
+        Some(inv[w as usize]).filter(|&j| j != u32::MAX)
+    })
+}
+
+/// [`induced_subgraph`] with the caller's lookup of each node's index in
+/// `keep` (`None` when not kept), for callers that can answer it
+/// without an `n`-sized inverse map.
+pub(crate) fn induced_subgraph_by(
+    g: &Graph,
+    keep: &[NodeId],
+    index: impl Fn(NodeId) -> Option<u32>,
+) -> (Graph, SubgraphMap) {
     let mut b = GraphBuilder::new(keep.len());
     for (i, &v) in keep.iter().enumerate() {
         for &w in g.neighbors(v) {
-            let j = inv[w as usize];
             // Add each edge once (from the smaller subgraph id).
-            if j != u32::MAX && (i as u32) < j {
-                b.add_edge(i as NodeId, j);
+            if let Some(j) = index(w) {
+                if (i as u32) < j {
+                    b.add_edge(i as NodeId, j);
+                }
             }
         }
     }

@@ -31,14 +31,13 @@ use crate::balls::BallSource;
 use crate::instrument::{Instrument, InstrumentReport};
 use crate::partition::min_balanced_cut;
 use crate::CurvePoint;
-use std::cell::RefCell;
+use std::sync::Mutex;
 use std::time::Instant;
 use topogen_graph::bfs_bitset::{
-    multi_source_ring_counts, select_kernel, BfsStats, BitsetScratch, KernelChoice, MAX_LANES,
+    select_kernel, BfsStats, BitsetScratch, KernelChoice, LaneScratch, MAX_LANES,
 };
-use topogen_graph::subgraph::induced_subgraph;
 use topogen_graph::{Graph, NodeId, UNREACHED};
-use topogen_par::par_map_threads;
+use topogen_par::{par_map_threads, worker_count};
 
 pub use topogen_graph::bfs_bitset::KernelPolicy;
 
@@ -568,11 +567,16 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         (ball_rows, cum)
     }
 
-    /// The batched bitset path over a plain graph: ball centers run one
-    /// direction-optimizing bounded BFS each (per-worker reused
-    /// scratch), expansion-only centers advance in 64-lane multi-source
-    /// passes. Outputs land at each job's original index, so the shared
-    /// aggregation below is oblivious to the kernel.
+    /// The batched bitset path over a plain graph, as one parallel map:
+    /// first a single lane task that advances the expansion-only
+    /// centers in 64-lane multi-source passes, one after another, then
+    /// one task per ball center (a single direction-optimizing bounded
+    /// BFS each). All BFS scratch is allocated here, before the map, and
+    /// lent to the tasks — one [`LaneScratch`] for the lane task and one
+    /// [`BitsetScratch`] per worker from a pool — so worker threads never
+    /// allocate traversal buffers of their own. Outputs land at each
+    /// job's original index, so the shared aggregation is oblivious to
+    /// the kernel.
     fn run_jobs_bitset(
         &self,
         g: &Graph,
@@ -580,57 +584,87 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         instrument: &Instrument,
         radii: usize,
     ) -> Vec<JobOut> {
-        let mut outputs: Vec<JobOut> = vec![(None, None); jobs.len()];
-
-        let ball_jobs: Vec<(usize, NodeId, bool)> = jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, is_ball, _))| is_ball)
-            .map(|(i, &(c, _, is_exp))| (i, c, is_exp))
+        let n = g.node_count();
+        let exp_only: Vec<usize> = (0..jobs.len())
+            .filter(|&i| !jobs[i].1 && jobs[i].2)
             .collect();
-        let exp_jobs: Vec<(usize, NodeId)> = jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, is_ball, is_exp))| !is_ball && is_exp)
-            .map(|(i, &(c, _, _))| (i, c))
+        // `None` is the lane task, `Some(i)` the ball task of job `i`.
+        let tasks: Vec<Option<usize>> = (!exp_only.is_empty())
+            .then_some(None)
+            .into_iter()
+            .chain((0..jobs.len()).filter(|&i| jobs[i].1).map(Some))
             .collect();
+        let ball_tasks = tasks.len() - usize::from(!exp_only.is_empty());
 
-        let ball_outs = par_map_threads(&ball_jobs, self.threads, |&(_, c, is_exp)| {
-            self.run_ball_bitset(g, c, is_exp, instrument, radii)
+        let lanes = Mutex::new(if exp_only.is_empty() {
+            LaneScratch::new()
+        } else {
+            LaneScratch::with_nodes(n)
         });
-        for (&(i, _, _), out) in ball_jobs.iter().zip(ball_outs) {
+        let workers = worker_count(self.threads, tasks.len()).min(ball_tasks);
+        let pool = Mutex::new(
+            (0..workers)
+                .map(|_| BitsetScratch::with_nodes(n))
+                .collect::<Vec<_>>(),
+        );
+        let task_outs = par_map_threads(&tasks, self.threads, |task| match *task {
+            None => {
+                let mut lanes = lanes.lock().expect("only the lane task locks it");
+                self.run_lanes_bitset(g, jobs, &exp_only, &mut lanes, instrument, radii)
+            }
+            Some(i) => {
+                let lock = || {
+                    pool.lock()
+                        .expect("the pool is never locked across a panic")
+                };
+                // One scratch per worker: the pool only runs dry if the
+                // map used more workers than `worker_count` said.
+                let mut scratch = lock().pop().unwrap_or_else(|| BitsetScratch::with_nodes(n));
+                let (c, _, is_exp) = jobs[i];
+                let out = self.run_ball_bitset(g, c, is_exp, &mut scratch, instrument, radii);
+                lock().push(scratch);
+                vec![(i, out)]
+            }
+        });
+
+        let mut outputs: Vec<JobOut> = vec![(None, None); jobs.len()];
+        for (i, out) in task_outs.into_iter().flatten() {
             outputs[i] = out;
         }
+        outputs
+    }
 
-        // Chunk expansion-only centers into 64-lane batches; each chunk
-        // is one multi-source traversal.
-        let chunks: Vec<&[(usize, NodeId)]> = exp_jobs.chunks(MAX_LANES).collect();
-        let chunk_outs = par_map_threads(&chunks, self.threads, |chunk| {
+    /// The lane task: the expansion-only jobs `exp_only` in 64-lane
+    /// multi-source passes over one reused scratch, each pass one
+    /// traversal for up to 64 centers. Returns `(job index, output)`.
+    fn run_lanes_bitset(
+        &self,
+        g: &Graph,
+        jobs: &[(NodeId, bool, bool)],
+        exp_only: &[usize],
+        lanes: &mut LaneScratch,
+        instrument: &Instrument,
+        radii: usize,
+    ) -> Vec<(usize, JobOut)> {
+        let mut outs = Vec::with_capacity(exp_only.len());
+        for chunk in exp_only.chunks(MAX_LANES) {
             let t0 = Instant::now();
             let _dist_span = topogen_par::trace::span("distances");
-            let sources: Vec<NodeId> = chunk.iter().map(|&(_, c)| c).collect();
+            let sources: Vec<NodeId> = chunk.iter().map(|&i| jobs[i].0).collect();
             let mut stats = BfsStats::default();
-            let rings = multi_source_ring_counts(g, &sources, self.max_radius, &mut stats);
+            let rings = lanes.ring_counts(g, &sources, self.max_radius, &mut stats);
             instrument.add_bfs_runs(sources.len() as u64);
             instrument.add_words_scanned(stats.words_scanned);
             instrument.add_frontier_passes(stats.frontier_passes);
             instrument.add_phase("distances", t0.elapsed());
-            rings
-                .into_iter()
-                .map(|mut counts| {
-                    for h in 1..radii {
-                        counts[h] += counts[h - 1];
-                    }
-                    counts
-                })
-                .collect::<Vec<_>>()
-        });
-        for (chunk, cums) in chunks.iter().zip(chunk_outs) {
-            for (&(i, _), cum) in chunk.iter().zip(cums) {
-                outputs[i] = (None, Some(cum));
+            for (&i, mut counts) in chunk.iter().zip(rings) {
+                for h in 1..radii {
+                    counts[h] += counts[h - 1];
+                }
+                outs.push((i, (None, Some(counts))));
             }
         }
-        outputs
+        outs
     }
 
     /// One ball center on the bitset path: a single bounded BFS yields
@@ -638,40 +672,39 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     /// sorted prefix of the reached set — exactly the scalar
     /// [`topogen_graph::subgraph::ball`] membership and order, without
     /// one BFS per radius. Balls larger than [`Self::ball_size_cap`]
-    /// skip construction (every metric would decline them).
+    /// skip construction (every metric would decline them), so only the
+    /// prefix up to the largest built ball is sorted.
     fn run_ball_bitset(
         &self,
         g: &Graph,
         c: NodeId,
         is_exp: bool,
+        scratch: &mut BitsetScratch,
         instrument: &Instrument,
         radii: usize,
     ) -> JobOut {
-        thread_local! {
-            static SCRATCH: RefCell<BitsetScratch> = RefCell::new(BitsetScratch::new());
-        }
         let _center_span = topogen_par::trace::span("center");
         let t0 = Instant::now();
         let ball_span = topogen_par::trace::span("balls");
-        let (sorted, mut cum) = SCRATCH.with(|s| {
-            let mut s = s.borrow_mut();
-            let mut stats = BfsStats::default();
-            s.run_bounded(g, c, self.max_radius, &mut stats);
-            instrument.add_words_scanned(stats.words_scanned);
-            instrument.add_frontier_passes(stats.frontier_passes);
-            // Cumulative ball sizes per radius = prefix sums of rings.
-            let mut cum = s.ring_sizes(self.max_radius);
-            for h in 1..radii {
-                cum[h] += cum[h - 1];
-            }
-            (s.ball_nodes_sorted(), cum)
-        });
+        let mut stats = BfsStats::default();
+        scratch.run_bounded(g, c, self.max_radius, &mut stats);
+        instrument.add_words_scanned(stats.words_scanned);
+        instrument.add_frontier_passes(stats.frontier_passes);
+        // Cumulative ball sizes per radius = prefix sums of rings.
+        let mut cum = scratch.ring_sizes(self.max_radius);
+        for h in 1..radii {
+            cum[h] += cum[h - 1];
+        }
+        // Only balls within the cap are built, so only the largest of
+        // them needs the `(distance, id)` order.
+        let cap = self.ball_size_cap.unwrap_or(usize::MAX);
+        let largest_built = cum.iter().copied().take_while(|&size| size <= cap).last();
+        scratch.sort_prefix(largest_built.unwrap_or(0));
         instrument.add_bfs_runs(1);
         instrument.add_phase("balls", t0.elapsed());
         drop(ball_span);
 
         let center_seed = mix_seed(self.seed, c as u64);
-        let cap = self.ball_size_cap.unwrap_or(usize::MAX);
         let mut built = 0u64;
         let rows: Vec<(f64, Vec<f64>)> = cum
             .iter()
@@ -684,7 +717,7 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
                     return (size as f64, vec![f64::NAN; self.metrics.len()]);
                 }
                 let t_build = Instant::now();
-                let (ball, _) = induced_subgraph(g, &sorted[..size]);
+                let (ball, _) = scratch.ball(g, &cum, h);
                 instrument.add_phase("balls", t_build.elapsed());
                 built += 1;
                 let ctx = MeasureCtx {
@@ -772,25 +805,25 @@ mod tests {
         }
     }
 
-    fn mesh8() -> Graph {
+    fn mesh(side: u32) -> Graph {
         let mut e = Vec::new();
-        for r in 0..8u32 {
-            for c in 0..8u32 {
-                let v = r * 8 + c;
-                if c + 1 < 8 {
+        for r in 0..side {
+            for c in 0..side {
+                let v = r * side + c;
+                if c + 1 < side {
                     e.push((v, v + 1));
                 }
-                if r + 1 < 8 {
-                    e.push((v, v + 8));
+                if r + 1 < side {
+                    e.push((v, v + side));
                 }
             }
         }
-        Graph::from_edges(64, e)
+        Graph::from_edges((side * side) as usize, e)
     }
 
     #[test]
     fn engine_matches_legacy_ball_curve() {
-        let g = mesh8();
+        let g = mesh(8);
         let src = PlainBalls { graph: &g };
         let centers: Vec<NodeId> = vec![0, 9, 27, 63];
         let legacy = ball_curve(&src, &centers, 5, |b| Some(b.edge_count() as f64));
@@ -807,7 +840,7 @@ mod tests {
 
     #[test]
     fn engine_matches_legacy_expansion() {
-        let g = mesh8();
+        let g = mesh(8);
         let src = PlainBalls { graph: &g };
         let centers: Vec<NodeId> = (0..64).collect();
         let legacy = expansion_curve(&src, &centers, 10);
@@ -820,7 +853,7 @@ mod tests {
 
     #[test]
     fn expansion_served_from_shared_balls_when_centers_overlap() {
-        let g = mesh8();
+        let g = mesh(8);
         let src = PlainBalls { graph: &g };
         let centers: Vec<NodeId> = vec![0, 20, 40];
         let legacy = expansion_curve(&src, &centers, 6);
@@ -840,7 +873,7 @@ mod tests {
 
     #[test]
     fn cache_hits_count_extra_consumers() {
-        let g = mesh8();
+        let g = mesh(8);
         let src = PlainBalls { graph: &g };
         let em = EdgeCount;
         let res = ResilienceMetric {
@@ -861,7 +894,7 @@ mod tests {
 
     #[test]
     fn thread_counts_bit_identical() {
-        let g = mesh8();
+        let g = mesh(8);
         let src = PlainBalls { graph: &g };
         let centers: Vec<NodeId> = (0..64).step_by(3).collect();
         let exp: Vec<NodeId> = (0..64).collect();
@@ -919,43 +952,48 @@ mod tests {
 
     #[test]
     fn bitset_kernel_bit_identical_to_scalar_any_thread_count() {
-        let g = mesh8();
-        let src = PlainBalls { graph: &g };
-        let centers: Vec<NodeId> = (0..64).step_by(5).collect();
-        let exp: Vec<NodeId> = (0..64).collect();
-        let run = |policy, threads| {
-            let res = ResilienceMetric {
-                restarts: 2,
-                max_ball_nodes: 40,
+        // On the 12×12 mesh 115 expansion-only centers need two 64-lane
+        // passes, which share one lane scratch while ball tasks run.
+        for side in [8, 12] {
+            let g = mesh(side);
+            let src = PlainBalls { graph: &g };
+            let nodes = side * side;
+            let centers: Vec<NodeId> = (0..nodes).step_by(5).collect();
+            let exp: Vec<NodeId> = (0..nodes).collect();
+            let run = |policy, threads| {
+                let res = ResilienceMetric {
+                    restarts: 2,
+                    max_ball_nodes: 40,
+                };
+                let dis = DistortionMetric {
+                    max_ball_nodes: 40,
+                    use_bartal: true,
+                    polish: false,
+                };
+                let out = BallPlan::new(&src, 8, 0x51DE)
+                    .ball_centers(centers.clone())
+                    .expansion_centers(exp.clone())
+                    .threads(Some(threads))
+                    .kernel(policy)
+                    .ball_size_cap(Some(40))
+                    .metric(&res)
+                    .metric(&dis)
+                    .run();
+                (fingerprint(&out), out.report)
             };
-            let dis = DistortionMetric {
-                max_ball_nodes: 40,
-                use_bartal: true,
-                polish: false,
-            };
-            let out = BallPlan::new(&src, 8, 0x51DE)
-                .ball_centers(centers.clone())
-                .expansion_centers(exp.clone())
-                .threads(Some(threads))
-                .kernel(policy)
-                .ball_size_cap(Some(40))
-                .metric(&res)
-                .metric(&dis)
-                .run();
-            (fingerprint(&out), out.report)
-        };
-        let (scalar, scalar_report) = run(KernelPolicy::Scalar, 1);
-        assert_eq!(
-            scalar_report.words_scanned, 0,
-            "scalar path touches no bitset words"
-        );
-        for threads in [1, 2, 8] {
-            let (bitset, report) = run(KernelPolicy::Bitset, threads);
-            assert_eq!(bitset, scalar, "bitset threads={threads}");
-            assert!(report.words_scanned > 0);
-            assert!(report.frontier_passes > 0);
-            // One traversal per center on both paths.
-            assert_eq!(report.bfs_runs, scalar_report.bfs_runs);
+            let (scalar, scalar_report) = run(KernelPolicy::Scalar, 1);
+            assert_eq!(
+                scalar_report.words_scanned, 0,
+                "scalar path touches no bitset words"
+            );
+            for threads in [1, 2, 8] {
+                let (bitset, report) = run(KernelPolicy::Bitset, threads);
+                assert_eq!(bitset, scalar, "side={side} bitset threads={threads}");
+                assert!(report.words_scanned > 0);
+                assert!(report.frontier_passes > 0);
+                // One traversal per center on both paths.
+                assert_eq!(report.bfs_runs, scalar_report.bfs_runs);
+            }
         }
     }
 
@@ -963,7 +1001,7 @@ mod tests {
     fn bitset_cap_matches_uncapped_when_metrics_skip() {
         // The cap only skips constructing balls every metric declines:
         // capped and uncapped bitset runs must agree bit-for-bit.
-        let g = mesh8();
+        let g = mesh(8);
         let src = PlainBalls { graph: &g };
         let run = |cap| {
             let res = ResilienceMetric {
@@ -984,9 +1022,9 @@ mod tests {
 
     #[test]
     fn auto_policy_keeps_scalar_on_small_graphs() {
-        // mesh8 is far below the Auto threshold: the plan must not
+        // mesh(8) is far below the Auto threshold: the plan must not
         // touch the bitset kernels (words_scanned stays zero).
-        let g = mesh8();
+        let g = mesh(8);
         let src = PlainBalls { graph: &g };
         let em = EdgeCount;
         let out = BallPlan::new(&src, 4, 1)
@@ -1001,7 +1039,7 @@ mod tests {
 
     #[test]
     fn curve_lookup_by_name() {
-        let g = mesh8();
+        let g = mesh(8);
         let src = PlainBalls { graph: &g };
         let em = EdgeCount;
         let out = BallPlan::new(&src, 2, 1)
@@ -1014,7 +1052,7 @@ mod tests {
 
     #[test]
     fn phase_timings_present() {
-        let g = mesh8();
+        let g = mesh(8);
         let src = PlainBalls { graph: &g };
         let em = EdgeCount;
         let out = BallPlan::new(&src, 3, 1)

@@ -29,5 +29,5 @@ pub use instrument::{
     record_arena_highwater, record_spill_runs, take_arena_highwater, take_spill_runs, Instrument,
     InstrumentReport, PhaseTiming,
 };
-pub use par::{panic_message, par_map, par_map_catch, par_map_threads};
+pub use par::{panic_message, par_map, par_map_catch, par_map_threads, worker_count};
 pub use trace::{SpanGuard, SpanRollup, TraceEvent, TraceSink};

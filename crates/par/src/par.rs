@@ -41,14 +41,8 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .min(items.len().max(1));
-    if threads <= 1 || items.len() < 4 {
+    let threads = worker_count(threads, items.len());
+    if threads <= 1 {
         return items
             .iter()
             .map(|item| {
@@ -129,6 +123,24 @@ where
     out.into_iter()
         .map(|slot| slot.expect("every output slot filled"))
         .collect()
+}
+
+/// How many threads [`par_map_threads`] runs `items` items on: `threads`
+/// (`None` = `available_parallelism`) capped at the item count, and 1
+/// (the calling thread) for fewer than four items. Callers size
+/// per-worker state with it before the map starts.
+pub fn worker_count(threads: Option<usize>, items: usize) -> usize {
+    if items < 4 {
+        return 1;
+    }
+    threads
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+        .min(items)
+        .max(1)
 }
 
 /// [`par_map_threads`] with per-item panic isolation: a panicking item
@@ -219,6 +231,15 @@ mod tests {
             });
             assert_eq!(par, seq, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn worker_count_caps_threads_at_items() {
+        assert_eq!(worker_count(Some(8), 3), 1, "under four items stays serial");
+        assert_eq!(worker_count(Some(8), 5), 5);
+        assert_eq!(worker_count(Some(2), 100), 2);
+        assert_eq!(worker_count(Some(0), 100), 1);
+        assert!(worker_count(None, 100) >= 1);
     }
 
     #[test]
