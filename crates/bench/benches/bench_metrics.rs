@@ -10,7 +10,7 @@ use topogen_graph::components::largest_component;
 use topogen_graph::Graph;
 use topogen_metrics::balls::{sample_centers, PlainBalls};
 use topogen_metrics::distortion::{graph_distortion, DistortionParams};
-use topogen_metrics::expansion::expansion_curve;
+use topogen_metrics::engine::BallPlan;
 use topogen_metrics::partition::min_balanced_cut;
 
 fn fixtures() -> Vec<(&'static str, Graph)> {
@@ -44,7 +44,14 @@ fn bench_expansion(c: &mut Criterion) {
         let src = PlainBalls { graph: &graph };
         let mut rng = StdRng::seed_from_u64(3);
         let centers = sample_centers(graph.node_count(), 60, &mut rng);
-        g.bench_function(name, |b| b.iter(|| expansion_curve(&src, &centers, 40)));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                BallPlan::new(&src, 40, 0)
+                    .expansion_centers(centers.clone())
+                    .run()
+                    .expansion
+            })
+        });
     }
     g.finish();
 }

@@ -16,10 +16,11 @@
 //! buffer used while building topologies: streaming-capable generators
 //! emit through a bounded builder that spills sorted runs to out/ and
 //! k-way merges them into the final CSR. The built graph is identical
-//! to the in-memory path; --timings reports the peak buffer bytes and
-//! spill-run count. At the sampled tiers suite jobs also run in
-//! store-checkpointed batches, so a killed run restarted with --resume
-//! and --cache serves completed batches from the store.
+//! to the in-memory path; the run ledger records each unit's peak
+//! buffer bytes (arena_bytes_peak) and spill-run count (spill_runs).
+//! At the sampled tiers suite jobs also run in store-checkpointed
+//! batches, so a killed run restarted with --resume and --cache serves
+//! completed batches from the store.
 //!
 //! --kernel forces the BFS kernel for metric plans: `scalar` is the
 //! per-center queue BFS, `bitset` the batched word-parallel kernels,
@@ -136,6 +137,7 @@ use topogen_bench::serve;
 use topogen_bench::{tracefmt, ExitCode, ExpCtx};
 use topogen_core::report::{render_figure, FigureData, TableData, TimingReport};
 use topogen_core::zoo::Scale;
+use topogen_core::RunCtx;
 use topogen_metrics::tolerance::Removal;
 use topogen_par::trace;
 
@@ -309,6 +311,7 @@ fn main() {
         _ => {}
     }
     let mut ctx = ExpCtx::default();
+    let mut run_ctx = RunCtx::new();
     let mut json_dir = None;
     let mut timings = false;
     let mut strict_checks = false;
@@ -378,9 +381,7 @@ fn main() {
             "--kernel" => {
                 let v = it.next().expect("--kernel needs auto|scalar|bitset");
                 match topogen_graph::bfs_bitset::KernelPolicy::parse(&v) {
-                    // Set process-wide so every RunCtx (batch units,
-                    // ambient snapshots) observes the same choice.
-                    Some(p) => topogen_graph::bfs_bitset::set_default_policy(p),
+                    Some(p) => run_ctx.kernel = p,
                     None => {
                         eprintln!("unknown kernel {v:?} (want auto|scalar|bitset)");
                         usage();
@@ -392,10 +393,7 @@ fn main() {
                     .next()
                     .expect("--mem-budget needs BYTES (K/M/G suffixes ok)");
                 match parse_byte_count(&v) {
-                    // Set process-wide so every RunCtx (batch units,
-                    // ambient snapshots) routes streaming-capable
-                    // builds through the bounded builder.
-                    Some(b) if b > 0 => topogen_graph::stream::set_default_budget(Some(b)),
+                    Some(b) if b > 0 => run_ctx.mem_budget = Some(b),
                     _ => {
                         eprintln!("bad --mem-budget {v:?} (want BYTES, e.g. 64M)");
                         usage();
@@ -457,21 +455,16 @@ fn main() {
         usage();
     }
 
-    // Install the ambient artifact store. Faulted runs never cache:
-    // an injected panic mid-build must not leave a plausible-looking
-    // entry behind for clean runs to consume.
-    let mut _ambient_store = None;
+    // Attach the artifact store to the run context. Faulted runs never
+    // cache: an injected panic mid-build must not leave a
+    // plausible-looking entry behind for clean runs to consume.
     if let Some(dir) = &cache_dir {
         if topogen_par::faults::active() {
             eprintln!("warning: TOPOGEN_FAULTS active; --cache disabled for this run");
         } else {
             match topogen_store::Store::open(dir) {
                 Ok(store) => {
-                    // Held for the remainder of main: the batch CLI is
-                    // the process, so process-lifetime scoping is right.
-                    _ambient_store = Some(topogen_store::ambient::install(Some(
-                        std::sync::Arc::new(store),
-                    )));
+                    run_ctx.store = Some(std::sync::Arc::new(store));
                     opts.store = Some(runner::StoreInfo {
                         path: dir.clone(),
                         codec_version: topogen_store::codec::CODEC_VERSION as u64,
@@ -484,13 +477,11 @@ fn main() {
             }
         }
     }
-    // Install the trace sink. Recording is append-only and off the
+    // Attach the trace sink. Recording is append-only and off the
     // result path: experiment outputs are byte-identical either way.
-    let trace_sink = trace_dir.as_ref().map(|_| {
-        let sink = std::sync::Arc::new(trace::TraceSink::new());
-        trace::install(Some(sink.clone()));
-        sink
-    });
+    if trace_dir.is_some() {
+        run_ctx.trace = Some(std::sync::Arc::new(trace::TraceSink::new()));
+    }
     let out = Output {
         json_dir,
         timings,
@@ -539,10 +530,10 @@ fn main() {
         let out = out.clone();
         let arg = arg.clone();
         let base = ctx;
-        Unit::new(id, move |attempt| {
+        Unit::new(id, move |run, attempt| {
             let mut c = base;
             c.seed = runner::reseed(base.seed, attempt);
-            run_cmd(&id_owned, arg.as_deref(), &c, &out)
+            run_cmd(&id_owned, arg.as_deref(), &c, run, &out)
         })
     };
 
@@ -554,14 +545,14 @@ fn main() {
         vec![unit_for(&cmd)]
     };
 
-    let report = runner::run_units(&units, &opts, ctx.seed, scale_label);
-    if let (Some(sink), Some(dir)) = (&trace_sink, &trace_dir) {
+    let report = runner::run_units(&units, &opts, &run_ctx, ctx.seed, scale_label);
+    if let (Some(sink), Some(dir)) = (&run_ctx.trace, &trace_dir) {
         match flush_trace(sink, dir, &cmd, ctx.seed) {
             Ok((path, events)) => eprintln!(">>> trace: {events} event(s) at {path}"),
             Err(e) => eprintln!("warning: cannot write trace log: {e}"),
         }
     }
-    if let Some(c) = topogen_store::ambient::counters() {
+    if let Some(c) = run_ctx.store.as_ref().map(|s| s.counters().snapshot()) {
         if !c.is_zero() {
             eprintln!(
                 ">>> store-cache: {} hit(s), {} miss(es), {}B read, {}B written{}",
@@ -1072,23 +1063,29 @@ fn run_measure_cmd(args: &[String]) -> ExitCode {
     ExitCode::Clean
 }
 
-fn run_cmd(cmd: &str, arg: Option<&str>, ctx: &ExpCtx, out: &Output) -> Result<(), UnitError> {
+fn run_cmd(
+    cmd: &str,
+    arg: Option<&str>,
+    ctx: &ExpCtx,
+    run: &RunCtx,
+    out: &Output,
+) -> Result<(), UnitError> {
     if ALL_UNITS.contains(&cmd) || cmd == "fig4" {
         eprintln!(">>> {cmd}");
     }
     let _ = out.take_degraded(); // drop leftovers from an aborted attempt
     out.mark_trace();
     match cmd {
-        "tab1" => out.table(&exp::tab1::run(ctx)),
+        "tab1" => out.table(&exp::tab1::run(ctx, run)),
         "fig2" => {
             for panel in ["canonical", "measured", "generated", "degree-based"] {
                 for metric in exp::fig2::Metric::all() {
-                    out.figure(&exp::fig2::run(ctx, panel, metric));
+                    out.figure(&exp::fig2::run(ctx, run, panel, metric));
                 }
             }
             println!("# qualitative checks (paper §4.1–4.3):");
             let mut failed = Vec::new();
-            for (claim, holds) in exp::fig2::qualitative_checks(ctx) {
+            for (claim, holds) in exp::fig2::qualitative_checks(ctx, run) {
                 println!("#   [{}] {}", if holds { "PASS" } else { "FAIL" }, claim);
                 if !holds {
                     failed.push(claim);
@@ -1102,55 +1099,55 @@ fn run_cmd(cmd: &str, arg: Option<&str>, ctx: &ExpCtx, out: &Output) -> Result<(
                 )));
             }
         }
-        "fig3" | "fig4" => out.figure(&exp::fig3::run(ctx)),
-        "fig5" => out.table(&exp::fig5::run(ctx)),
-        "fig6" => out.figure(&exp::fig6::run(ctx)),
+        "fig3" | "fig4" => out.figure(&exp::fig3::run(ctx, run)),
+        "fig5" => out.table(&exp::fig5::run(ctx, run)),
+        "fig6" => out.figure(&exp::fig6::run(ctx, run)),
         "fig7" => {
-            out.figure(&exp::fig7::run_eigen(ctx));
-            out.figure(&exp::fig7::run_diameter(ctx));
+            out.figure(&exp::fig7::run_eigen(ctx, run));
+            out.figure(&exp::fig7::run_diameter(ctx, run));
         }
         "fig8" => {
-            out.figure(&exp::fig8::run_cover(ctx));
-            out.figure(&exp::fig8::run_bicon(ctx));
+            out.figure(&exp::fig8::run_cover(ctx, run));
+            out.figure(&exp::fig8::run_bicon(ctx, run));
         }
         "fig9" => {
-            out.figure(&exp::fig9::run(ctx, Removal::Attack));
-            out.figure(&exp::fig9::run(ctx, Removal::Error));
+            out.figure(&exp::fig9::run(ctx, run, Removal::Attack));
+            out.figure(&exp::fig9::run(ctx, run, Removal::Error));
         }
         "fig10" => {
-            out.figure(&exp::fig10::run(ctx));
-            out.table(&exp::fig10::whole_graph_table(ctx));
+            out.figure(&exp::fig10::run(ctx, run));
+            out.table(&exp::fig10::whole_graph_table(ctx, run));
         }
         "fig11" => out.table(&exp::fig11::run(ctx)),
         "fig12" => {
-            let (ccdf, figs) = exp::fig12::run(ctx);
+            let (ccdf, figs) = exp::fig12::run(ctx, run);
             out.figure(&ccdf);
             for f in figs {
                 out.figure(&f);
             }
         }
-        "fig13" => out.table(&exp::fig12::run_modified(ctx)),
-        "fig14" => out.figure(&exp::fig3::run_variants(ctx)),
+        "fig13" => out.table(&exp::fig12::run_modified(ctx, run)),
+        "fig14" => out.figure(&exp::fig3::run_variants(ctx, run)),
         "fig15" => {
             out.table(&exp::fig15::run(ctx));
             out.table(&exp::fig15::run_overlay(ctx));
         }
         "tab-signature" => {
-            let (table, timings) = exp::signatures::run_signature_table_timed(ctx);
+            let (table, timings) = exp::signatures::run_signature_table_timed(ctx, run);
             out.table(&table);
             out.timing_report(&table.id, &timings);
         }
         "tab-hierarchy" => {
-            let (table, timings) = exp::signatures::run_hierarchy_table_timed(ctx);
+            let (table, timings) = exp::signatures::run_hierarchy_table_timed(ctx, run);
             out.table(&table);
             out.timing_report(&table.id, &timings);
         }
-        "bgp-vs-policy" => out.table(&exp::bgp::run(ctx)),
-        "robustness-snapshots" => out.table(&exp::robustness::run_snapshots(ctx)),
-        "robustness-incompleteness" => out.table(&exp::robustness::run_incompleteness(ctx)),
-        "ablation-ts" => out.table(&exp::ablations::run_ts_redundancy(ctx)),
-        "ablation-extremes" => out.table(&exp::ablations::run_extremes(ctx)),
-        "ablation-distortion" => out.table(&exp::ablations::run_distortion_polish(ctx)),
+        "bgp-vs-policy" => out.table(&exp::bgp::run(ctx, run)),
+        "robustness-snapshots" => out.table(&exp::robustness::run_snapshots(ctx, run)),
+        "robustness-incompleteness" => out.table(&exp::robustness::run_incompleteness(ctx, run)),
+        "ablation-ts" => out.table(&exp::ablations::run_ts_redundancy(ctx, run)),
+        "ablation-extremes" => out.table(&exp::ablations::run_extremes(ctx, run)),
+        "ablation-distortion" => out.table(&exp::ablations::run_distortion_polish(ctx, run)),
         "load-measured" => {
             let path = arg.expect("validated in main");
             let m = topogen_measured::load_measured(path)

@@ -17,16 +17,17 @@ use crate::ExpCtx;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topogen_core::report::TableData;
-use topogen_core::suite::run_suite;
-use topogen_core::zoo::{build, BuiltTopology, TopologySpec};
+use topogen_core::suite::run_suite_in;
+use topogen_core::zoo::{build_in, BuiltTopology, TopologySpec};
+use topogen_core::RunCtx;
 use topogen_generators::tiers::TiersParams;
 use topogen_generators::transit_stub::TransitStubParams;
 use topogen_generators::waxman::WaxmanParams;
 use topogen_metrics::distortion::{graph_distortion, DistortionParams};
 
-fn sig_of(ctx: &ExpCtx, spec: &TopologySpec) -> (String, f64, f64) {
-    let t = build(spec, ctx.scale, ctx.seed);
-    let r = run_suite(&t, &ctx.suite_params());
+fn sig_of(ctx: &ExpCtx, rctx: &RunCtx, spec: &TopologySpec) -> (String, f64, f64) {
+    let t = build_in(rctx, spec, ctx.scale, ctx.seed);
+    let r = run_suite_in(rctx, &t, &ctx.suite_params());
     let last = |c: &[topogen_metrics::CurvePoint]| {
         c.iter()
             .rev()
@@ -44,7 +45,7 @@ fn sig_of(ctx: &ExpCtx, spec: &TopologySpec) -> (String, f64, f64) {
 /// Footnote 17: the TS extra-edge ladder — resilience and distortion
 /// both rise; the signature leaves HLL but lands on the random graph's
 /// HHH, never the Internet's HHL.
-pub fn run_ts_redundancy(ctx: &ExpCtx) -> TableData {
+pub fn run_ts_redundancy(ctx: &ExpCtx, rctx: &RunCtx) -> TableData {
     let ladder = [(0usize, 0usize), (20, 40), (75, 200), (200, 800)];
     let mut rows = Vec::new();
     for (ets, ess) in ladder {
@@ -53,7 +54,7 @@ pub fn run_ts_redundancy(ctx: &ExpCtx) -> TableData {
             extra_stub_stub_edges: ess,
             ..TransitStubParams::paper_default()
         });
-        let (sig, r, d) = sig_of(ctx, &spec);
+        let (sig, r, d) = sig_of(ctx, rctx, &spec);
         rows.push(vec![
             format!("TS +{ets}ts +{ess}ss"),
             sig,
@@ -75,7 +76,7 @@ pub fn run_ts_redundancy(ctx: &ExpCtx) -> TableData {
 }
 
 /// §4.4's extreme regimes.
-pub fn run_extremes(ctx: &ExpCtx) -> TableData {
+pub fn run_extremes(ctx: &ExpCtx, rctx: &RunCtx) -> TableData {
     let mut rows = Vec::new();
     // Waxman with extreme geographic bias: fragmented, MST-like LCC.
     let frag = TopologySpec::Waxman(WaxmanParams {
@@ -83,7 +84,7 @@ pub fn run_extremes(ctx: &ExpCtx) -> TableData {
         alpha: 0.05,
         beta: 0.02,
     });
-    let (sig, r, d) = sig_of(ctx, &frag);
+    let (sig, r, d) = sig_of(ctx, rctx, &frag);
     rows.push(vec![
         "Waxman beta=0.02 (extreme bias)".into(),
         sig,
@@ -104,7 +105,7 @@ pub fn run_extremes(ctx: &ExpCtx) -> TableData {
         lan_man_redundancy: 1,
         ..TiersParams::paper_default()
     });
-    let (sig, r, d) = sig_of(ctx, &mst_tiers);
+    let (sig, r, d) = sig_of(ctx, rctx, &mst_tiers);
     rows.push(vec![
         "Tiers redundancy=1 (MST-like)".into(),
         sig,
@@ -125,7 +126,7 @@ pub fn run_extremes(ctx: &ExpCtx) -> TableData {
         stub_edge_prob: 0.5,
         ..TransitStubParams::paper_default()
     });
-    let (sig, r, d) = sig_of(ctx, &transit_heavy);
+    let (sig, r, d) = sig_of(ctx, rctx, &transit_heavy);
     rows.push(vec![
         "TS transit-heavy".into(),
         sig,
@@ -148,15 +149,16 @@ pub fn run_extremes(ctx: &ExpCtx) -> TableData {
 
 /// The distortion-heuristic ablation: plain BFS-root heuristics vs the
 /// polished local search, on the graphs where tree choice matters.
-pub fn run_distortion_polish(ctx: &ExpCtx) -> TableData {
+pub fn run_distortion_polish(ctx: &ExpCtx, rctx: &RunCtx) -> TableData {
     let specs: Vec<(&str, BuiltTopology)> = vec![
         (
             "Mesh 16x16",
-            build(&TopologySpec::Mesh { side: 16 }, ctx.scale, ctx.seed),
+            build_in(rctx, &TopologySpec::Mesh { side: 16 }, ctx.scale, ctx.seed),
         ),
         (
             "Waxman 450",
-            build(
+            build_in(
+                rctx,
                 &TopologySpec::Waxman(WaxmanParams {
                     n: 450,
                     alpha: 0.05,
@@ -168,7 +170,8 @@ pub fn run_distortion_polish(ctx: &ExpCtx) -> TableData {
         ),
         (
             "Tiers small",
-            build(
+            build_in(
+                rctx,
                 &TopologySpec::Tiers(TiersParams {
                     mans_per_wan: 6,
                     lans_per_man: 4,
@@ -227,7 +230,7 @@ mod tests {
 
     #[test]
     fn polish_never_hurts() {
-        let t = run_distortion_polish(&ExpCtx::default());
+        let t = run_distortion_polish(&ExpCtx::default(), &RunCtx::new());
         for row in &t.rows {
             let plain: f64 = row[1].parse().unwrap();
             let polished: f64 = row[2].parse().unwrap();

@@ -15,14 +15,15 @@
 
 use crate::ExpCtx;
 use topogen_core::report::TableData;
-use topogen_core::zoo::{build, TopologySpec};
+use topogen_core::zoo::{build_in, TopologySpec};
+use topogen_core::RunCtx;
 use topogen_graph::{bfs, NodeId, UNREACHED};
 use topogen_policy::bgp_sim::routes_to;
 use topogen_policy::valley::policy_distances;
 
 /// Run the comparison over all (or sampled) destinations.
-pub fn run(ctx: &ExpCtx) -> TableData {
-    let t = build(&TopologySpec::MeasuredAs, ctx.scale, ctx.seed);
+pub fn run(ctx: &ExpCtx, rctx: &RunCtx) -> TableData {
+    let t = build_in(rctx, &TopologySpec::MeasuredAs, ctx.scale, ctx.seed);
     let g = &t.graph;
     let ann = t.annotations.as_ref().expect("AS annotations");
     let n = g.node_count();
@@ -103,7 +104,7 @@ mod tests {
 
     #[test]
     fn reachability_agrees_and_ordering_holds() {
-        let t = run(&ExpCtx::default());
+        let t = run(&ExpCtx::default(), &RunCtx::new());
         let get = |name: &str| -> String {
             t.rows
                 .iter()

@@ -18,19 +18,20 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topogen_core::classify::Signature;
 use topogen_core::report::{FigureData, Series, TableData};
-use topogen_core::suite::run_suite;
-use topogen_core::zoo::{build, BuiltTopology, TopologySpec};
+use topogen_core::suite::run_suite_in;
+use topogen_core::zoo::{build_in, BuiltTopology, TopologySpec};
+use topogen_core::RunCtx;
 use topogen_generators::connectivity::match_deterministic;
 use topogen_generators::degseq::degree_ccdf;
 use topogen_graph::components::largest_component;
 
 /// Figure 12: CCDF + metric curves for the degree-based panel. Returns
 /// `(ccdf figure, [expansion, resilience, distortion] figures)`.
-pub fn run(ctx: &ExpCtx) -> (FigureData, Vec<FigureData>) {
+pub fn run(ctx: &ExpCtx, rctx: &RunCtx) -> (FigureData, Vec<FigureData>) {
     let specs = TopologySpec::degree_based_zoo(ctx.scale);
     let built: Vec<BuiltTopology> = specs
         .iter()
-        .map(|s| build(s, ctx.scale, ctx.seed))
+        .map(|s| build_in(rctx, s, ctx.scale, ctx.seed))
         .collect();
     let ccdf_series = built
         .iter()
@@ -52,7 +53,10 @@ pub fn run(ctx: &ExpCtx) -> (FigureData, Vec<FigureData>) {
     };
     let params = ctx.suite_params();
     let mut figs = Vec::new();
-    let results: Vec<_> = built.iter().map(|t| run_suite(t, &params)).collect();
+    let results: Vec<_> = built
+        .iter()
+        .map(|t| run_suite_in(rctx, t, &params))
+        .collect();
     for metric in Metric::all() {
         let series = built
             .iter()
@@ -88,7 +92,7 @@ pub fn run(ctx: &ExpCtx) -> (FigureData, Vec<FigureData>) {
 /// Figure 13 + the deterministic contrast, as a signature table: each
 /// variant, its PLRG-rewired "Modified" twin, and (for PLRG) the
 /// deterministic-wiring twin.
-pub fn run_modified(ctx: &ExpCtx) -> TableData {
+pub fn run_modified(ctx: &ExpCtx, rctx: &RunCtx) -> TableData {
     let params = ctx.suite_params();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut push = |name: &str, sig: Signature, g: &topogen_graph::Graph| {
@@ -106,21 +110,23 @@ pub fn run_modified(ctx: &ExpCtx) -> TableData {
         ]);
     };
     for spec in TopologySpec::degree_based_zoo(ctx.scale) {
-        let original = build(&spec, ctx.scale, ctx.seed);
-        let orig_sig = run_suite(&original, &params).signature;
+        let original = build_in(rctx, &spec, ctx.scale, ctx.seed);
+        let orig_sig = run_suite_in(rctx, &original, &params).signature;
         push(&original.name, orig_sig, &original.graph);
-        let modified = build(
+        let modified = build_in(
+            rctx,
             &TopologySpec::PlrgRewired(Box::new(spec.clone())),
             ctx.scale,
             ctx.seed,
         );
-        let mod_sig = run_suite(&modified, &params).signature;
+        let mod_sig = run_suite_in(rctx, &modified, &params).signature;
         push(&modified.name, mod_sig, &modified.graph);
     }
     // Appendix D.1's full connectivity sweep over one PLRG degree
     // sequence: every *random* rule should keep the HHL signature;
     // the deterministic rule should not.
-    let base = build(
+    let base = build_in(
+        rctx,
         &TopologySpec::Plrg(topogen_generators::plrg::PlrgParams {
             n: if ctx.quick { 1300 } else { 9000 },
             alpha: 2.246,
@@ -172,7 +178,7 @@ pub fn run_modified(ctx: &ExpCtx) -> TableData {
     ];
     for (name, g) in variants {
         let t = wrap(name, g);
-        let sig = run_suite(&t, &params).signature;
+        let sig = run_suite_in(rctx, &t, &params).signature;
         push(name, sig, &t.graph);
     }
     TableData {
@@ -194,7 +200,7 @@ mod tests {
 
     #[test]
     fn ccdf_has_five_variants() {
-        let (ccdf, figs) = run(&ExpCtx::default());
+        let (ccdf, figs) = run(&ExpCtx::default(), &RunCtx::new());
         assert_eq!(ccdf.series.len(), 5);
         assert_eq!(figs.len(), 3);
     }

@@ -6,8 +6,9 @@
 use crate::experiments::{build_zoo, catching};
 use crate::ExpCtx;
 use topogen_core::report::{FigureData, Series};
-use topogen_core::suite::{run_suite, run_suite_policy, run_suite_rl_policy, SuiteResult};
-use topogen_core::zoo::{build, BuiltTopology, TopologySpec};
+use topogen_core::suite::{run_suite_in, run_suite_policy_in, run_suite_rl_policy_in, SuiteResult};
+use topogen_core::zoo::{build_in, BuiltTopology, TopologySpec};
+use topogen_core::RunCtx;
 use topogen_metrics::CurvePoint;
 
 /// Which of the three metrics.
@@ -56,7 +57,7 @@ fn points_series(label: &str, pts: &[CurvePoint]) -> Series {
 
 /// One Figure 2 panel: `panel` ∈ {"canonical", "measured", "generated",
 /// "degree-based"}, one figure per metric.
-pub fn run(ctx: &ExpCtx, panel: &str, metric: Metric) -> FigureData {
+pub fn run(ctx: &ExpCtx, rctx: &RunCtx, panel: &str, metric: Metric) -> FigureData {
     let params = ctx.suite_params();
     let mut series = Vec::new();
     let mut failures: Vec<(String, String)> = Vec::new();
@@ -72,7 +73,7 @@ pub fn run(ctx: &ExpCtx, panel: &str, metric: Metric) -> FigureData {
     // panel (its seeding is independent, so the survivors are unchanged).
     let mut topologies: Vec<BuiltTopology> = Vec::new();
     for s in &specs {
-        match catching(|| build(s, ctx.scale, ctx.seed)) {
+        match catching(|| build_in(rctx, s, ctx.scale, ctx.seed)) {
             Ok(t) => topologies.push(t),
             Err(reason) => failures.push((s.name(), reason)),
         }
@@ -80,17 +81,17 @@ pub fn run(ctx: &ExpCtx, panel: &str, metric: Metric) -> FigureData {
     for t in &topologies {
         let measured = catching(|| {
             let mut local = Vec::new();
-            let r = run_suite(t, &params);
+            let r = run_suite_in(rctx, t, &params);
             local.push(curve_series(&t.name, metric, &r));
             // Policy variants, exactly as the paper plots them: AS(Policy)
             // through valley-free balls, RL(Policy) through the Appendix E
             // router overlay.
             if t.annotations.is_some() {
-                let rp = run_suite_policy(t, &params);
+                let rp = run_suite_policy_in(rctx, t, &params);
                 local.push(curve_series(&format!("{}(Policy)", t.name), metric, &rp));
             }
             if t.as_overlay.is_some() {
-                let rp = run_suite_rl_policy(t, &params);
+                let rp = run_suite_rl_policy_in(rctx, t, &params);
                 local.push(curve_series(&format!("{}(Policy)", t.name), metric, &rp));
             }
             local
@@ -135,12 +136,12 @@ fn named_specs(ctx: &ExpCtx, names: &[&str]) -> Vec<TopologySpec> {
 /// The qualitative checks the panels support (used by EXPERIMENTS.md and
 /// the integration tests): returns (claim, holds).
 #[allow(clippy::vec_init_then_push)]
-pub fn qualitative_checks(ctx: &ExpCtx) -> Vec<(String, bool)> {
+pub fn qualitative_checks(ctx: &ExpCtx, rctx: &RunCtx) -> Vec<(String, bool)> {
     use topogen_metrics::expansion::expansion_growth_rate;
     let params = ctx.suite_params();
-    let zoo = build_zoo(ctx.scale, ctx.seed);
+    let zoo = build_zoo(rctx, ctx.scale, ctx.seed);
     let get = |name: &str| zoo.iter().find(|t| t.name == name).unwrap();
-    let suite = |t: &BuiltTopology| run_suite(t, &params);
+    let suite = |t: &BuiltTopology| run_suite_in(rctx, t, &params);
 
     let mesh = suite(get("Mesh"));
     let tiers = suite(get("Tiers"));
@@ -193,7 +194,12 @@ mod tests {
 
     #[test]
     fn canonical_panel_has_three_series() {
-        let f = run(&ExpCtx::default(), "canonical", Metric::Expansion);
+        let f = run(
+            &ExpCtx::default(),
+            &RunCtx::new(),
+            "canonical",
+            Metric::Expansion,
+        );
         assert_eq!(f.series.len(), 3);
         assert!(f.id.contains("expansion"));
         // Expansion curves approach 1 (the quick radius budget of 40
@@ -207,6 +213,11 @@ mod tests {
     #[test]
     #[should_panic]
     fn unknown_panel_panics() {
-        let _ = run(&ExpCtx::default(), "nope", Metric::Expansion);
+        let _ = run(
+            &ExpCtx::default(),
+            &RunCtx::new(),
+            "nope",
+            Metric::Expansion,
+        );
     }
 }

@@ -4,9 +4,10 @@
 //! both.
 
 use crate::ExpCtx;
-use topogen_core::hier::{hierarchy_report, HierOptions};
+use topogen_core::hier::{hierarchy_report_timed_in, HierOptions};
 use topogen_core::report::{FigureData, Series};
-use topogen_core::zoo::{build, BuiltTopology, TopologySpec};
+use topogen_core::zoo::{build_in, BuiltTopology, TopologySpec};
+use topogen_core::RunCtx;
 use topogen_generators::plrg::PlrgParams;
 use topogen_generators::tiers::TiersParams;
 use topogen_generators::transit_stub::TransitStubParams;
@@ -66,20 +67,22 @@ fn rank_series(name: &str, values: &[f64]) -> Series {
 
 /// Figures 3/4: rank distributions for the zoo, with the AS policy
 /// variant.
-pub fn run(ctx: &ExpCtx) -> FigureData {
+pub fn run(ctx: &ExpCtx, rctx: &RunCtx) -> FigureData {
     let mut series = Vec::new();
     for spec in linkvalue_zoo(ctx) {
-        let t = build(&spec, ctx.scale, ctx.seed);
-        let r = hierarchy_report(&t, &HierOptions::default());
+        let t = build_in(rctx, &spec, ctx.scale, ctx.seed);
+        let r = hierarchy_report_timed_in(rctx, &t, &HierOptions::default()).0;
         series.push(rank_series(&r.name, &r.values));
         if t.annotations.is_some() {
-            let rp = hierarchy_report(
+            let rp = hierarchy_report_timed_in(
+                rctx,
                 &t,
                 &HierOptions {
                     policy: true,
                     core_threshold: 3000,
                 },
-            );
+            )
+            .0;
             series.push(rank_series(&format!("{}(Policy)", t.name), &rp.values));
         }
     }
@@ -95,7 +98,7 @@ pub fn run(ctx: &ExpCtx) -> FigureData {
 /// Figure 14: the same distributions for the degree-based variants
 /// (B-A, Brite, BT, Inet, PLRG), which the paper shows all fall in the
 /// moderate band of the measured networks.
-pub fn run_variants(ctx: &ExpCtx) -> FigureData {
+pub fn run_variants(ctx: &ExpCtx, rctx: &RunCtx) -> FigureData {
     let n = if ctx.quick { 500 } else { 1500 };
     let mut specs = vec![
         TopologySpec::Ba(topogen_generators::ba::BaParams { n, m: 2 }),
@@ -111,8 +114,8 @@ pub fn run_variants(ctx: &ExpCtx) -> FigureData {
     specs.push(TopologySpec::MeasuredAs);
     let mut series = Vec::new();
     for spec in specs {
-        let t: BuiltTopology = build(&spec, ctx.scale, ctx.seed);
-        let r = hierarchy_report(&t, &HierOptions::default());
+        let t: BuiltTopology = build_in(rctx, &spec, ctx.scale, ctx.seed);
+        let r = hierarchy_report_timed_in(rctx, &t, &HierOptions::default()).0;
         series.push(rank_series(&r.name, &r.values));
     }
     FigureData {

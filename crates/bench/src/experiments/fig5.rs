@@ -3,9 +3,10 @@
 
 use crate::experiments::fig3::linkvalue_zoo;
 use crate::ExpCtx;
-use topogen_core::hier::{hierarchy_report, HierOptions};
+use topogen_core::hier::{hierarchy_report_timed_in, HierOptions};
 use topogen_core::report::TableData;
-use topogen_core::zoo::build;
+use topogen_core::zoo::build_in;
+use topogen_core::RunCtx;
 
 /// One correlation row.
 #[derive(Clone, Debug)]
@@ -18,23 +19,25 @@ pub struct CorrRow {
 
 /// Compute the correlations (including the AS policy variant, as the
 /// paper plots "AS(Policy)").
-pub fn correlations(ctx: &ExpCtx) -> Vec<CorrRow> {
+pub fn correlations(ctx: &ExpCtx, rctx: &RunCtx) -> Vec<CorrRow> {
     let mut rows = Vec::new();
     for spec in linkvalue_zoo(ctx) {
-        let t = build(&spec, ctx.scale, ctx.seed);
-        let r = hierarchy_report(&t, &HierOptions::default());
+        let t = build_in(rctx, &spec, ctx.scale, ctx.seed);
+        let r = hierarchy_report_timed_in(rctx, &t, &HierOptions::default()).0;
         rows.push(CorrRow {
             name: r.name.clone(),
             correlation: r.degree_correlation.unwrap_or(f64::NAN),
         });
         if t.annotations.is_some() {
-            let rp = hierarchy_report(
+            let rp = hierarchy_report_timed_in(
+                rctx,
                 &t,
                 &HierOptions {
                     policy: true,
                     core_threshold: 3000,
                 },
-            );
+            )
+            .0;
             rows.push(CorrRow {
                 name: format!("{}(Policy)", t.name),
                 correlation: rp.degree_correlation.unwrap_or(f64::NAN),
@@ -47,8 +50,8 @@ pub fn correlations(ctx: &ExpCtx) -> Vec<CorrRow> {
 }
 
 /// The figure as a table (it is a bar chart in the paper).
-pub fn run(ctx: &ExpCtx) -> TableData {
-    let rows = correlations(ctx)
+pub fn run(ctx: &ExpCtx, rctx: &RunCtx) -> TableData {
+    let rows = correlations(ctx, rctx)
         .into_iter()
         .map(|r| vec![r.name, format!("{:.3}", r.correlation)])
         .collect();
@@ -68,7 +71,7 @@ mod tests {
     fn plrg_tops_tree() {
         // The §5.2 ordering claims we verify in integration tests too;
         // here just the cheap shape property (sorted descending).
-        let rows = correlations(&ExpCtx::default());
+        let rows = correlations(&ExpCtx::default(), &RunCtx::new());
         assert!(rows.len() >= 8);
         assert!(rows
             .windows(2)

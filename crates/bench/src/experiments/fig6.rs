@@ -6,11 +6,13 @@
 use crate::experiments::{build_zoo, zoo_figure_degraded};
 use crate::ExpCtx;
 use topogen_core::report::{FigureData, Series};
+use topogen_core::RunCtx;
 use topogen_generators::degseq::degree_ccdf;
 
 /// All zoo CCDFs as one figure.
-pub fn run(ctx: &ExpCtx) -> FigureData {
+pub fn run(ctx: &ExpCtx, rctx: &RunCtx) -> FigureData {
     zoo_figure_degraded(
+        rctx,
         ctx.scale,
         ctx.seed,
         "fig6-degree-ccdf",
@@ -28,8 +30,8 @@ pub fn run(ctx: &ExpCtx) -> FigureData {
 /// The qualitative claim of Appendix A as a check: the heavy-tail span
 /// (max degree / mean degree) of PLRG and the measured graphs is an
 /// order of magnitude beyond the structural generators'.
-pub fn heavy_tail_ordering(ctx: &ExpCtx) -> Vec<(String, f64)> {
-    let zoo = build_zoo(ctx.scale, ctx.seed);
+pub fn heavy_tail_ordering(ctx: &ExpCtx, rctx: &RunCtx) -> Vec<(String, f64)> {
+    let zoo = build_zoo(rctx, ctx.scale, ctx.seed);
     zoo.iter()
         .map(|t| {
             (
@@ -46,7 +48,7 @@ mod tests {
 
     #[test]
     fn ccdf_series_start_at_one() {
-        let f = run(&ExpCtx::default());
+        let f = run(&ExpCtx::default(), &RunCtx::new());
         assert_eq!(f.series.len(), 9);
         for s in &f.series {
             assert!(
@@ -60,7 +62,7 @@ mod tests {
 
     #[test]
     fn plrg_and_measured_heavy_tailed_structural_not() {
-        let ratios = heavy_tail_ordering(&ExpCtx::default());
+        let ratios = heavy_tail_ordering(&ExpCtx::default(), &RunCtx::new());
         let get = |n: &str| ratios.iter().find(|(name, _)| name == n).unwrap().1;
         assert!(get("PLRG") > 10.0);
         assert!(get("AS") > 10.0);

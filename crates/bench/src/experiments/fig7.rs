@@ -6,15 +6,17 @@ use crate::ExpCtx;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topogen_core::report::{FigureData, Series};
+use topogen_core::RunCtx;
 use topogen_metrics::eccentricity::{eccentricity_histogram, eccentricity_sample};
 use topogen_metrics::spectrum::eigenvalue_spectrum;
 
 /// Figure 7(a–c): the top `k` adjacency eigenvalues against rank. The
 /// paper skipped the RL graph ("too large"); Lanczos handles our scaled
 /// substitute, but at quick settings we skip it too for time parity.
-pub fn run_eigen(ctx: &ExpCtx) -> FigureData {
+pub fn run_eigen(ctx: &ExpCtx, rctx: &RunCtx) -> FigureData {
     let k = if ctx.quick { 20 } else { 60 };
     zoo_figure_degraded(
+        rctx,
         ctx.scale,
         ctx.seed,
         "fig7-eigenvalues",
@@ -40,10 +42,11 @@ pub fn run_eigen(ctx: &ExpCtx) -> FigureData {
 
 /// Figure 7(d–f): histogram of node eccentricities normalized by the
 /// mean — the "node diameter distribution" of Zegura et al.
-pub fn run_diameter(ctx: &ExpCtx) -> FigureData {
+pub fn run_diameter(ctx: &ExpCtx, rctx: &RunCtx) -> FigureData {
     let samples = if ctx.quick { 150 } else { 1000 };
     let bins = 11;
     zoo_figure_degraded(
+        rctx,
         ctx.scale,
         ctx.seed,
         "fig7-eccentricity",
@@ -66,7 +69,7 @@ mod tests {
 
     #[test]
     fn eigen_series_descending() {
-        let f = run_eigen(&ExpCtx::default());
+        let f = run_eigen(&ExpCtx::default(), &RunCtx::new());
         assert!(f.series.len() >= 8);
         for s in &f.series {
             assert!(
@@ -79,7 +82,7 @@ mod tests {
 
     #[test]
     fn eccentricity_histograms_normalized() {
-        let f = run_diameter(&ExpCtx::default());
+        let f = run_diameter(&ExpCtx::default(), &RunCtx::new());
         for s in &f.series {
             let total: f64 = s.y.iter().sum();
             assert!((total - 1.0).abs() < 1e-9, "{}: Σ = {total}", s.label);

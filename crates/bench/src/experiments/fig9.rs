@@ -7,10 +7,11 @@ use crate::ExpCtx;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topogen_core::report::{FigureData, Series};
+use topogen_core::RunCtx;
 use topogen_metrics::tolerance::{standard_fractions, tolerance_curve, Removal};
 
 /// One tolerance panel.
-pub fn run(ctx: &ExpCtx, mode: Removal) -> FigureData {
+pub fn run(ctx: &ExpCtx, rctx: &RunCtx, mode: Removal) -> FigureData {
     let samples = if ctx.quick { 12 } else { 60 };
     let fractions = standard_fractions();
     let label = match mode {
@@ -18,6 +19,7 @@ pub fn run(ctx: &ExpCtx, mode: Removal) -> FigureData {
         Removal::Error => "error",
     };
     zoo_figure_degraded(
+        rctx,
         ctx.scale,
         ctx.seed,
         format!("fig9-{label}-tolerance"),
@@ -41,10 +43,10 @@ pub fn run(ctx: &ExpCtx, mode: Removal) -> FigureData {
 /// The Albert-et-al. claim the panel supports: power-law graphs (PLRG,
 /// AS) suffer far more under attack than under error; returns per-name
 /// `(attack path stretch, error path stretch)` at 10% removal.
-pub fn attack_vs_error(ctx: &ExpCtx) -> Vec<(String, f64, f64)> {
+pub fn attack_vs_error(ctx: &ExpCtx, rctx: &RunCtx) -> Vec<(String, f64, f64)> {
     let samples = if ctx.quick { 12 } else { 60 };
     let fr = [0.0, 0.1];
-    let zoo = build_zoo(ctx.scale, ctx.seed);
+    let zoo = build_zoo(rctx, ctx.scale, ctx.seed);
     let mut out = Vec::new();
     for t in &zoo {
         if t.name == "RL" && ctx.quick {
@@ -75,7 +77,7 @@ mod tests {
 
     #[test]
     fn error_panel_has_series() {
-        let f = run(&ExpCtx::default(), Removal::Error);
+        let f = run(&ExpCtx::default(), &RunCtx::new(), Removal::Error);
         assert!(f.series.len() >= 8);
         for s in &f.series {
             assert_eq!(s.x[0], 0.0);
@@ -85,7 +87,7 @@ mod tests {
 
     #[test]
     fn plrg_attack_fragility() {
-        let rows = attack_vs_error(&ExpCtx::default());
+        let rows = attack_vs_error(&ExpCtx::default(), &RunCtx::new());
         let (_, atk, err) = rows.iter().find(|(n, ..)| n == "PLRG").unwrap();
         assert!(
             atk > err,

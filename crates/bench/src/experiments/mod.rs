@@ -17,15 +17,19 @@ pub mod robustness;
 pub mod signatures;
 pub mod tab1;
 
-use topogen_core::zoo::{build, BuiltTopology, Scale, TopologySpec};
+use topogen_core::zoo::{build_in, BuiltTopology, Scale, TopologySpec};
+use topogen_core::RunCtx;
+use topogen_metrics::balls::PlainBalls;
+use topogen_metrics::engine::{BallMetric, BallPlan};
+use topogen_metrics::CurvePoint;
 use topogen_par::{cancel, panic_message};
 
-/// Build the Figure 1 zoo (shared by most experiments). Cached per call
-/// site; building is seconds-scale at `Scale::Small`.
-pub fn build_zoo(scale: Scale, seed: u64) -> Vec<BuiltTopology> {
+/// Build the Figure 1 zoo (shared by most experiments) under `ctx`.
+/// Building is seconds-scale at `Scale::Small`.
+pub fn build_zoo(ctx: &RunCtx, scale: Scale, seed: u64) -> Vec<BuiltTopology> {
     TopologySpec::figure1_zoo(scale)
         .iter()
-        .map(|s| build(s, scale, seed))
+        .map(|s| build_in(ctx, s, scale, seed))
         .collect()
 }
 
@@ -61,6 +65,7 @@ pub struct ZooBuild {
 /// existing RL-at-quick-settings escape hatches); panics inside `f`
 /// become footnoted failures instead of aborting the figure.
 pub fn zoo_figure_degraded(
+    ctx: &RunCtx,
     scale: Scale,
     seed: u64,
     id: impl Into<String>,
@@ -68,7 +73,7 @@ pub fn zoo_figure_degraded(
     y_label: &str,
     mut f: impl FnMut(&BuiltTopology) -> Option<topogen_core::report::Series>,
 ) -> topogen_core::report::FigureData {
-    let zoo = build_zoo_degraded(scale, seed);
+    let zoo = build_zoo_degraded(ctx, scale, seed);
     let mut fig = topogen_core::report::FigureData::new(id, x_label, y_label, Vec::new());
     for (name, reason) in zoo.failures {
         fig.note_failure(name, reason);
@@ -84,16 +89,39 @@ pub fn zoo_figure_degraded(
 }
 
 /// [`build_zoo`] with per-topology panic isolation.
-pub fn build_zoo_degraded(scale: Scale, seed: u64) -> ZooBuild {
+pub fn build_zoo_degraded(ctx: &RunCtx, scale: Scale, seed: u64) -> ZooBuild {
     let mut built = Vec::new();
     let mut failures = Vec::new();
     for s in &TopologySpec::figure1_zoo(scale) {
-        match catching(|| build(s, scale, seed)) {
+        match catching(|| build_in(ctx, s, scale, seed)) {
             Ok(t) => built.push(t),
             Err(reason) => failures.push((s.name(), reason)),
         }
     }
     ZooBuild { built, failures }
+}
+
+/// One Appendix-B ball-growing curve (Figures 8 and 10): `metric` over
+/// plain shortest-path balls of radii `0..=max_h` around `centers`, on
+/// the shared-ball engine under `ctx`. The plan's size cap sits at
+/// `max_ball`, the consumers' own cap, above which they decline a ball.
+pub fn ball_grown_curve(
+    ctx: &RunCtx,
+    g: &topogen_graph::Graph,
+    centers: Vec<topogen_graph::NodeId>,
+    max_h: u32,
+    max_ball: usize,
+    metric: &dyn BallMetric,
+) -> Vec<CurvePoint> {
+    let src = PlainBalls { graph: g };
+    let mut out = BallPlan::new(&src, max_h, 0)
+        .ball_centers(centers)
+        .metric(metric)
+        .kernel(ctx.kernel)
+        .ball_size_cap(Some(max_ball))
+        .context(ctx.engine())
+        .run();
+    out.curves.swap_remove(0)
 }
 
 /// The canonical / measured / generated grouping the paper's figures use.

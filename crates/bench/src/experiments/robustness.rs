@@ -17,15 +17,16 @@
 use crate::ExpCtx;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use topogen_core::hier::{hierarchy_report, HierOptions};
+use topogen_core::hier::{hierarchy_report_timed_in, HierOptions};
 use topogen_core::report::TableData;
-use topogen_core::suite::run_suite;
-use topogen_core::zoo::{build, BuiltTopology, TopologySpec};
+use topogen_core::suite::run_suite_in;
+use topogen_core::zoo::{build_in, BuiltTopology, TopologySpec};
+use topogen_core::RunCtx;
 use topogen_graph::components::largest_component;
 use topogen_measured::as_graph::{internet_as, InternetAsParams};
 use topogen_measured::observe::{observed_from_top_vantages, random_edge_loss};
 
-fn classify_graph(ctx: &ExpCtx, name: &str, g: topogen_graph::Graph) -> Vec<String> {
+fn classify_graph(ctx: &ExpCtx, rctx: &RunCtx, name: &str, g: topogen_graph::Graph) -> Vec<String> {
     let t = BuiltTopology {
         name: name.into(),
         graph: g,
@@ -34,9 +35,13 @@ fn classify_graph(ctx: &ExpCtx, name: &str, g: topogen_graph::Graph) -> Vec<Stri
         as_overlay: None,
         spec: TopologySpec::MeasuredAs,
     };
-    let sig = run_suite(&t, &ctx.suite_params()).signature.to_string();
+    let sig = run_suite_in(rctx, &t, &ctx.suite_params())
+        .signature
+        .to_string();
     let hier = if t.graph.node_count() <= 1500 {
-        hierarchy_report(&t, &HierOptions::default()).class
+        hierarchy_report_timed_in(rctx, &t, &HierOptions::default())
+            .0
+            .class
     } else {
         "-".into()
     };
@@ -50,7 +55,7 @@ fn classify_graph(ctx: &ExpCtx, name: &str, g: topogen_graph::Graph) -> Vec<Stri
 }
 
 /// Snapshot stability: the AS model at several seeds and sizes.
-pub fn run_snapshots(ctx: &ExpCtx) -> TableData {
+pub fn run_snapshots(ctx: &ExpCtx, rctx: &RunCtx) -> TableData {
     let mut rows = Vec::new();
     for (label, n, seed) in [
         ("AS snapshot A", 1100usize, ctx.seed),
@@ -67,7 +72,7 @@ pub fn run_snapshots(ctx: &ExpCtx) -> TableData {
             },
             &mut rng,
         );
-        rows.push(classify_graph(ctx, label, m.graph));
+        rows.push(classify_graph(ctx, rctx, label, m.graph));
     }
     TableData {
         id: "robustness-snapshots".into(),
@@ -85,30 +90,32 @@ pub fn run_snapshots(ctx: &ExpCtx) -> TableData {
 
 /// Incompleteness: the AS graph as seen from k vantages, and under
 /// random edge loss.
-pub fn run_incompleteness(ctx: &ExpCtx) -> TableData {
-    let t = build(&TopologySpec::MeasuredAs, ctx.scale, ctx.seed);
+pub fn run_incompleteness(ctx: &ExpCtx, rctx: &RunCtx) -> TableData {
+    let t = build_in(rctx, &TopologySpec::MeasuredAs, ctx.scale, ctx.seed);
     let ann = t.annotations.as_ref().expect("AS annotations");
     let mut rows = Vec::new();
-    rows.push(classify_graph(ctx, "AS (complete)", t.graph.clone()));
+    rows.push(classify_graph(ctx, rctx, "AS (complete)", t.graph.clone()));
     for k in [1usize, 3, 10] {
         let o = observed_from_top_vantages(&t.graph, ann, k);
         let (lcc, _) = largest_component(&o);
         rows.push(classify_graph(
             ctx,
+            rctx,
             &format!("AS seen from {k} vantage(s)"),
             lcc,
         ));
     }
     // Router-level incompleteness: the RL graph as a traceroute mapper
     // with k sources would see it (the paper's RL collection method).
-    let rl = build(&TopologySpec::MeasuredRl, ctx.scale, ctx.seed);
-    rows.push(classify_graph(ctx, "RL (complete)", rl.graph.clone()));
+    let rl = build_in(rctx, &TopologySpec::MeasuredRl, ctx.scale, ctx.seed);
+    rows.push(classify_graph(ctx, rctx, "RL (complete)", rl.graph.clone()));
     for k in [3usize, 10] {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0x7 + k as u64));
         let o = topogen_measured::observe::traceroute_observed_sampled(&rl.graph, k, 1, &mut rng);
         let (lcc, _) = largest_component(&o);
         rows.push(classify_graph(
             ctx,
+            rctx,
             &format!("RL seen by {k} traceroute sources"),
             lcc,
         ));
@@ -119,6 +126,7 @@ pub fn run_incompleteness(ctx: &ExpCtx) -> TableData {
         let (lcc, _) = largest_component(&lossy);
         rows.push(classify_graph(
             ctx,
+            rctx,
             &format!("AS with {:.0}% random edge loss", 100.0 * loss),
             lcc,
         ));
@@ -143,7 +151,7 @@ mod tests {
 
     #[test]
     fn snapshots_share_signature() {
-        let t = run_snapshots(&ExpCtx::default());
+        let t = run_snapshots(&ExpCtx::default(), &RunCtx::new());
         let sigs: std::collections::HashSet<&String> = t.rows.iter().map(|r| &r[3]).collect();
         assert_eq!(sigs.len(), 1, "snapshot signatures diverged: {t:?}");
         assert!(t.rows.iter().all(|r| r[3] == "HHL"));

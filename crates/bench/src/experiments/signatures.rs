@@ -5,10 +5,11 @@
 use crate::experiments::catching;
 use crate::experiments::fig3::linkvalue_zoo;
 use crate::ExpCtx;
-use topogen_core::hier::{hierarchy_report_timed, HierOptions};
+use topogen_core::hier::{hierarchy_report_timed_in, HierOptions};
 use topogen_core::report::{TableData, TimingReport};
-use topogen_core::suite::{run_suite, run_suite_policy, run_suite_rl_policy, SuiteCis};
-use topogen_core::zoo::{build, Scale, TopologySpec};
+use topogen_core::suite::{run_suite_in, run_suite_policy_in, run_suite_rl_policy_in, SuiteCis};
+use topogen_core::zoo::{build_in, Scale, TopologySpec};
+use topogen_core::RunCtx;
 
 /// The paper's expected signature per topology (§4.4's table).
 pub fn paper_signature(name: &str) -> Option<&'static str> {
@@ -42,14 +43,14 @@ fn ci_cells(cis: Option<&SuiteCis>) -> [String; 3] {
 
 /// The §4.4 signature table over the full zoo (plus Complete and Linear
 /// for calibration), with the paper's expected column and a match flag.
-pub fn run_signature_table(ctx: &ExpCtx) -> TableData {
-    run_signature_table_timed(ctx).0
+pub fn run_signature_table(ctx: &ExpCtx, rctx: &RunCtx) -> TableData {
+    run_signature_table_timed(ctx, rctx).0
 }
 
 /// [`run_signature_table`] plus the merged engine instrumentation of
 /// every suite run it performed (what `repro tab-signature --timings`
 /// prints and archives as `BENCH_tab-signature.json`).
-pub fn run_signature_table_timed(ctx: &ExpCtx) -> (TableData, TimingReport) {
+pub fn run_signature_table_timed(ctx: &ExpCtx, rctx: &RunCtx) -> (TableData, TimingReport) {
     let params = ctx.suite_params();
     // At the sampled-center tiers the curves are estimates over a
     // center subsample, so the table records the population and sample
@@ -72,8 +73,8 @@ pub fn run_signature_table_timed(ctx: &ExpCtx) -> (TableData, TimingReport) {
         // Per-topology isolation: a failed build or suite degrades this
         // spec's rows instead of aborting the table.
         let outcome = catching(|| {
-            let t = build(&spec, ctx.scale, ctx.seed);
-            let r = run_suite(&t, &params);
+            let t = build_in(rctx, &spec, ctx.scale, ctx.seed);
+            let r = run_suite_in(rctx, &t, &params);
             (t, r)
         });
         let (t, r) = match outcome {
@@ -106,7 +107,7 @@ pub fn run_signature_table_timed(ctx: &ExpCtx) -> (TableData, TimingReport) {
         }
         rows.push(row);
         if t.annotations.is_some() {
-            let rp = run_suite_policy(&t, &params);
+            let rp = run_suite_policy_in(rctx, &t, &params);
             timings.merge(&rp.timings);
             let psig = rp.signature.to_string();
             let pname = format!("{}(Policy)", t.name);
@@ -125,7 +126,7 @@ pub fn run_signature_table_timed(ctx: &ExpCtx) -> (TableData, TimingReport) {
             rows.push(row);
         }
         if t.as_overlay.is_some() {
-            let rp = run_suite_rl_policy(&t, &params);
+            let rp = run_suite_rl_policy_in(rctx, &t, &params);
             timings.merge(&rp.timings);
             let psig = rp.signature.to_string();
             let pname = format!("{}(Policy)", t.name);
@@ -175,8 +176,8 @@ pub fn paper_hierarchy(name: &str) -> Option<&'static str> {
 }
 
 /// The §5.1 strict/moderate/loose table (with the AS policy variant).
-pub fn run_hierarchy_table(ctx: &ExpCtx) -> TableData {
-    run_hierarchy_table_timed(ctx).0
+pub fn run_hierarchy_table(ctx: &ExpCtx, rctx: &RunCtx) -> TableData {
+    run_hierarchy_table_timed(ctx, rctx).0
 }
 
 /// [`run_hierarchy_table`] plus the merged link-value engine
@@ -184,14 +185,14 @@ pub fn run_hierarchy_table(ctx: &ExpCtx) -> TableData {
 /// `repro tab-hierarchy --timings` prints and archives as
 /// `BENCH_tab-hierarchy.json`): per-stage wall times, DAG states
 /// visited, pairs accumulated, arena bytes.
-pub fn run_hierarchy_table_timed(ctx: &ExpCtx) -> (TableData, TimingReport) {
+pub fn run_hierarchy_table_timed(ctx: &ExpCtx, rctx: &RunCtx) -> (TableData, TimingReport) {
     let mut timings = TimingReport::default();
     let mut rows = Vec::new();
     let mut failures: Vec<(String, String)> = Vec::new();
     for spec in linkvalue_zoo(ctx) {
         let outcome = catching(|| {
-            let t = build(&spec, ctx.scale, ctx.seed);
-            let (r, rt) = hierarchy_report_timed(&t, &HierOptions::default());
+            let t = build_in(rctx, &spec, ctx.scale, ctx.seed);
+            let (r, rt) = hierarchy_report_timed_in(rctx, &t, &HierOptions::default());
             (t, r, rt)
         });
         let (t, r, rt) = match outcome {
@@ -216,7 +217,8 @@ pub fn run_hierarchy_table_timed(ctx: &ExpCtx) -> (TableData, TimingReport) {
             ok.to_string(),
         ]);
         if t.annotations.is_some() {
-            let (rp, rpt) = hierarchy_report_timed(
+            let (rp, rpt) = hierarchy_report_timed_in(
+                rctx,
                 &t,
                 &HierOptions {
                     policy: true,

@@ -8,6 +8,7 @@
 use crate::experiments::build_zoo_degraded;
 use crate::ExpCtx;
 use topogen_core::report::TableData;
+use topogen_core::RunCtx;
 
 /// Reference rows from the paper's Figure 1 for side-by-side printing.
 fn paper_reference(name: &str) -> (&'static str, &'static str) {
@@ -27,8 +28,8 @@ fn paper_reference(name: &str) -> (&'static str, &'static str) {
 
 /// Build the zoo and emit the table. Topologies that fail to build are
 /// rendered as degraded rows with the reason footnoted.
-pub fn run(ctx: &ExpCtx) -> TableData {
-    let zoo = build_zoo_degraded(ctx.scale, ctx.seed);
+pub fn run(ctx: &ExpCtx, rctx: &RunCtx) -> TableData {
+    let zoo = build_zoo_degraded(rctx, ctx.scale, ctx.seed);
     let rows = zoo
         .built
         .iter()
@@ -66,7 +67,7 @@ mod tests {
 
     #[test]
     fn table_has_all_zoo_rows() {
-        let t = run(&ExpCtx::default());
+        let t = run(&ExpCtx::default(), &RunCtx::new());
         assert_eq!(t.rows.len(), 9);
         let names: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
         for want in [
@@ -78,7 +79,7 @@ mod tests {
 
     #[test]
     fn average_degrees_in_realistic_band() {
-        let t = run(&ExpCtx::default());
+        let t = run(&ExpCtx::default(), &RunCtx::new());
         for row in &t.rows {
             let deg: f64 = row[2].parse().unwrap();
             assert!((1.5..12.0).contains(&deg), "{}: degree {deg}", row[0]);

@@ -1,11 +1,12 @@
 //! Fault-tolerant execution of the experiment suite.
 //!
 //! Each experiment runs as an isolated *unit*: on its own thread, under
-//! `catch_unwind`, with an optional per-unit wall-clock deadline
-//! (cooperatively enforced — the engines check the ambient
-//! [`topogen_par::Deadline`] between chunks and at phase boundaries) and
-//! bounded retry-with-reseed for stochastic failures. Every unit's
-//! outcome lands in a [`RunLedger`] (`out/run-ledger.json`): status,
+//! `catch_unwind`, in the scope of its own copy of the run's [`RunCtx`],
+//! which carries an optional per-unit wall-clock deadline (cooperatively
+//! enforced — the engines check the scoped [`topogen_par::Deadline`]
+//! between chunks and at phase boundaries) and a fresh counter sink for
+//! the ledger; failed attempts get a bounded retry-with-reseed. Every
+//! unit's outcome lands in a [`RunLedger`] (`out/run-ledger.json`): status,
 //! duration, attempt count, and the redacted panic payload. `--resume`
 //! skips units the ledger already shows completed; `--keep-going` runs
 //! the rest of the suite past a failure; the process exit code reflects
@@ -15,7 +16,8 @@ use serde::{Content, DeError, Deserialize, Serialize};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use topogen_par::{cancel, faults, panic_message, trace};
+use topogen_core::RunCtx;
+use topogen_par::{cancel, faults, panic_message, trace, Instrument};
 
 /// Extra wall-clock slack past the deadline before the runner abandons
 /// a unit: the cooperative cancellation usually lands the `Cancelled`
@@ -41,20 +43,23 @@ impl UnitError {
     }
 }
 
-/// One isolated piece of suite work. `work` receives the attempt number
-/// (0 = first try) so retries can reseed deterministically.
+/// The body of a [`Unit`]: the attempt's run context and the attempt
+/// number (0 = first try, so retries can reseed deterministically).
+pub type UnitWork = dyn Fn(&RunCtx, u64) -> Result<(), UnitError> + Send + Sync;
+
+/// One isolated piece of suite work.
 pub struct Unit {
     /// Stable id (the `repro` experiment name).
     pub id: String,
     /// The work; panics are caught by the runner.
-    pub work: Arc<dyn Fn(u64) -> Result<(), UnitError> + Send + Sync>,
+    pub work: Arc<UnitWork>,
 }
 
 impl Unit {
     /// Convenience constructor.
     pub fn new(
         id: impl Into<String>,
-        work: impl Fn(u64) -> Result<(), UnitError> + Send + Sync + 'static,
+        work: impl Fn(&RunCtx, u64) -> Result<(), UnitError> + Send + Sync + 'static,
     ) -> Unit {
         Unit {
             id: id.into(),
@@ -406,11 +411,13 @@ enum Attempt {
 }
 
 /// Run one attempt of `work` on its own thread, under `catch_unwind`
-/// and (when configured) an ambient deadline.
+/// and the scope of `ctx`, the attempt's own run context; `limit` is
+/// the wall-clock budget its deadline was armed with.
 fn run_attempt(
-    work: &Arc<dyn Fn(u64) -> Result<(), UnitError> + Send + Sync>,
+    work: &Arc<UnitWork>,
     attempt: u64,
-    deadline: Option<Duration>,
+    ctx: &RunCtx,
+    limit: Option<Duration>,
 ) -> Attempt {
     // The attempt span opens on the runner thread (so timed-out,
     // abandoned unit threads still close it) and parents everything the
@@ -419,19 +426,17 @@ fn run_attempt(
     let trace_parent = trace::current_parent();
     let (tx, rx) = mpsc::channel();
     let work = Arc::clone(work);
-    let ambient = deadline.map(cancel::Deadline::after);
-    let thread_ambient = ambient.clone();
+    let deadline = ctx.deadline.clone();
+    let ctx = ctx.clone();
     let builder = std::thread::Builder::new()
         .name("topogen-unit".to_string())
         // Deep generator/metric recursion fits comfortably; match the
         // main thread rather than the 2 MiB spawn default.
         .stack_size(16 * 1024 * 1024);
     let handle = builder.spawn(move || {
-        let body = || std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(attempt)));
-        let result = trace::with_parent(trace_parent, || match thread_ambient {
-            Some(d) => cancel::with_deadline(d, body),
-            None => body(),
-        });
+        let body =
+            || std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(&ctx, attempt)));
+        let result = ctx.scope(|| trace::with_parent(trace_parent, body));
         // The receiver may have abandoned us after the grace period.
         let _ = tx.send(result);
     });
@@ -440,7 +445,7 @@ fn run_attempt(
         Err(e) => return Attempt::Panicked(format!("spawn failed: {e}")),
     };
 
-    let received = match deadline {
+    let received = match limit {
         None => rx.recv().ok(),
         Some(limit) => match rx.recv_timeout(limit + DEADLINE_GRACE) {
             Ok(r) => Some(r),
@@ -448,7 +453,7 @@ fn run_attempt(
                 // Cooperative cancellation did not land in time: tell
                 // the workers once more and abandon the thread (it will
                 // unwind at its next checkpoint).
-                if let Some(d) = &ambient {
+                if let Some(d) = &deadline {
                     d.token().cancel();
                 }
                 drop(handle);
@@ -456,7 +461,7 @@ fn run_attempt(
             }
         },
     };
-    if deadline.is_none() {
+    if limit.is_none() {
         let _ = handle.join();
     }
     match received {
@@ -474,7 +479,26 @@ fn run_attempt(
 }
 
 /// Execute `units` in order under the runner's fault-isolation policy.
-pub fn run_units(units: &[Unit], opts: &RunnerOptions, seed: u64, scale: &str) -> RunReport {
+/// The runner's own spans land in `ctx`'s trace sink, and each attempt
+/// runs on a copy of `ctx` carrying that attempt's deadline and a fresh
+/// counter sink, whose arena peak and spill count the ledger records.
+pub fn run_units(
+    units: &[Unit],
+    opts: &RunnerOptions,
+    ctx: &RunCtx,
+    seed: u64,
+    scale: &str,
+) -> RunReport {
+    ctx.scope(|| run_units_scoped(units, opts, ctx, seed, scale))
+}
+
+fn run_units_scoped(
+    units: &[Unit],
+    opts: &RunnerOptions,
+    ctx: &RunCtx,
+    seed: u64,
+    scale: &str,
+) -> RunReport {
     let prior = match (&opts.ledger_path, opts.resume) {
         (Some(path), true) => match RunLedger::load(path) {
             Ok(l) if l.seed != seed || l.scale != scale => {
@@ -513,10 +537,12 @@ pub fn run_units(units: &[Unit], opts: &RunnerOptions, seed: u64, scale: &str) -
         executed.push(unit.id.clone());
         faults::set_current_unit(Some(&unit.id));
         let unit_span = trace::span_labeled("unit", &unit.id);
-        let store_before = topogen_store::ambient::counters();
+        let store_counters = || ctx.store.as_ref().map(|s| s.counters().snapshot());
+        let store_before = store_counters();
         let started = Instant::now();
         let mut attempts = 0u64;
         let mut entry: Option<LedgerUnit> = None;
+        let mut terminal = Arc::new(Instrument::new());
         while attempts <= opts.retries {
             let attempt = attempts;
             attempts += 1;
@@ -526,13 +552,16 @@ pub fn run_units(units: &[Unit], opts: &RunnerOptions, seed: u64, scale: &str) -
             // earlier failed/retried attempts are kept apart in
             // `duration_total_secs` instead of blended in.
             let attempt_started = Instant::now();
-            // Drain the arena high-water and spill-run globals so the
-            // recorded peaks cover exactly this attempt (stale
-            // contributions from earlier attempts or abandoned unit
-            // threads are dropped).
-            let _ = topogen_par::take_arena_highwater();
-            let _ = topogen_par::take_spill_runs();
-            match run_attempt(&unit.work, attempt, opts.deadline) {
+            // A fresh counter sink per attempt, so the recorded peaks
+            // cover exactly the terminal attempt (an abandoned unit
+            // thread keeps writing only to its own).
+            terminal = Arc::new(Instrument::new());
+            let attempt_ctx = RunCtx {
+                deadline: opts.deadline.map(cancel::Deadline::after),
+                instrument: Some(terminal.clone()),
+                ..ctx.clone()
+            };
+            match run_attempt(&unit.work, attempt, &attempt_ctx, opts.deadline) {
                 Attempt::Success => {
                     entry = Some(LedgerUnit {
                         id: unit.id.clone(),
@@ -633,15 +662,10 @@ pub fn run_units(units: &[Unit], opts: &RunnerOptions, seed: u64, scale: &str) -
         if attempts > 1 {
             entry.duration_total_secs = Some(started.elapsed().as_secs_f64());
         }
-        match topogen_par::take_arena_highwater() {
-            0 => {}
-            peak => entry.arena_bytes_peak = Some(peak),
-        }
-        match topogen_par::take_spill_runs() {
-            0 => {}
-            runs => entry.spill_runs = Some(runs),
-        }
-        if let (Some(before), Some(after)) = (store_before, topogen_store::ambient::counters()) {
+        let run = terminal.report();
+        entry.arena_bytes_peak = Some(run.arena_bytes_peak).filter(|&b| b > 0);
+        entry.spill_runs = Some(run.spill_runs).filter(|&n| n > 0);
+        if let (Some(before), Some(after)) = (store_before, store_counters()) {
             let d = before.delta_to(&after);
             if !d.is_zero() {
                 entry.cache = Some(CacheBlock {
@@ -698,7 +722,7 @@ mod tests {
         counter: Arc<AtomicU64>,
         behavior: impl Fn(u64) -> Result<(), UnitError> + Send + Sync + 'static,
     ) -> Unit {
-        Unit::new(id, move |attempt| {
+        Unit::new(id, move |_, attempt| {
             counter.fetch_add(1, Ordering::SeqCst);
             behavior(attempt)
         })
@@ -709,7 +733,7 @@ mod tests {
         let ran = Arc::new(AtomicU64::new(0));
         let units = vec![
             counting_unit("a", ran.clone(), |_| Ok(())),
-            Unit::new("b", |_| panic!("unit b exploded")),
+            Unit::new("b", |_, _| panic!("unit b exploded")),
             counting_unit("c", ran.clone(), |_| Ok(())),
         ];
         let opts = RunnerOptions {
@@ -717,7 +741,7 @@ mod tests {
             retries: 0,
             ..Default::default()
         };
-        let report = run_units(&units, &opts, 42, "small");
+        let report = run_units(&units, &opts, &RunCtx::new(), 42, "small");
         assert_eq!(report.exit_code, crate::ExitCode::Failures);
         assert_eq!(ran.load(Ordering::SeqCst), 2, "a and c both ran");
         let statuses: Vec<_> = report.ledger.units.iter().map(|u| u.status).collect();
@@ -730,17 +754,54 @@ mod tests {
     }
 
     #[test]
+    fn ledger_records_the_attempt_arena_peak_and_spills() {
+        use topogen_core::zoo::{build_in, Scale, TopologySpec};
+        // A budget below the mesh's edge buffer forces spill runs; the
+        // build reports them to the attempt's counter sink.
+        let budget = 16 * 1024;
+        let unit = Unit::new("budgeted", move |run, _| {
+            let budgeted = run.clone().with_mem_budget(Some(budget));
+            build_in(&budgeted, &TopologySpec::Mesh { side: 40 }, Scale::Small, 1);
+            Ok(())
+        });
+        let report = run_units(
+            &[unit],
+            &RunnerOptions::default(),
+            &RunCtx::new(),
+            1,
+            "small",
+        );
+        let u = &report.ledger.units[0];
+        assert!(u.spill_runs.is_some_and(|n| n > 0), "{:?}", u.spill_runs);
+        assert!(
+            u.arena_bytes_peak.is_some_and(|b| b > 0 && b <= budget),
+            "{:?}",
+            u.arena_bytes_peak
+        );
+        // A unit that streams nothing records neither field.
+        let plain = run_units(
+            &[Unit::new("plain", |_, _| Ok(()))],
+            &RunnerOptions::default(),
+            &RunCtx::new(),
+            1,
+            "small",
+        );
+        assert_eq!(plain.ledger.units[0].spill_runs, None);
+        assert_eq!(plain.ledger.units[0].arena_bytes_peak, None);
+    }
+
+    #[test]
     fn stop_on_first_failure_without_keep_going() {
         let ran = Arc::new(AtomicU64::new(0));
         let units = vec![
-            Unit::new("a", |_| panic!("down")),
+            Unit::new("a", |_, _| panic!("down")),
             counting_unit("b", ran.clone(), |_| Ok(())),
         ];
         let opts = RunnerOptions {
             retries: 0,
             ..Default::default()
         };
-        let report = run_units(&units, &opts, 1, "small");
+        let report = run_units(&units, &opts, &RunCtx::new(), 1, "small");
         assert_eq!(report.exit_code, crate::ExitCode::Failures);
         assert_eq!(report.ledger.units.len(), 1);
         assert_eq!(ran.load(Ordering::SeqCst), 0, "b never ran");
@@ -748,7 +809,7 @@ mod tests {
 
     #[test]
     fn retry_with_reseed_flips_stochastic_failure_to_retried() {
-        let unit = Unit::new("flaky", |attempt| {
+        let unit = Unit::new("flaky", |_, attempt| {
             if attempt == 0 {
                 panic!("bad seed");
             }
@@ -758,7 +819,7 @@ mod tests {
             retries: 1,
             ..Default::default()
         };
-        let report = run_units(&[unit], &opts, 9, "small");
+        let report = run_units(&[unit], &opts, &RunCtx::new(), 9, "small");
         assert_eq!(report.exit_code, crate::ExitCode::Clean);
         let u = &report.ledger.units[0];
         assert_eq!(u.status, UnitStatus::Retried);
@@ -777,7 +838,7 @@ mod tests {
             keep_going: true,
             ..Default::default()
         };
-        let report = run_units(&[unit], &opts, 2, "small");
+        let report = run_units(&[unit], &opts, &RunCtx::new(), 2, "small");
         assert_eq!(report.exit_code, crate::ExitCode::LoadError);
         assert_eq!(tries.load(Ordering::SeqCst), 1, "load errors never retry");
         assert_eq!(
@@ -790,7 +851,7 @@ mod tests {
     fn deadline_expiry_is_timed_out_not_a_hang() {
         // The unit sleeps far past the deadline but checkpoints after,
         // exactly like a delay fault inside an engine phase.
-        let unit = Unit::new("slow", |_| {
+        let unit = Unit::new("slow", |_, _| {
             std::thread::sleep(Duration::from_millis(150));
             cancel::checkpoint();
             Ok(())
@@ -801,7 +862,7 @@ mod tests {
             ..Default::default()
         };
         let started = Instant::now();
-        let report = run_units(&[unit], &opts, 3, "small");
+        let report = run_units(&[unit], &opts, &RunCtx::new(), 3, "small");
         assert!(started.elapsed() < Duration::from_secs(5), "no hang");
         let u = &report.ledger.units[0];
         assert_eq!(u.status, UnitStatus::TimedOut);
@@ -820,8 +881,8 @@ mod tests {
         let path = dir.join("run-ledger.json").to_string_lossy().to_string();
 
         let first = vec![
-            Unit::new("good", |_| Ok(())),
-            Unit::new("bad", |_| panic!("first pass fails")),
+            Unit::new("good", |_, _| Ok(())),
+            Unit::new("bad", |_, _| panic!("first pass fails")),
         ];
         let opts = RunnerOptions {
             keep_going: true,
@@ -829,7 +890,7 @@ mod tests {
             ledger_path: Some(path.clone()),
             ..Default::default()
         };
-        let r1 = run_units(&first, &opts, 7, "small");
+        let r1 = run_units(&first, &opts, &RunCtx::new(), 7, "small");
         assert_eq!(r1.exit_code, crate::ExitCode::Failures);
         assert_eq!(r1.executed, vec!["good", "bad"]);
 
@@ -837,13 +898,13 @@ mod tests {
         let good_runs = Arc::new(AtomicU64::new(0));
         let second = vec![
             counting_unit("good", good_runs.clone(), |_| Ok(())),
-            Unit::new("bad", |_| Ok(())),
+            Unit::new("bad", |_, _| Ok(())),
         ];
         let opts2 = RunnerOptions {
             resume: true,
             ..opts
         };
-        let r2 = run_units(&second, &opts2, 7, "small");
+        let r2 = run_units(&second, &opts2, &RunCtx::new(), 7, "small");
         assert_eq!(r2.exit_code, crate::ExitCode::Clean);
         assert_eq!(r2.executed, vec!["bad"], "only the failed unit re-ran");
         assert_eq!(good_runs.load(Ordering::SeqCst), 0);
@@ -948,7 +1009,13 @@ mod tests {
             ledger_path: Some(path.clone()),
             ..Default::default()
         };
-        let r1 = run_units(&[Unit::new("good", |_| Ok(()))], &opts, 7, "small");
+        let r1 = run_units(
+            &[Unit::new("good", |_, _| Ok(()))],
+            &opts,
+            &RunCtx::new(),
+            7,
+            "small",
+        );
         assert_eq!(r1.exit_code, crate::ExitCode::Clean);
 
         // Second pass resumes with a store configured: the prior
@@ -965,6 +1032,7 @@ mod tests {
         let r2 = run_units(
             &[counting_unit("good", ran.clone(), |_| Ok(()))],
             &opts2,
+            &RunCtx::new(),
             7,
             "small",
         );

@@ -8,7 +8,7 @@ use topogen_bench::ExpCtx;
 use topogen_check::gen::arb_graph;
 use topogen_core::ctx::RunCtx;
 use topogen_core::suite::{run_suite_in, SuiteResult};
-use topogen_core::zoo::{build, Scale, TopologySpec};
+use topogen_core::zoo::{build_in, Scale, TopologySpec};
 use topogen_graph::NodeId;
 use topogen_metrics::balls::PlainBalls;
 use topogen_metrics::engine::{BallPlan, KernelPolicy, PlanResult, ResilienceMetric};
@@ -48,7 +48,7 @@ fn run_with(
 fn bitset_suite_matches_scalar_across_figure1_zoo_at_small() {
     let ctx = ExpCtx::default(); // small, seed 42, quick
     for spec in TopologySpec::figure1_zoo(Scale::Small) {
-        let t = build(&spec, Scale::Small, ctx.seed);
+        let t = build_in(&RunCtx::new(), &spec, Scale::Small, ctx.seed);
         let scalar = run_with(&t, &ctx, KernelPolicy::Scalar);
         let bitset = run_with(&t, &ctx, KernelPolicy::Bitset);
         assert_eq!(
@@ -83,7 +83,12 @@ fn large_scale_mesh_signature_pinned_and_kernel_identical() {
         seed: 42,
         quick: true,
     };
-    let t = build(&TopologySpec::Mesh { side: 414 }, Scale::Large, ctx.seed);
+    let t = build_in(
+        &RunCtx::new(),
+        &TopologySpec::Mesh { side: 414 },
+        Scale::Large,
+        ctx.seed,
+    );
     assert_eq!(t.graph.node_count(), 414 * 414);
     let auto = run_with(&t, &ctx, KernelPolicy::Auto);
     assert!(

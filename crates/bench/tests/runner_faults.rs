@@ -9,13 +9,14 @@ use topogen_bench::experiments as exp;
 use topogen_bench::runner::{run_units, RunLedger, RunnerOptions, Unit, UnitError, UnitStatus};
 use topogen_bench::ExpCtx;
 use topogen_core::report::FAILED_CELL;
+use topogen_core::RunCtx;
 use topogen_par::{cancel, faults};
 
 /// A unit body imitating an engine phase: hit the fault site, then the
 /// cooperative cancellation checkpoint — the same order the metrics
 /// engine and hierarchy traversal use.
 fn phase(site: &'static str, label: &'static str) -> Unit {
-    Unit::new(label, move |_| {
+    Unit::new(label, move |_, _| {
         faults::inject(site, label);
         cancel::checkpoint();
         Ok(())
@@ -32,7 +33,13 @@ fn delay_fault_past_deadline_times_out() {
         ..Default::default()
     };
     let started = Instant::now();
-    let report = run_units(&[phase("metric", "slow-unit")], &opts, 11, "small");
+    let report = run_units(
+        &[phase("metric", "slow-unit")],
+        &opts,
+        &RunCtx::new(),
+        11,
+        "small",
+    );
     faults::clear();
     assert!(
         started.elapsed() < Duration::from_secs(5),
@@ -61,7 +68,7 @@ fn unit_scoped_panic_fails_exactly_one_unit() {
         retries: 0,
         ..Default::default()
     };
-    let report = run_units(&units, &opts, 42, "small");
+    let report = run_units(&units, &opts, &RunCtx::new(), 42, "small");
     faults::clear();
     assert_eq!(report.exit_code, topogen_bench::ExitCode::Failures);
     let failed: Vec<&str> = report
@@ -101,7 +108,7 @@ fn resume_reruns_only_the_faulted_unit() {
         ledger_path: Some(path.clone()),
         ..Default::default()
     };
-    let r1 = run_units(&units, &opts, 42, "small");
+    let r1 = run_units(&units, &opts, &RunCtx::new(), 42, "small");
     assert_eq!(r1.executed.len(), 3);
     assert_eq!(r1.exit_code, topogen_bench::ExitCode::Failures);
 
@@ -116,7 +123,7 @@ fn resume_reruns_only_the_faulted_unit() {
         resume: true,
         ..opts
     };
-    let r2 = run_units(&units2, &opts2, 42, "small");
+    let r2 = run_units(&units2, &opts2, &RunCtx::new(), 42, "small");
     assert_eq!(r2.executed, vec!["unit-b"], "only the failed unit re-ran");
     assert_eq!(r2.exit_code, topogen_bench::ExitCode::Clean);
     let reloaded = RunLedger::load(&path).unwrap();
@@ -133,7 +140,7 @@ fn retry_durations_attribute_only_the_terminal_attempt() {
     // what the `--timings` phase tables measure), with the failed
     // attempt's time kept apart in `duration_total_secs` — not blended.
     faults::install_spec("metric:delay300:1:5").unwrap();
-    let unit = Unit::new("flaky", move |attempt| {
+    let unit = Unit::new("flaky", move |_, attempt| {
         faults::inject("metric", "flaky");
         cancel::checkpoint();
         if attempt == 0 {
@@ -146,7 +153,7 @@ fn retry_durations_attribute_only_the_terminal_attempt() {
         retries: 1,
         ..Default::default()
     };
-    let report = run_units(&[unit], &opts, 9, "small");
+    let report = run_units(&[unit], &opts, &RunCtx::new(), 9, "small");
     faults::clear();
     assert_eq!(report.exit_code, topogen_bench::ExitCode::Clean);
     let u = &report.ledger.units[0];
@@ -170,6 +177,7 @@ fn retry_durations_attribute_only_the_terminal_attempt() {
     let clean = run_units(
         &[phase("metric", "clean-unit")],
         &RunnerOptions::default(),
+        &RunCtx::new(),
         9,
         "small",
     );
@@ -183,7 +191,7 @@ fn build_fault_degrades_table_instead_of_aborting() {
     // Panic every Mesh build: tab1 must still produce every other row,
     // with Mesh rendered as a failed row and footnoted.
     faults::install_spec("build@Mesh:panic:1:3").unwrap();
-    let table = exp::tab1::run(&ExpCtx::default());
+    let table = exp::tab1::run(&ExpCtx::default(), &RunCtx::new());
     faults::clear();
     assert!(
         !table.failures.is_empty(),
@@ -216,7 +224,7 @@ fn fractional_rate_is_deterministic_across_runs() {
             .map(|i| {
                 let id = format!("u{i}");
                 let label: Arc<str> = Arc::from(id.as_str());
-                Unit::new(id, move |_| {
+                Unit::new(id, move |_, _| {
                     faults::inject("build", &label);
                     Ok(())
                 })
@@ -227,7 +235,7 @@ fn fractional_rate_is_deterministic_across_runs() {
             retries: 0,
             ..Default::default()
         };
-        let r = run_units(&units, &opts, 1, "small");
+        let r = run_units(&units, &opts, &RunCtx::new(), 1, "small");
         faults::clear();
         r.ledger
             .units

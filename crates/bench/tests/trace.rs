@@ -3,27 +3,23 @@
 //! off, engines bit-identical at any thread count), and recorded span
 //! trees must stay well-formed even when injected faults unwind worker
 //! threads mid-span.
-//!
-//! Lock ordering: tests that need both harnesses take
-//! `faults::exclusive_for_tests()` first, then
-//! `trace::exclusive_for_tests()`.
 
 use std::sync::Arc;
 use topogen_bench::experiments as exp;
 use topogen_bench::runner::{run_units, RunnerOptions, Unit};
 use topogen_bench::tracefmt;
 use topogen_bench::ExpCtx;
+use topogen_core::RunCtx;
 use topogen_generators::canonical::kary_tree;
 use topogen_hierarchy::linkvalue::{link_values_threads, PathMode};
 use topogen_par::{cancel, faults, trace};
 
-/// Run `f` with a fresh trace sink installed, then uninstall it and
+/// Run `f` in the scope of a run context tracing into a fresh sink and
 /// return `f`'s result plus the parsed JSONL events it recorded.
-fn with_sink<R>(f: impl FnOnce() -> R) -> (R, Vec<tracefmt::TraceLine>) {
+fn with_sink<R>(f: impl FnOnce(&RunCtx) -> R) -> (R, Vec<tracefmt::TraceLine>) {
     let sink = Arc::new(trace::TraceSink::new());
-    trace::install(Some(sink.clone()));
-    let r = f();
-    trace::install(None);
+    let ctx = RunCtx::new().with_trace(sink.clone());
+    let r = ctx.scope(|| f(&ctx));
     let mut buf = Vec::new();
     sink.write_jsonl(&mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();
@@ -33,19 +29,20 @@ fn with_sink<R>(f: impl FnOnce() -> R) -> (R, Vec<tracefmt::TraceLine>) {
 
 #[test]
 fn archived_json_is_byte_identical_with_tracing_on_and_off() {
-    let _trace_guard = trace::exclusive_for_tests();
+    // The builds pass fault sites another test here arms.
+    let _fault_guard = faults::exclusive_for_tests();
     let ctx = ExpCtx::default();
-    let untraced = serde_json::to_string_pretty(&exp::tab1::run(&ctx)).unwrap();
+    let untraced = serde_json::to_string_pretty(&exp::tab1::run(&ctx, &RunCtx::new())).unwrap();
     let (traced, _events) =
-        with_sink(|| serde_json::to_string_pretty(&exp::tab1::run(&ctx)).unwrap());
+        with_sink(|run| serde_json::to_string_pretty(&exp::tab1::run(&ctx, run)).unwrap());
     assert_eq!(untraced, traced, "tracing must not change archived JSON");
 }
 
 #[test]
 fn traced_results_are_identical_across_thread_counts() {
-    let _trace_guard = trace::exclusive_for_tests();
+    let _fault_guard = faults::exclusive_for_tests();
     let g = kary_tree(3, 4);
-    let (values, events): (Vec<Vec<f64>>, _) = with_sink(|| {
+    let (values, events): (Vec<Vec<f64>>, _) = with_sink(|_| {
         [1usize, 2, 8]
             .iter()
             .map(|&t| link_values_threads(&g, &PathMode::Shortest, Some(t), None))
@@ -65,19 +62,18 @@ fn traced_results_are_identical_across_thread_counts() {
 #[test]
 fn span_tree_is_well_formed_under_injected_panics() {
     let _fault_guard = faults::exclusive_for_tests();
-    let _trace_guard = trace::exclusive_for_tests();
     // Panic every `build` fault-site hit: the worker thread unwinds out
     // of whatever spans are open. SpanGuard drops during the unwind, so
     // every enter must still have a LIFO-matching exit per thread.
     faults::install_spec("build:panic:1:3").unwrap();
     let units = vec![
-        Unit::new("faulted-a", |_| {
+        Unit::new("faulted-a", |_, _| {
             let _inner = trace::span("inner-work");
             faults::inject("build", "faulted-a");
             cancel::checkpoint();
             Ok(())
         }),
-        Unit::new("faulted-b", |_| {
+        Unit::new("faulted-b", |_, _| {
             let _inner = trace::span("inner-work");
             faults::inject("build", "faulted-b");
             cancel::checkpoint();
@@ -89,7 +85,7 @@ fn span_tree_is_well_formed_under_injected_panics() {
         retries: 1,
         ..Default::default()
     };
-    let (report, events) = with_sink(|| run_units(&units, &opts, 21, "small"));
+    let (report, events) = with_sink(|run| run_units(&units, &opts, run, 21, "small"));
     faults::clear();
     assert_eq!(
         report.exit_code,
@@ -134,9 +130,11 @@ fn span_tree_is_well_formed_under_injected_panics() {
 
 #[test]
 fn attempt_spans_parent_under_their_unit() {
-    let _trace_guard = trace::exclusive_for_tests();
-    let units = vec![Unit::new("solo", |_| Ok(()))];
-    let (_report, events) = with_sink(|| run_units(&units, &RunnerOptions::default(), 7, "small"));
+    // The runner sets the fault harness's process-wide current unit.
+    let _fault_guard = faults::exclusive_for_tests();
+    let units = vec![Unit::new("solo", |_, _| Ok(()))];
+    let (_report, events) =
+        with_sink(|run| run_units(&units, &RunnerOptions::default(), run, 7, "small"));
     tracefmt::check_well_formed(&events).unwrap();
     let find_enter = |name: &str| {
         events

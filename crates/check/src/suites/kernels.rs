@@ -1,17 +1,23 @@
 //! Scalar-vs-bitset kernel equivalence: the batched bitset BFS path
 //! must reproduce the scalar per-center path bit-for-bit, from raw
-//! distance vectors all the way up to full archived suite curves.
+//! distance vectors all the way up to full archived suite curves — and
+//! both must match a small serial reference of the ball-growing
+//! methodology itself.
 
 use crate::gen;
 use crate::invariant::{Check, Suite};
 use topogen_core::ctx::RunCtx;
 use topogen_core::suite::{run_suite_in, SuiteParams, SuiteResult};
-use topogen_core::zoo::{build, Scale, TopologySpec};
+use topogen_core::zoo::{build_in, Scale, TopologySpec};
 use topogen_graph::bfs;
 use topogen_graph::bfs_bitset::{self, BfsStats};
-use topogen_graph::NodeId;
-use topogen_metrics::balls::PlainBalls;
-use topogen_metrics::engine::{BallPlan, DistortionMetric, KernelPolicy, ResilienceMetric};
+use topogen_graph::{Graph, NodeId, UNREACHED};
+use topogen_metrics::balls::{BallSource, PlainBalls};
+use topogen_metrics::engine::{
+    BallMetric, BallPlan, BiconMetric, ClusteringMetric, CoverMetric, DistortionMetric,
+    KernelPolicy, MeasureCtx, ResilienceMetric,
+};
+use topogen_metrics::{CurvePoint, Instrument};
 
 /// The `kernels` suite.
 pub fn suite() -> Suite {
@@ -37,6 +43,19 @@ pub fn suite() -> Suite {
                 shrink_hint: "shrink the node count, then drop the distortion metric",
                 max_cases: u32::MAX,
                 run: ballplan_kernel_identity,
+            }),
+            Box::new(Check {
+                name: "ballplan-matches-reference",
+                property: "a BallPlan of the Appendix-B consumers (cover, bicon, clustering) \
+                           plus an edge count, with expansion centers and the consumers' \
+                           size cap, matches a serial reference bit-for-bit on arbitrary \
+                           graphs under forced scalar and forced bitset kernels",
+                oracle: "a serial loop: balls_up_to per center, finite values averaged \
+                         per radius, distances for expansion",
+                shrink_hint: "shrink the node count, then drop metrics one at a time, \
+                              then lower the radius",
+                max_cases: u32::MAX,
+                run: ballplan_matches_reference,
             }),
             Box::new(Check {
                 name: "zoo-archive-kernel-identity",
@@ -140,21 +159,178 @@ fn ballplan_kernel_identity(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// Edge count of a ball, declining balls above the cap like the
+/// Appendix-B consumers do (so the plan's size cap stays valid).
+struct CappedEdges {
+    max_ball_nodes: usize,
+}
+
+impl BallMetric for CappedEdges {
+    fn name(&self) -> &'static str {
+        "edges"
+    }
+
+    fn measure(&self, ball: &Graph, _ctx: &MeasureCtx<'_>) -> Option<f64> {
+        (ball.node_count() <= self.max_ball_nodes).then(|| ball.edge_count() as f64)
+    }
+}
+
+/// The ball-growing methodology as one serial loop, independent of the
+/// engine's job merging, kernels, scratch reuse and size cap: per ball
+/// center (in order) every ball from `balls_up_to`, each metric's finite
+/// values averaged per radius together with their ball sizes; E(h) from
+/// one `distances` call per expansion center. The metrics must ignore
+/// the per-ball seed (the Appendix-B consumers do).
+fn reference_plan<S: BallSource>(
+    src: &S,
+    ball_centers: &[NodeId],
+    exp_centers: &[NodeId],
+    max_h: u32,
+    metrics: &[&dyn BallMetric],
+) -> (Vec<Vec<CurvePoint>>, Vec<f64>) {
+    let instrument = Instrument::new();
+    let radii = max_h as usize + 1;
+    // rows[center][h] = (ball size, one value per metric; NaN = declined)
+    let rows: Vec<Vec<(f64, Vec<f64>)>> = ball_centers
+        .iter()
+        .map(|&c| {
+            src.balls_up_to(c, max_h)
+                .iter()
+                .enumerate()
+                .map(|(h, (ball, _))| {
+                    let ctx = MeasureCtx {
+                        center: c,
+                        radius: h as u32,
+                        seed: 0,
+                        instrument: &instrument,
+                    };
+                    let vals = metrics
+                        .iter()
+                        .map(|m| m.measure(ball, &ctx).unwrap_or(f64::NAN))
+                        .collect();
+                    (ball.node_count() as f64, vals)
+                })
+                .collect()
+        })
+        .collect();
+    let curves = (0..metrics.len())
+        .map(|mi| {
+            (0..radii)
+                .map(|h| {
+                    let (mut size_sum, mut val_sum, mut n) = (0.0, 0.0, 0usize);
+                    for row in &rows {
+                        let (size, vals) = &row[h];
+                        if vals[mi].is_finite() {
+                            size_sum += size;
+                            val_sum += vals[mi];
+                            n += 1;
+                        }
+                    }
+                    CurvePoint {
+                        radius: h as u32,
+                        avg_size: if n > 0 { size_sum / n as f64 } else { 0.0 },
+                        value: if n > 0 { val_sum / n as f64 } else { f64::NAN },
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut expansion = Vec::new();
+    if !exp_centers.is_empty() {
+        let mut total = vec![0usize; radii];
+        for &c in exp_centers {
+            for d in src.distances(c) {
+                if d != UNREACHED && d <= max_h {
+                    for t in &mut total[d as usize..] {
+                        *t += 1;
+                    }
+                }
+            }
+        }
+        let denom = exp_centers.len() as f64 * src.node_count() as f64;
+        expansion = total.iter().map(|&t| t as f64 / denom).collect();
+    }
+    (curves, expansion)
+}
+
+fn ballplan_matches_reference(seed: u64) -> Result<(), String> {
+    let mut rng = gen::Lcg::new(seed);
+    let n = 2 + rng.below(120);
+    let g = gen::sparse_graph(n, rng.below(3 * n + 1), rng.next() as u64);
+    let max_h = 1 + rng.below(8) as u32;
+    let cap = 1 + rng.below(n);
+    let src = PlainBalls { graph: &g };
+    let ball_centers: Vec<NodeId> = g.nodes().filter(|_| rng.below(3) == 0).collect();
+    let exp_centers: Vec<NodeId> = g.nodes().filter(|_| rng.below(2) == 0).collect();
+    let cover = CoverMetric {
+        max_ball_nodes: cap,
+    };
+    let bicon = BiconMetric {
+        max_ball_nodes: cap,
+    };
+    let clustering = ClusteringMetric {
+        max_ball_nodes: cap,
+    };
+    let edges = CappedEdges {
+        max_ball_nodes: cap,
+    };
+    let metrics: [&dyn BallMetric; 4] = [&cover, &bicon, &clustering, &edges];
+    let (want_curves, want_expansion) =
+        reference_plan(&src, &ball_centers, &exp_centers, max_h, &metrics);
+    let case = format!(
+        "n={n} m={} h={max_h} cap={cap} ball centers={} expansion centers={}",
+        g.edge_count(),
+        ball_centers.len(),
+        exp_centers.len()
+    );
+    for policy in [KernelPolicy::Scalar, KernelPolicy::Bitset] {
+        let plan = metrics.iter().fold(
+            BallPlan::new(&src, max_h, seed)
+                .ball_centers(ball_centers.clone())
+                .expansion_centers(exp_centers.clone())
+                .kernel(policy)
+                .ball_size_cap(Some(cap)),
+            |plan, &m| plan.metric(m),
+        );
+        let out = plan.run();
+        let bits = |e: &[f64]| e.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        if bits(&out.expansion) != bits(&want_expansion) {
+            return Err(format!(
+                "{case} kernel={}: expansion {:?} vs reference {:?}",
+                policy.tag(),
+                out.expansion,
+                want_expansion
+            ));
+        }
+        for ((got, want), m) in out.curves.iter().zip(&want_curves).zip(metrics) {
+            if curve_bits(got) != curve_bits(want) {
+                return Err(format!(
+                    "{case} kernel={}: {} curve {got:?} vs reference {want:?}",
+                    policy.tag(),
+                    m.name()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// One metric curve as exact bit patterns: (radius, avg_size, value).
 type CurveBits = Vec<(u32, u64, u64)>;
+
+fn curve_bits(curve: &[CurvePoint]) -> CurveBits {
+    curve
+        .iter()
+        .map(|p| (p.radius, p.avg_size.to_bits(), p.value.to_bits()))
+        .collect()
+}
 
 /// Bitwise fingerprint of everything an archived suite JSON contains.
 fn fingerprint(r: &SuiteResult) -> (Vec<u64>, CurveBits, CurveBits, String) {
     (
         r.expansion.iter().map(|v| v.to_bits()).collect(),
-        r.resilience
-            .iter()
-            .map(|p| (p.radius, p.avg_size.to_bits(), p.value.to_bits()))
-            .collect(),
-        r.distortion
-            .iter()
-            .map(|p| (p.radius, p.avg_size.to_bits(), p.value.to_bits()))
-            .collect(),
+        curve_bits(&r.resilience),
+        curve_bits(&r.distortion),
         r.signature.to_string(),
     )
 }
@@ -182,7 +358,7 @@ fn zoo_archive_kernel_identity(_seed: u64) -> Result<(), String> {
         });
     }
     for spec in zoo {
-        let t = build(&spec, Scale::Small, build_seed);
+        let t = build_in(&RunCtx::new(), &spec, Scale::Small, build_seed);
         let run =
             |policy: KernelPolicy| run_suite_in(&RunCtx::new().with_kernel(policy), &t, &params);
         let scalar = run(KernelPolicy::Scalar);

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topogen_core::ctx::RunCtx;
 use topogen_core::suite::{plain_curves_key, run_suite_in, SuiteParams, SuiteResult};
-use topogen_core::zoo::{build, Scale, TopologySpec};
+use topogen_core::zoo::{build_in, Scale, TopologySpec};
 use topogen_generators::canonical;
 use topogen_graph::stream::StreamingBuilder;
 use topogen_graph::Graph;
@@ -116,7 +116,12 @@ fn suite_fingerprint(r: &SuiteResult) -> (Vec<u64>, Vec<(u32, u64, u64)>, String
 fn checkpoint_resume_identity(seed: u64) -> Result<(), String> {
     let mut pick = gen::Lcg::new(seed);
     let side = 8 + pick.below(4);
-    let t = build(&TopologySpec::Mesh { side }, Scale::Small, seed);
+    let t = build_in(
+        &RunCtx::new(),
+        &TopologySpec::Mesh { side },
+        Scale::Small,
+        seed,
+    );
     let mut params = SuiteParams::quick();
     params.seed = seed;
 

@@ -1,5 +1,6 @@
-use topogen_core::suite::{run_suite, SuiteParams};
-use topogen_core::zoo::{build, Scale, TopologySpec};
+use topogen_core::suite::{run_suite_in, SuiteParams};
+use topogen_core::zoo::{build_in, Scale, TopologySpec};
+use topogen_core::RunCtx;
 use topogen_metrics::expansion::expansion_growth_rate;
 use topogen_metrics::resilience::resilience_growth_exponent;
 
@@ -7,9 +8,10 @@ fn main() {
     let mut specs = TopologySpec::figure1_zoo(Scale::Small);
     specs.push(TopologySpec::Complete { n: 150 });
     specs.push(TopologySpec::Linear { n: 600 });
+    let ctx = RunCtx::new();
     for spec in specs {
-        let t = build(&spec, Scale::Small, 42);
-        let r = run_suite(&t, &SuiteParams::quick());
+        let t = build_in(&ctx, &spec, Scale::Small, 42);
+        let r = run_suite_in(&ctx, &t, &SuiteParams::quick());
         let er = expansion_growth_rate(&r.expansion);
         let rx = resilience_growth_exponent(&r.resilience);
         let rlast = r.resilience.iter().rev().find(|p| p.value.is_finite());

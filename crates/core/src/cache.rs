@@ -421,7 +421,8 @@ pub fn decode_link_values(bytes: &[u8], expected_len: usize) -> Option<Vec<f64>>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo::build;
+    use crate::ctx::RunCtx;
+    use crate::zoo::build_in;
 
     #[test]
     fn graph_hash_sensitive_to_structure() {
@@ -462,7 +463,12 @@ mod tests {
 
     #[test]
     fn plain_topology_roundtrip() {
-        let t = build(&TopologySpec::Mesh { side: 8 }, Scale::Small, 1);
+        let t = build_in(
+            &RunCtx::new(),
+            &TopologySpec::Mesh { side: 8 },
+            Scale::Small,
+            1,
+        );
         let back = decode_topology(&encode_topology(&t), &t.spec).unwrap();
         assert_eq!(back.graph.edges(), t.graph.edges());
         assert_eq!(back.name, t.name);
@@ -473,7 +479,7 @@ mod tests {
 
     #[test]
     fn annotated_topology_roundtrip() {
-        let t = build(&TopologySpec::MeasuredAs, Scale::Small, 7);
+        let t = build_in(&RunCtx::new(), &TopologySpec::MeasuredAs, Scale::Small, 7);
         let back = decode_topology(&encode_topology(&t), &t.spec).unwrap();
         assert_eq!(back.graph.edges(), t.graph.edges());
         let (a, b) = (
@@ -491,7 +497,7 @@ mod tests {
 
     #[test]
     fn rl_topology_roundtrip_with_overlay() {
-        let t = build(&TopologySpec::MeasuredRl, Scale::Small, 7);
+        let t = build_in(&RunCtx::new(), &TopologySpec::MeasuredRl, Scale::Small, 7);
         let back = decode_topology(&encode_topology(&t), &t.spec).unwrap();
         assert_eq!(back.graph.edges(), t.graph.edges());
         assert_eq!(back.router_as, t.router_as);
@@ -539,32 +545,27 @@ mod tests {
         assert_eq!(d[1].value.to_bits(), 2.75f64.to_bits());
     }
 
-    /// End-to-end: with an ambient store installed, a second build +
+    /// End-to-end: with a store on the run context, a second build +
     /// suite run replays from disk with results identical to the cold
     /// run — the acceptance invariant behind `repro --cache`.
     #[test]
     fn warm_run_matches_cold_run_exactly() {
-        let _gate = crate::ctx::ambient_gate_for_tests();
-        use crate::suite::{run_suite, SuiteParams};
+        use crate::suite::{run_suite_in, SuiteParams};
         let spec = TopologySpec::Mesh { side: 10 };
         let params = SuiteParams::quick();
         // Cold, uncached reference.
-        let cold_t = build(&spec, Scale::Small, 5);
-        let cold = run_suite(&cold_t, &params);
+        let cold_t = build_in(&RunCtx::new(), &spec, Scale::Small, 5);
+        let cold = run_suite_in(&RunCtx::new(), &cold_t, &params);
 
         let dir = std::env::temp_dir().join(format!("topogen-core-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = std::sync::Arc::new(topogen_store::Store::open(&dir).unwrap());
-        // The guard restores the previous ambient handle even if an
-        // assertion below unwinds — no set/unset ordering hazard under
-        // `cargo test` parallelism.
-        let ambient = topogen_store::ambient::install(Some(store.clone()));
+        let cached = RunCtx::new().with_store(store.clone());
         // First cached run computes and persists; second replays.
-        let t1 = build(&spec, Scale::Small, 5);
-        let warm1 = run_suite(&t1, &params);
-        let t2 = build(&spec, Scale::Small, 5);
-        let warm2 = run_suite(&t2, &params);
-        drop(ambient);
+        let t1 = build_in(&cached, &spec, Scale::Small, 5);
+        let warm1 = run_suite_in(&cached, &t1, &params);
+        let t2 = build_in(&cached, &spec, Scale::Small, 5);
+        let warm2 = run_suite_in(&cached, &t2, &params);
 
         assert_eq!(t2.graph.edges(), cold_t.graph.edges());
         assert!(warm2.timings.store_hits >= 1, "second run must hit");

@@ -1,23 +1,17 @@
-//! Explicit run contexts for the comparison framework.
+//! The run context: the one carrier of run state.
 //!
-//! The build/measure pipeline historically consumed three pieces of
-//! process-ambient state: the artifact store
-//! ([`topogen_store::ambient`]), the per-thread deadline
-//! ([`topogen_par::cancel`]), and the global trace sink
-//! ([`topogen_par::trace`]). One batch CLI run per process made that
-//! shape workable; a daemon serving concurrent requests — each with its
-//! own deadline, its own progress stream, and a shared store — cannot
-//! express itself through process globals.
-//!
-//! [`RunCtx`] is the explicit alternative: every entry point of the
-//! pipeline has an `_in` variant taking `&RunCtx`
+//! A build/measure run depends on an artifact store, a cooperative
+//! deadline, a trace sink, a counter sink, a BFS kernel policy and a
+//! build memory budget. [`RunCtx`] carries all of them explicitly, and
+//! every entry point of the pipeline takes one
 //! ([`zoo::build_in`](crate::zoo::build_in),
 //! [`suite::run_suite_in`](crate::suite::run_suite_in),
-//! [`hier::hierarchy_report_timed_in`](crate::hier::hierarchy_report_timed_in)),
-//! and the original signatures remain as thin shims that snapshot the
-//! ambient state via [`RunCtx::ambient`] — so the batch CLI behaves
-//! exactly as before while concurrent callers construct disjoint
-//! contexts.
+//! [`hier::hierarchy_report_timed_in`](crate::hier::hierarchy_report_timed_in)).
+//! Nothing is read from process globals: `repro` builds one context
+//! from its flags, its runner hands each unit attempt a copy carrying
+//! that attempt's deadline and counter sink, and the serve daemon
+//! builds one per request — so concurrent runs never observe each
+//! other's state.
 
 use std::sync::Arc;
 
@@ -26,11 +20,11 @@ use topogen_par::cancel::Deadline;
 use topogen_par::{EngineCtx, Instrument, TraceSink};
 use topogen_store::Store;
 
-/// Everything one build/measure run depends on that used to be process
-/// state. All handles optional; `RunCtx::default()` is a fully isolated
-/// run — no caching, no deadline, no tracing, private counters, and the
-/// process-default BFS kernel policy.
-#[derive(Clone, Debug)]
+/// Everything one build/measure run depends on. All handles optional;
+/// `RunCtx::default()` is a fully isolated run — no caching, no
+/// deadline, no tracing, no shared counters, the `Auto` BFS kernel
+/// policy and in-memory builds.
+#[derive(Clone, Debug, Default)]
 pub struct RunCtx {
     /// Content-addressed artifact store consulted (and fed) by topology
     /// builds, metric-curve runs, and link-value analyses. `None`
@@ -39,58 +33,32 @@ pub struct RunCtx {
     /// Cooperative deadline observed at engine checkpoints.
     pub deadline: Option<Deadline>,
     /// Span sink receiving the run's trace events. `None` means tracing
-    /// off for this run, even when a process-global sink is installed.
+    /// off for this run.
     pub trace: Option<Arc<TraceSink>>,
-    /// Counter sink engines report into; a private one is created per
-    /// call when unset.
+    /// Run-level counter sink. It records what outlives a single call:
+    /// the largest arena a traversal or streaming build held
+    /// ([`Instrument::record_arena_peak`]) and the runs streaming builds
+    /// spilled. `repro`'s runner attaches a fresh one per unit attempt
+    /// and copies both into the run ledger. Each call's own
+    /// `TimingReport` always comes from a private instrument.
     pub instrument: Option<Arc<Instrument>>,
     /// BFS kernel policy for metric plans run under this context
     /// (scalar per-center BFS vs batched bitset kernels; `Auto` decides
-    /// per plan). Initialized from the process default, which `repro
-    /// --kernel` sets, so serve and batch paths share one choice.
+    /// per plan). `repro --kernel` sets it.
     pub kernel: KernelPolicy,
     /// Edge-buffer memory budget (bytes) for topology builds. `Some`
     /// routes the streaming-capable generators through
     /// [`topogen_graph::stream::StreamingBuilder`] (bounded buffer,
-    /// spill-to-disk runs, k-way merge); `None` builds in memory as
-    /// always. Initialized from the process default, which `repro
-    /// --mem-budget` sets. The built graph is identical either way.
+    /// spill-to-disk runs, k-way merge); `None` builds in memory.
+    /// `repro --mem-budget` sets it. The built graph is identical
+    /// either way.
     pub mem_budget: Option<u64>,
-}
-
-impl Default for RunCtx {
-    fn default() -> Self {
-        RunCtx {
-            store: None,
-            deadline: None,
-            trace: None,
-            instrument: None,
-            kernel: topogen_graph::bfs_bitset::default_policy(),
-            mem_budget: topogen_graph::stream::default_budget(),
-        }
-    }
 }
 
 impl RunCtx {
     /// A fully isolated context: no store, no deadline, no tracing.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Snapshot the ambient compatibility state — the process-global
-    /// store, the calling thread's deadline, the active trace sink —
-    /// into an explicit context. The legacy entry points route through
-    /// this, which is what keeps the batch CLI byte-identical.
-    pub fn ambient() -> Self {
-        let engine = EngineCtx::ambient();
-        RunCtx {
-            store: topogen_store::ambient::active(),
-            deadline: engine.deadline,
-            trace: engine.trace,
-            instrument: None,
-            kernel: topogen_graph::bfs_bitset::default_policy(),
-            mem_budget: topogen_graph::stream::default_budget(),
-        }
     }
 
     /// Attach an artifact store.
@@ -123,8 +91,8 @@ impl RunCtx {
         self
     }
 
-    /// Override the build memory budget for this run (`None` disables
-    /// streaming builds regardless of the process default).
+    /// Override the build memory budget for this run (`None` builds in
+    /// memory).
     pub fn with_mem_budget(mut self, budget: Option<u64>) -> Self {
         self.mem_budget = budget;
         self
@@ -141,21 +109,11 @@ impl RunCtx {
     }
 
     /// Run `f` under this context's engine state (see
-    /// [`EngineCtx::scope`]). The store is *not* ambient — it is only
-    /// ever consumed explicitly by the `_in` entry points.
+    /// [`EngineCtx::scope`]). The store and the counter sink are not
+    /// installed — only the `_in` entry points consume them, explicitly.
     pub fn scope<R>(&self, f: impl FnOnce() -> R) -> R {
         self.engine().scope(f)
     }
-}
-
-/// Serialize tests (across this crate's modules) that install an
-/// ambient store: the RAII guard makes set/unset nest correctly, but
-/// two tests overlapping in time would still observe each other's
-/// handle mid-run.
-#[cfg(test)]
-pub(crate) fn ambient_gate_for_tests() -> std::sync::MutexGuard<'static, ()> {
-    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -169,6 +127,8 @@ mod tests {
         assert!(ctx.deadline.is_none());
         assert!(ctx.trace.is_none());
         assert!(ctx.instrument.is_none());
+        assert_eq!(ctx.kernel, KernelPolicy::Auto);
+        assert!(ctx.mem_budget.is_none());
     }
 
     #[test]
@@ -177,20 +137,5 @@ mod tests {
         let ctx = RunCtx::new().with_trace(sink.clone());
         ctx.scope(|| drop(topogen_par::trace::span("scoped")));
         assert_eq!(sink.snapshot().len(), 2);
-    }
-
-    #[test]
-    fn ambient_snapshot_sees_installed_store() {
-        let _gate = ambient_gate_for_tests();
-        let dir = std::env::temp_dir().join(format!("topogen-runctx-{}", std::process::id()));
-        let store = Arc::new(Store::open(&dir).unwrap());
-        let guard = topogen_store::ambient::install(Some(store.clone()));
-        let ctx = RunCtx::ambient();
-        drop(guard);
-        assert!(
-            ctx.store.is_some_and(|s| Arc::ptr_eq(&s, &store)),
-            "snapshot captured the ambient store"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -49,33 +49,18 @@ impl Default for HierOptions {
     }
 }
 
-/// Run the §5 analysis.
+/// Run the §5 analysis under `ctx`, plus the link-value engine's
+/// instrumentation for this call (per-stage wall times, DAG states
+/// visited, pairs accumulated, arena bytes) — what `repro tab-hierarchy
+/// --timings` aggregates and archives as `BENCH_tab-hierarchy.json`.
+/// Link values are served from and persisted to `ctx.store`, the
+/// traversal runs under the context's deadline and trace sink, and the
+/// traversal arena's size raises `ctx.instrument`'s arena peak when one
+/// is attached.
 ///
 /// # Panics
 /// Panics if `opts.policy` is set but the topology has no annotations
 /// (policy analysis is only defined for the annotated AS graph).
-pub fn hierarchy_report(t: &BuiltTopology, opts: &HierOptions) -> HierarchyReport {
-    hierarchy_report_timed(t, opts).0
-}
-
-/// [`hierarchy_report`] plus the link-value engine's instrumentation
-/// (per-stage wall times, DAG states visited, pairs accumulated, arena
-/// bytes) — what `repro tab-hierarchy --timings` aggregates and archives
-/// as `BENCH_tab-hierarchy.json`.
-pub fn hierarchy_report_timed(
-    t: &BuiltTopology,
-    opts: &HierOptions,
-) -> (HierarchyReport, TimingReport) {
-    hierarchy_report_timed_in(&crate::ctx::RunCtx::ambient(), t, opts)
-}
-
-/// [`hierarchy_report_timed`] against an explicit context: link values
-/// are served from and persisted to `ctx.store`, the traversal runs
-/// under the context's deadline and trace sink, and counters report
-/// into `ctx.instrument` when one is attached.
-///
-/// # Panics
-/// Panics if `opts.policy` is set but the topology has no annotations.
 pub fn hierarchy_report_timed_in(
     ctx: &crate::ctx::RunCtx,
     t: &BuiltTopology,
@@ -99,11 +84,13 @@ pub fn hierarchy_report_timed_in(
     } else {
         PathMode::Shortest
     };
-    let ins = ctx
-        .instrument
-        .clone()
-        .unwrap_or_else(|| std::sync::Arc::new(Instrument::new()));
+    let ins = Instrument::new();
     let mut values = cached_link_values(ctx, &work, &mode, t, &ins);
+    let timings = ins.report();
+    if let Some(run) = &ctx.instrument {
+        // One traversal per call, so its arena bytes are this call's.
+        run.record_arena_peak(timings.arena_bytes);
+    }
     let degree_correlation = link_value_degree_correlation(&work, &values);
     let class = topogen_hierarchy::classify_hierarchy(&values);
     let stats = link_value_stats(&values);
@@ -121,7 +108,7 @@ pub fn hierarchy_report_timed_in(
         class: class.to_string(),
         degree_correlation,
     };
-    (report, TimingReport::from(&ins.report()))
+    (report, TimingReport::from(&timings))
 }
 
 /// The raw link-value vector (edge order, pre-sort), served from the
@@ -175,12 +162,18 @@ pub fn class_of(report: &HierarchyReport) -> HierarchyClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo::{build, Scale, TopologySpec};
+    use crate::ctx::RunCtx;
+    use crate::zoo::{build_in, Scale, TopologySpec};
 
     #[test]
     fn tree_reports_strict() {
-        let t = build(&TopologySpec::Tree { k: 3, depth: 4 }, Scale::Small, 1);
-        let r = hierarchy_report(&t, &HierOptions::default());
+        let t = build_in(
+            &RunCtx::new(),
+            &TopologySpec::Tree { k: 3, depth: 4 },
+            Scale::Small,
+            1,
+        );
+        let r = hierarchy_report_timed_in(&RunCtx::new(), &t, &HierOptions::default()).0;
         assert_eq!(r.class, "strict");
         assert!(r.max > 0.25);
         assert!(!r.policy);
@@ -189,9 +182,18 @@ mod tests {
 
     #[test]
     fn timed_report_populates_hierarchy_counters() {
-        let t = build(&TopologySpec::Mesh { side: 6 }, Scale::Small, 1);
-        let (r, timings) = hierarchy_report_timed(&t, &HierOptions::default());
+        let t = build_in(
+            &RunCtx::new(),
+            &TopologySpec::Mesh { side: 6 },
+            Scale::Small,
+            1,
+        );
+        let run = std::sync::Arc::new(Instrument::new());
+        let ctx = RunCtx::new().with_instrument(run.clone());
+        let (r, timings) = hierarchy_report_timed_in(&ctx, &t, &HierOptions::default());
         assert_eq!(r.values.len(), t.graph.edge_count());
+        // The run-level sink keeps the arena's size as its peak.
+        assert_eq!(run.report().arena_bytes_peak, timings.arena_bytes);
         // 36 nodes, all reachable: C(36, 2) pairs accumulated.
         assert_eq!(timings.pairs_accumulated, 36 * 35 / 2);
         assert!(timings.dag_states > 0);
@@ -203,20 +205,30 @@ mod tests {
 
     #[test]
     fn values_sorted_descending() {
-        let t = build(&TopologySpec::Mesh { side: 8 }, Scale::Small, 1);
-        let r = hierarchy_report(&t, &HierOptions::default());
+        let t = build_in(
+            &RunCtx::new(),
+            &TopologySpec::Mesh { side: 8 },
+            Scale::Small,
+            1,
+        );
+        let r = hierarchy_report_timed_in(&RunCtx::new(), &t, &HierOptions::default()).0;
         assert!(r.values.windows(2).all(|w| w[0] >= w[1]));
         assert_eq!(r.values.len(), t.graph.edge_count());
     }
 
     #[test]
     fn core_pruning_applies_to_big_graphs() {
-        let t = build(&TopologySpec::Tree { k: 3, depth: 6 }, Scale::Small, 1);
+        let t = build_in(
+            &RunCtx::new(),
+            &TopologySpec::Tree { k: 3, depth: 6 },
+            Scale::Small,
+            1,
+        );
         let opts = HierOptions {
             policy: false,
             core_threshold: 100,
         };
-        let r = hierarchy_report(&t, &opts);
+        let r = hierarchy_report_timed_in(&RunCtx::new(), &t, &opts).0;
         // A tree's core is empty → no link values.
         assert!(r.name.contains("core"));
         assert!(r.values.is_empty());
@@ -225,8 +237,14 @@ mod tests {
     #[test]
     #[should_panic]
     fn policy_without_annotations_panics() {
-        let t = build(&TopologySpec::Mesh { side: 5 }, Scale::Small, 1);
-        let _ = hierarchy_report(
+        let t = build_in(
+            &RunCtx::new(),
+            &TopologySpec::Mesh { side: 5 },
+            Scale::Small,
+            1,
+        );
+        let _ = hierarchy_report_timed_in(
+            &RunCtx::new(),
             &t,
             &HierOptions {
                 policy: true,

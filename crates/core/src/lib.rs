@@ -16,18 +16,23 @@
 //! * [`report`] — text tables and serde-serializable result records for
 //!   the experiment harness (EXPERIMENTS.md is generated from these).
 //! * [`cache`] — artifact-store glue (content hashes, binary payloads,
-//!   cache keys): when the CLI installs an ambient `topogen-store`
-//!   handle (`repro --cache`), topology builds, metric suites, and
-//!   link-value analyses replay from disk bit-identically.
+//!   cache keys): when the run context carries a `topogen-store` handle
+//!   (`repro --cache`), topology builds, metric suites, and link-value
+//!   analyses replay from disk bit-identically.
+//! * [`ctx`] — [`RunCtx`], the one carrier of run state (store,
+//!   deadline, trace sink, counters, kernel policy, memory budget) that
+//!   every entry point takes.
 //!
-//! The intended entry point is [`zoo::build`] + [`suite::run_suite`]:
+//! The intended entry point is [`zoo::build_in`] + [`suite::run_suite_in`]:
 //!
 //! ```
-//! use topogen_core::zoo::{build, Scale, TopologySpec};
-//! use topogen_core::suite::{run_suite, SuiteParams};
+//! use topogen_core::zoo::{build_in, Scale, TopologySpec};
+//! use topogen_core::suite::{run_suite_in, SuiteParams};
+//! use topogen_core::RunCtx;
 //!
-//! let t = build(&TopologySpec::Tree { k: 3, depth: 5 }, Scale::Small, 42);
-//! let result = run_suite(&t, &SuiteParams::quick());
+//! let ctx = RunCtx::new();
+//! let t = build_in(&ctx, &TopologySpec::Tree { k: 3, depth: 5 }, Scale::Small, 42);
+//! let result = run_suite_in(&ctx, &t, &SuiteParams::quick());
 //! println!("{} signature: {}", t.name, result.signature);
 //! assert_eq!(result.signature.to_string(), "HLL");
 //! ```
@@ -45,5 +50,5 @@ pub mod zoo;
 
 pub use classify::{Level, Signature};
 pub use ctx::RunCtx;
-pub use suite::{run_suite, run_suite_in, SuiteParams, SuiteResult};
-pub use zoo::{build, build_in, BuiltTopology, Scale, TopologySpec};
+pub use suite::{run_suite_in, SuiteParams, SuiteResult};
+pub use zoo::{build_in, BuiltTopology, Scale, TopologySpec};

@@ -123,16 +123,9 @@ pub struct SuiteResult {
     pub cis: Option<SuiteCis>,
 }
 
-/// Run the three metrics over plain shortest-path balls, under the
-/// ambient compatibility context. Equivalent to
-/// `run_suite_in(&RunCtx::ambient(), …)`.
-pub fn run_suite(t: &BuiltTopology, params: &SuiteParams) -> SuiteResult {
-    run_suite_in(&crate::ctx::RunCtx::ambient(), t, params)
-}
-
-/// [`run_suite`] against an explicit context: curves are served from
-/// and persisted to `ctx.store`, and the engines run under the
-/// context's deadline and trace sink.
+/// Run the three metrics over plain shortest-path balls under `ctx`:
+/// curves are served from and persisted to `ctx.store`, and the engines
+/// run under the context's deadline, trace sink and kernel policy.
 pub fn run_suite_in(
     ctx: &crate::ctx::RunCtx,
     t: &BuiltTopology,
@@ -157,16 +150,8 @@ pub fn plain_curves_key(t: &BuiltTopology, params: &SuiteParams) -> String {
         .finish()
 }
 
-/// Run the three metrics over policy-induced balls (Appendix E); the
-/// topology must carry annotations.
-///
-/// # Panics
-/// Panics if `t.annotations` is `None`.
-pub fn run_suite_policy(t: &BuiltTopology, params: &SuiteParams) -> SuiteResult {
-    run_suite_policy_in(&crate::ctx::RunCtx::ambient(), t, params)
-}
-
-/// [`run_suite_policy`] against an explicit context.
+/// Run the three metrics over policy-induced balls (Appendix E) under
+/// `ctx`; the topology must carry annotations.
 ///
 /// # Panics
 /// Panics if `t.annotations` is `None`.
@@ -196,16 +181,8 @@ pub fn run_suite_policy_in(
 }
 
 /// Run the three metrics over policy-constrained *router-level* balls
-/// (Appendix E's RL(Policy) construction); the topology must carry the
-/// AS overlay data (`MeasuredRl` does).
-///
-/// # Panics
-/// Panics if `t.router_as` or `t.as_overlay` is `None`.
-pub fn run_suite_rl_policy(t: &BuiltTopology, params: &SuiteParams) -> SuiteResult {
-    run_suite_rl_policy_in(&crate::ctx::RunCtx::ambient(), t, params)
-}
-
-/// [`run_suite_rl_policy`] against an explicit context.
+/// (Appendix E's RL(Policy) construction) under `ctx`; the topology
+/// must carry the AS overlay data (`MeasuredRl` does).
 ///
 /// # Panics
 /// Panics if `t.router_as` or `t.as_overlay` is `None`.
@@ -544,12 +521,15 @@ fn percentile_interval(samples: &mut Vec<f64>) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo::{build, Scale, TopologySpec};
+    use crate::ctx::RunCtx;
+    use crate::zoo::{build_in, Scale, TopologySpec};
     use topogen_metrics::engine::KernelPolicy;
 
     fn sig(spec: &TopologySpec) -> String {
-        let t = build(spec, Scale::Small, 42);
-        run_suite(&t, &SuiteParams::quick()).signature.to_string()
+        let t = build_in(&RunCtx::new(), spec, Scale::Small, 42);
+        run_suite_in(&RunCtx::new(), &t, &SuiteParams::quick())
+            .signature
+            .to_string()
     }
 
     #[test]
@@ -593,8 +573,8 @@ mod tests {
     fn rl_policy_suite_keeps_signature() {
         // Appendix E's router-level policy construction: the RL graph
         // stays HHL under policy-constrained balls.
-        let t = build(&TopologySpec::MeasuredRl, Scale::Small, 42);
-        let r = run_suite_rl_policy(&t, &SuiteParams::quick());
+        let t = build_in(&RunCtx::new(), &TopologySpec::MeasuredRl, Scale::Small, 42);
+        let r = run_suite_rl_policy_in(&RunCtx::new(), &t, &SuiteParams::quick());
         assert_eq!(r.signature.to_string(), "HHL");
     }
 
@@ -604,9 +584,14 @@ mod tests {
         // store, reproduces the one-shot curves bit-for-bit — and a
         // second run over the same store serves every batch from the
         // persisted partials without touching the engine.
-        let t = build(&TopologySpec::Mesh { side: 14 }, Scale::Small, 21);
+        let t = build_in(
+            &RunCtx::new(),
+            &TopologySpec::Mesh { side: 14 },
+            Scale::Small,
+            21,
+        );
         let params = SuiteParams::quick();
-        let one_shot = run_suite_in(&crate::ctx::RunCtx::new(), &t, &params);
+        let one_shot = run_suite_in(&RunCtx::new(), &t, &params);
         assert!(one_shot.cis.is_none());
 
         let fp = |r: &SuiteResult| {
@@ -628,14 +613,14 @@ mod tests {
             let mut p = params;
             p.batch = Some(batch);
             // No store: nothing persisted.
-            let r = run_suite_in(&crate::ctx::RunCtx::new(), &t, &p);
+            let r = run_suite_in(&RunCtx::new(), &t, &p);
             assert_eq!(fp(&r), fp(&one_shot), "batch={batch}, no store");
         }
 
         // Without a store a batch checkpoints nothing, so the batched
         // run is the one-shot run's single engine call, down to the
         // bitset kernels' lane passes.
-        let bitset = crate::ctx::RunCtx::new().with_kernel(KernelPolicy::Bitset);
+        let bitset = RunCtx::new().with_kernel(KernelPolicy::Bitset);
         let one_call = run_suite_in(&bitset, &t, &params);
         let mut p = params;
         p.batch = Some(4);
@@ -655,7 +640,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("topogen-suite-batch-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = std::sync::Arc::new(topogen_store::Store::open(&dir).unwrap());
-        let ctx = crate::ctx::RunCtx::new().with_store(store);
+        let ctx = RunCtx::new().with_store(store);
         let mut p = params;
         p.batch = Some(4);
         p.bootstrap = Some(50);
@@ -677,13 +662,18 @@ mod tests {
         // Simulate a mid-suite kill: run with a store (partials land on
         // disk), delete only the final curves entry, then re-run. The
         // resumed run must rebuild the result purely from partial hits.
-        let t = build(&TopologySpec::Mesh { side: 12 }, Scale::Small, 33);
+        let t = build_in(
+            &RunCtx::new(),
+            &TopologySpec::Mesh { side: 12 },
+            Scale::Small,
+            33,
+        );
         let mut p = SuiteParams::quick();
         p.batch = Some(3);
         let dir = std::env::temp_dir().join(format!("topogen-suite-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = std::sync::Arc::new(topogen_store::Store::open(&dir).unwrap());
-        let ctx = crate::ctx::RunCtx::new().with_store(store.clone());
+        let ctx = RunCtx::new().with_store(store.clone());
         let cold = run_suite_in(&ctx, &t, &p);
         // Drop the aggregate entry, keep the partials — the state a
         // SIGKILL between the last batch and the final put leaves.
@@ -706,8 +696,8 @@ mod tests {
 
     #[test]
     fn policy_suite_runs_on_as() {
-        let t = build(&TopologySpec::MeasuredAs, Scale::Small, 42);
-        let r = run_suite_policy(&t, &SuiteParams::quick());
+        let t = build_in(&RunCtx::new(), &TopologySpec::MeasuredAs, Scale::Small, 42);
+        let r = run_suite_policy_in(&RunCtx::new(), &t, &SuiteParams::quick());
         // Policy routing does not change the classification (§4.4).
         assert_eq!(r.signature.to_string(), "HHL");
     }

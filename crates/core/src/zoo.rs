@@ -283,16 +283,7 @@ pub struct BuiltTopology {
     pub spec: TopologySpec,
 }
 
-/// Build a topology deterministically from `seed`, under the ambient
-/// compatibility context (process-global store, thread deadline, active
-/// trace sink) — the batch CLI's entry point. Equivalent to
-/// `build_in(&RunCtx::ambient(), …)`; concurrent callers construct a
-/// [`RunCtx`](crate::ctx::RunCtx) instead.
-pub fn build(spec: &TopologySpec, scale: Scale, seed: u64) -> BuiltTopology {
-    build_in(&crate::ctx::RunCtx::ambient(), spec, scale, seed)
-}
-
-/// [`build`] against an explicit context.
+/// Build a topology deterministically from `seed` under `ctx`.
 ///
 /// When `ctx.store` is set (`repro --cache`, or the serve daemon's
 /// shared store), the build is served from disk when a matching entry
@@ -341,7 +332,7 @@ fn build_uncached(
         // sinks, so the budgeted graph is identical bit-for-bit.
         TopologySpec::Tree { k, depth } => (
             match ctx.mem_budget {
-                Some(b) => build_streamed(b, |s| canonical::kary_tree_into(*k, *depth, s)),
+                Some(b) => build_streamed(ctx, b, |s| canonical::kary_tree_into(*k, *depth, s)),
                 None => canonical::kary_tree(*k, *depth),
             },
             None,
@@ -349,7 +340,7 @@ fn build_uncached(
         ),
         TopologySpec::Mesh { side } => (
             match ctx.mem_budget {
-                Some(b) => build_streamed(b, |s| canonical::mesh_into(*side, *side, s)),
+                Some(b) => build_streamed(ctx, b, |s| canonical::mesh_into(*side, *side, s)),
                 None => canonical::mesh(*side, *side),
             },
             None,
@@ -357,7 +348,7 @@ fn build_uncached(
         ),
         TopologySpec::Linear { n } => (
             match ctx.mem_budget {
-                Some(b) => build_streamed(b, |s| canonical::linear_into(*n, s)),
+                Some(b) => build_streamed(ctx, b, |s| canonical::linear_into(*n, s)),
                 None => canonical::linear(*n),
             },
             None,
@@ -365,7 +356,7 @@ fn build_uncached(
         ),
         TopologySpec::Complete { n } => (
             match ctx.mem_budget {
-                Some(b) => build_streamed(b, |s| canonical::complete_into(*n, s)),
+                Some(b) => build_streamed(ctx, b, |s| canonical::complete_into(*n, s)),
                 None => canonical::complete(*n),
             },
             None,
@@ -373,7 +364,9 @@ fn build_uncached(
         ),
         TopologySpec::Random { n, p } => (
             largest_component(&match ctx.mem_budget {
-                Some(b) => build_streamed(b, |s| canonical::random_gnp_into(*n, *p, &mut rng, s)),
+                Some(b) => {
+                    build_streamed(ctx, b, |s| canonical::random_gnp_into(*n, *p, &mut rng, s))
+                }
                 None => canonical::random_gnp(*n, *p, &mut rng),
             })
             .0,
@@ -389,7 +382,7 @@ fn build_uncached(
         TopologySpec::Plrg(p) => (
             match ctx.mem_budget {
                 Some(b) => {
-                    largest_component(&build_streamed(b, |s| {
+                    largest_component(&build_streamed(ctx, b, |s| {
                         topogen_generators::plrg::plrg_into(p, &mut rng, s)
                     }))
                     .0
@@ -407,7 +400,7 @@ fn build_uncached(
         TopologySpec::NLevel(p) => (p.generate(&mut rng), None, None),
         TopologySpec::PlrgRewired(inner) => {
             // Recurse with the same context so the base build caches
-            // against the explicit store, not whatever is ambient.
+            // against the same store.
             let base = build_in(ctx, inner, scale, seed);
             let rewired = rewire_as_plrg(&base.graph, &mut rng);
             (largest_component(&rewired).0, None, None)
@@ -458,10 +451,10 @@ fn build_uncached(
 /// emit into a [`topogen_graph::stream::StreamingBuilder`] whose fill
 /// buffer is bounded by `budget` bytes (overflow spills sorted runs
 /// under `out/`, merged k-way at build time). The peak buffer bytes and
-/// spill-run count are published to the process-wide instrument
-/// high-water marks, which the bench runner drains into the ledger —
-/// the same plumbing the metric arenas use.
-fn build_streamed<F>(budget: u64, emit: F) -> Graph
+/// spill-run count go to the context's run-level instrument, which the
+/// bench runner copies into the ledger — the same sink the hierarchy
+/// arenas report their peak to.
+fn build_streamed<F>(ctx: &crate::ctx::RunCtx, budget: u64, emit: F) -> Graph
 where
     F: FnOnce(&mut topogen_graph::stream::StreamingBuilder),
 {
@@ -470,8 +463,10 @@ where
     let mut b = topogen_graph::stream::StreamingBuilder::new(0, Some(budget), &dir);
     emit(&mut b);
     let (g, stats) = b.build();
-    topogen_par::record_arena_highwater(stats.peak_bytes);
-    topogen_par::record_spill_runs(stats.spill_runs);
+    if let Some(ins) = &ctx.instrument {
+        ins.record_arena_peak(stats.peak_bytes);
+        ins.add_spill_runs(stats.spill_runs);
+    }
     g
 }
 
@@ -486,7 +481,7 @@ mod tests {
             if spec == TopologySpec::MeasuredRl {
                 continue; // exercised separately (slow)
             }
-            let t = build(&spec, Scale::Small, 7);
+            let t = build_in(&crate::ctx::RunCtx::new(), &spec, Scale::Small, 7);
             assert!(
                 is_connected(&t.graph),
                 "{} not connected ({} nodes)",
@@ -512,7 +507,12 @@ mod tests {
 
     #[test]
     fn measured_as_has_annotations() {
-        let t = build(&TopologySpec::MeasuredAs, Scale::Small, 1);
+        let t = build_in(
+            &crate::ctx::RunCtx::new(),
+            &TopologySpec::MeasuredAs,
+            Scale::Small,
+            1,
+        );
         assert!(t.annotations.is_some());
         let ann = t.annotations.as_ref().unwrap();
         // Alignment invariant: one relationship per edge.
@@ -524,7 +524,12 @@ mod tests {
 
     #[test]
     fn measured_rl_has_router_map() {
-        let t = build(&TopologySpec::MeasuredRl, Scale::Small, 1);
+        let t = build_in(
+            &crate::ctx::RunCtx::new(),
+            &TopologySpec::MeasuredRl,
+            Scale::Small,
+            1,
+        );
         assert!(t.router_as.is_some());
         assert_eq!(t.router_as.as_ref().unwrap().len(), t.graph.node_count());
         assert!(is_connected(&t.graph));
@@ -537,15 +542,15 @@ mod tests {
             alpha: 2.3,
             max_degree: None,
         });
-        let a = build(&s, Scale::Small, 9);
-        let b = build(&s, Scale::Small, 9);
+        let a = build_in(&crate::ctx::RunCtx::new(), &s, Scale::Small, 9);
+        let b = build_in(&crate::ctx::RunCtx::new(), &s, Scale::Small, 9);
         assert_eq!(a.graph.edges(), b.graph.edges());
     }
 
     #[test]
     fn rewired_variant_builds() {
         let s = TopologySpec::PlrgRewired(Box::new(TopologySpec::Ba(BaParams { n: 300, m: 2 })));
-        let t = build(&s, Scale::Small, 3);
+        let t = build_in(&crate::ctx::RunCtx::new(), &s, Scale::Small, 3);
         assert!(t.graph.node_count() > 200);
     }
 
@@ -568,7 +573,10 @@ mod tests {
             }),
         ];
         let plain = crate::ctx::RunCtx::new();
-        let budgeted = crate::ctx::RunCtx::new().with_mem_budget(Some(64 * 1024));
+        let ins = std::sync::Arc::new(topogen_par::Instrument::new());
+        let budgeted = crate::ctx::RunCtx::new()
+            .with_mem_budget(Some(64 * 1024))
+            .with_instrument(ins.clone());
         for spec in specs {
             let a = build_in(&plain, &spec, Scale::Small, 13);
             let b = build_in(&budgeted, &spec, Scale::Small, 13);
@@ -580,12 +588,15 @@ mod tests {
                 spec.name()
             );
         }
+        // The run-level instrument saw the bounded buffer's peak.
+        let peak = ins.report().arena_bytes_peak;
+        assert!(peak > 0 && peak <= 64 * 1024, "peak {peak}");
     }
 
     #[test]
     fn degree_based_zoo_heavy_tailed() {
         for spec in TopologySpec::degree_based_zoo(Scale::Small) {
-            let t = build(&spec, Scale::Small, 11);
+            let t = build_in(&crate::ctx::RunCtx::new(), &spec, Scale::Small, 11);
             let ratio = t.graph.max_degree() as f64 / t.graph.average_degree();
             assert!(ratio > 5.0, "{}: max/mean degree ratio {ratio}", t.name);
         }

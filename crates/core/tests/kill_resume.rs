@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use topogen_core::suite::{plain_curves_key, run_suite_in, SuiteParams, SuiteResult};
-use topogen_core::zoo::{build, Scale, TopologySpec};
+use topogen_core::zoo::{build_in, Scale, TopologySpec};
 use topogen_core::RunCtx;
 use topogen_store::Store;
 
@@ -64,7 +64,7 @@ fn sigkilled_suite_resumes_fingerprint_identical() {
     // the parent kills us (or to completion — the drill still holds).
     if let Ok(dir) = std::env::var(CHILD_ENV) {
         let store = Arc::new(Store::open(dir.as_ref() as &std::path::Path).unwrap());
-        let t = build(&spec, Scale::Small, 7);
+        let t = build_in(&RunCtx::new(), &spec, Scale::Small, 7);
         let ctx = RunCtx::new().with_store(store);
         let _ = run_suite_in(&ctx, &t, &params);
         return;
@@ -110,7 +110,7 @@ fn sigkilled_suite_resumes_fingerprint_identical() {
     // The dead child's store must now carry partials. Evict the final
     // curves entry in case the child got that far, so the resumed run
     // is forced through the partial-checkpoint path.
-    let t = build(&spec, Scale::Small, 7);
+    let t = build_in(&RunCtx::new(), &spec, Scale::Small, 7);
     let store = Arc::new(Store::open(&dir).unwrap());
     store.remove(&plain_curves_key(&t, &params));
     let ctx = RunCtx::new().with_store(store);

@@ -16,10 +16,10 @@ const BUDGET: u64 = 16 * 1024 * 1024;
 #[test]
 #[ignore = "xl tier: ~1M nodes, release-mode minutes; exercised by the CI scale job"]
 fn million_node_streamed_build_and_sampled_expansion_under_budget() {
-    let _ = topogen_par::take_arena_highwater();
-    let _ = topogen_par::take_spill_runs();
-
-    let ctx = RunCtx::new().with_mem_budget(Some(BUDGET));
+    let run = std::sync::Arc::new(topogen_par::Instrument::new());
+    let ctx = RunCtx::new()
+        .with_mem_budget(Some(BUDGET))
+        .with_instrument(run.clone());
     let spec = TopologySpec::Plrg(topogen_generators::plrg::PlrgParams {
         n: 1_000_000,
         alpha: 2.246,
@@ -32,8 +32,8 @@ fn million_node_streamed_build_and_sampled_expansion_under_budget() {
         t.graph.node_count()
     );
 
-    let peak = topogen_par::take_arena_highwater();
-    let spills = topogen_par::take_spill_runs();
+    let report = run.report();
+    let (peak, spills) = (report.arena_bytes_peak, report.spill_runs);
     assert!(spills >= 1, "a {BUDGET}-byte budget must spill at 1M nodes");
     assert!(
         peak > 0 && peak <= BUDGET,

@@ -37,7 +37,6 @@
 
 use crate::subgraph::{induced_subgraph_by, SubgraphMap};
 use crate::{Graph, NodeId, UNREACHED};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which BFS kernel the metrics engine should use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,29 +69,6 @@ impl KernelPolicy {
             KernelPolicy::Scalar => "scalar",
             KernelPolicy::Bitset => "bitset",
         }
-    }
-}
-
-/// Process-default kernel policy (what `RunCtx::ambient()` picks up);
-/// set once by the CLI from `--kernel`, defaults to [`KernelPolicy::Auto`].
-static DEFAULT_POLICY: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-default kernel policy.
-pub fn set_default_policy(p: KernelPolicy) {
-    let v = match p {
-        KernelPolicy::Auto => 0,
-        KernelPolicy::Scalar => 1,
-        KernelPolicy::Bitset => 2,
-    };
-    DEFAULT_POLICY.store(v, Ordering::Relaxed);
-}
-
-/// Read the process-default kernel policy.
-pub fn default_policy() -> KernelPolicy {
-    match DEFAULT_POLICY.load(Ordering::Relaxed) {
-        1 => KernelPolicy::Scalar,
-        2 => KernelPolicy::Bitset,
-        _ => KernelPolicy::Auto,
     }
 }
 
@@ -681,18 +657,13 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_roundtrip() {
+    fn policy_parse_and_default() {
         assert_eq!(KernelPolicy::parse("auto"), Some(KernelPolicy::Auto));
         assert_eq!(KernelPolicy::parse("scalar"), Some(KernelPolicy::Scalar));
         assert_eq!(KernelPolicy::parse("bitset"), Some(KernelPolicy::Bitset));
         assert_eq!(KernelPolicy::parse("simd"), None);
         assert_eq!(KernelPolicy::Bitset.tag(), "bitset");
-        // Global default: exercise set/get and restore Auto for other
-        // tests in this binary.
-        set_default_policy(KernelPolicy::Scalar);
-        assert_eq!(default_policy(), KernelPolicy::Scalar);
-        set_default_policy(KernelPolicy::Auto);
-        assert_eq!(default_policy(), KernelPolicy::Auto);
+        assert_eq!(KernelPolicy::default(), KernelPolicy::Auto);
     }
 
     #[test]

@@ -50,26 +50,6 @@ impl EdgeSink for GraphBuilder {
     }
 }
 
-/// Process-wide default construction budget in bytes (0 = unbounded).
-/// Mirrors [`crate::bfs_bitset`]'s default-policy plumbing: the CLI sets
-/// it once from `--mem-budget`, and every subsequent topology build —
-/// including cache-miss rebuilds deep inside the store — picks it up
-/// without threading a parameter through every call site.
-static DEFAULT_BUDGET: AtomicU64 = AtomicU64::new(0);
-
-/// Set (or clear, with `None`) the process-wide construction budget.
-pub fn set_default_budget(bytes: Option<u64>) {
-    DEFAULT_BUDGET.store(bytes.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The process-wide construction budget, if one is set.
-pub fn default_budget() -> Option<u64> {
-    match DEFAULT_BUDGET.load(Ordering::Relaxed) {
-        0 => None,
-        b => Some(b),
-    }
-}
-
 /// Construction-scratch accounting for one streamed build.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
@@ -394,14 +374,5 @@ mod tests {
         drop(b);
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn default_budget_roundtrips() {
-        // Serial within the test binary: set, read, clear.
-        set_default_budget(Some(123));
-        assert_eq!(default_budget(), Some(123));
-        set_default_budget(None);
-        assert_eq!(default_budget(), None);
     }
 }

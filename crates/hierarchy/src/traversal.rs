@@ -190,10 +190,6 @@ pub fn link_traversals_threads(
         // perf gate ratchets instead.
         let scratch = contribs.iter().map(|c| c.scratch_peak).max().unwrap_or(0);
         ins.record_scratch_peak((scratch * std::mem::size_of::<(u32, f64)>()) as u64);
-        // Also feed the process-wide high-water mark: the run ledger
-        // records the largest single arena a unit held, complementing
-        // the cumulative byte counter above.
-        topogen_par::record_arena_highwater(t.arena_bytes() as u64);
         ins.add_phase("hier-traversal", start.elapsed());
     }
     t

@@ -6,12 +6,10 @@
 //! *policy-induced* balls (Appendix E). [`BallSource`] abstracts over
 //! both so metric code is written once.
 
-use crate::CurvePoint;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use topogen_graph::subgraph::{induced_subgraph, SubgraphMap};
 use topogen_graph::{bfs, Graph, NodeId};
-use topogen_par::par_map;
 use topogen_policy::balls::policy_ball_from_dag;
 use topogen_policy::rel::AsAnnotations;
 use topogen_policy::valley::policy_shortest_path_dag;
@@ -167,61 +165,6 @@ fn sample_centers_floyd<R: Rng>(n: usize, k: usize, rng: &mut R) -> Vec<NodeId> 
     out
 }
 
-/// Run a per-ball metric over sampled centers and radii `0..=max_h`,
-/// averaging size and value per radius — one curve in the style of the
-/// paper's Figure 2(b,c,e,f,h,i).
-///
-/// `metric` maps a ball subgraph to a value; balls for which it returns
-/// `None` (e.g. too small to partition) are skipped.
-pub fn ball_curve<S, F>(source: &S, centers: &[NodeId], max_h: u32, metric: F) -> Vec<CurvePoint>
-where
-    S: BallSource,
-    F: Fn(&Graph) -> Option<f64> + Sync,
-{
-    let per_center: Vec<Vec<(f64, f64)>> = par_map(centers, |&c| {
-        source
-            .balls_up_to(c, max_h)
-            .into_iter()
-            .map(|(g, _)| {
-                let v = metric(&g);
-                (g.node_count() as f64, v.unwrap_or(f64::NAN))
-            })
-            .collect()
-    });
-    (0..=max_h)
-        .map(|h| {
-            // Pair sizes with values: a ball that yields no value (too
-            // small / too large for the metric) contributes to neither,
-            // so R(n)-style plots relate consistent (n, value) averages.
-            let mut size_sum = 0.0;
-            let mut val_sum = 0.0;
-            let mut val_n = 0usize;
-            for row in &per_center {
-                if let Some(&(s, v)) = row.get(h as usize) {
-                    if v.is_finite() {
-                        size_sum += s;
-                        val_sum += v;
-                        val_n += 1;
-                    }
-                }
-            }
-            CurvePoint {
-                radius: h,
-                avg_size: if val_n > 0 {
-                    size_sum / val_n as f64
-                } else {
-                    0.0
-                },
-                value: if val_n > 0 {
-                    val_sum / val_n as f64
-                } else {
-                    f64::NAN
-                },
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,36 +229,5 @@ mod tests {
         let a = sample_centers(1_000_000, 64, &mut StdRng::seed_from_u64(1));
         let b = sample_centers(1_000_000, 64, &mut StdRng::seed_from_u64(2));
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn ball_curve_counts_edges() {
-        // Metric = edge count; on the path graph from every center.
-        let g = path5();
-        let src = PlainBalls { graph: &g };
-        let centers: Vec<NodeId> = (0..5).collect();
-        let curve = ball_curve(&src, &centers, 1, |b| Some(b.edge_count() as f64));
-        assert_eq!(curve.len(), 2);
-        assert_eq!(curve[0].value, 0.0);
-        // Radius 1 around ends: 1 edge; around middle: 2 edges → avg 8/5.
-        assert!((curve[1].value - 8.0 / 5.0).abs() < 1e-12);
-        assert!((curve[1].avg_size - (2.0 + 3.0 + 3.0 + 3.0 + 2.0) / 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ball_curve_skips_none_values() {
-        let g = path5();
-        let src = PlainBalls { graph: &g };
-        let centers: Vec<NodeId> = (0..5).collect();
-        // Metric undefined for balls with < 3 nodes.
-        let curve = ball_curve(&src, &centers, 1, |b| {
-            if b.node_count() >= 3 {
-                Some(1.0)
-            } else {
-                None
-            }
-        });
-        assert!(curve[0].value.is_nan());
-        assert_eq!(curve[1].value, 1.0); // only middle balls counted
     }
 }

@@ -4,26 +4,11 @@
 //! The number of biconnected components inside balls of growing size.
 //! Tree-like graphs accumulate one component per edge; richly connected
 //! graphs collapse into a few large biconnected blocks.
+//!
+//! The per-ball count is the engine consumer
+//! [`BiconMetric`](crate::engine::BiconMetric).
 
-use crate::balls::{ball_curve, BallSource};
-use crate::CurvePoint;
 use topogen_graph::bicon::biconnected_component_count;
-use topogen_graph::NodeId;
-
-/// Biconnected component count as a ball-growing curve.
-pub fn bicon_curve<S: BallSource>(
-    source: &S,
-    centers: &[NodeId],
-    max_h: u32,
-    max_ball_nodes: usize,
-) -> Vec<CurvePoint> {
-    ball_curve(source, centers, max_h, |g| {
-        if g.node_count() > max_ball_nodes {
-            return None;
-        }
-        Some(biconnected_component_count(g) as f64)
-    })
-}
 
 /// Ratio of biconnected components to edges on the whole graph — 1.0 for
 /// a tree (every edge a bridge), near 0 for biconnected graphs. A cheap
@@ -38,15 +23,17 @@ pub fn bridge_fraction(g: &topogen_graph::Graph) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balls::PlainBalls;
+    use crate::engine::{plain_curve, BiconMetric};
     use topogen_generators::canonical::{kary_tree, mesh, ring};
+
+    const METRIC: BiconMetric = BiconMetric {
+        max_ball_nodes: 10_000,
+    };
 
     #[test]
     fn tree_bicon_counts_equal_edges() {
         let g = kary_tree(2, 5); // 63 nodes, 62 edges
-        let src = PlainBalls { graph: &g };
-        let centers: Vec<NodeId> = vec![0];
-        let c = bicon_curve(&src, &centers, 5, 10_000);
+        let c = plain_curve(&g, &[0], 5, 0, &METRIC);
         let last = c.last().unwrap();
         assert_eq!(last.value, 62.0);
         assert_eq!(bridge_fraction(&g), 1.0);
@@ -67,8 +54,7 @@ mod tests {
     #[test]
     fn curve_radius_zero_is_zero() {
         let g = mesh(5, 5);
-        let src = PlainBalls { graph: &g };
-        let c = bicon_curve(&src, &[12], 2, 10_000);
+        let c = plain_curve(&g, &[12], 2, 0, &METRIC);
         assert_eq!(c[0].value, 0.0);
         assert!(c[1].value >= 1.0);
     }

@@ -8,8 +8,6 @@
 //! graph (where it does not — "PLRG … may not capture the local
 //! properties", §4.4).
 
-use crate::balls::{ball_curve, BallSource};
-use crate::CurvePoint;
 use topogen_graph::{Graph, NodeId};
 
 /// Clustering coefficient of one node (`None` when degree < 2).
@@ -41,21 +39,6 @@ pub fn graph_clustering(g: &Graph) -> Option<f64> {
     } else {
         Some(vals.iter().sum::<f64>() / vals.len() as f64)
     }
-}
-
-/// Clustering as a ball-growing curve (Figure 10).
-pub fn clustering_curve<S: BallSource>(
-    source: &S,
-    centers: &[NodeId],
-    max_h: u32,
-    max_ball_nodes: usize,
-) -> Vec<CurvePoint> {
-    ball_curve(source, centers, max_h, |g| {
-        if g.node_count() > max_ball_nodes {
-            return None;
-        }
-        graph_clustering(g)
-    })
 }
 
 #[cfg(test)]
@@ -99,11 +82,18 @@ mod tests {
     }
 
     #[test]
-    fn clustering_curve_on_clique() {
-        use crate::balls::PlainBalls;
+    fn clique_ball_clustering_is_one() {
+        use crate::engine::{plain_curve, ClusteringMetric};
         let g = complete(8);
-        let src = PlainBalls { graph: &g };
-        let c = clustering_curve(&src, &[0], 1, 100);
+        let c = plain_curve(
+            &g,
+            &[0],
+            1,
+            0,
+            &ClusteringMetric {
+                max_ball_nodes: 100,
+            },
+        );
         assert_eq!(c[1].value, 1.0);
         assert!(c[0].value.is_nan()); // single-node ball has no C
     }

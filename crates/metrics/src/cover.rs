@@ -7,8 +7,6 @@
 //! guarantee) and the greedy max-degree heuristic (usually smaller), and
 //! use the smaller of the two.
 
-use crate::balls::{ball_curve, BallSource};
-use crate::CurvePoint;
 use topogen_graph::{Graph, NodeId};
 
 /// Matching-based 2-approximate vertex cover: take both endpoints of a
@@ -81,21 +79,6 @@ pub fn is_vertex_cover(g: &Graph, cover: &[NodeId]) -> bool {
         .all(|e| inc[e.a as usize] || inc[e.b as usize])
 }
 
-/// Vertex cover as a ball-growing curve (Figure 8(a–c)).
-pub fn cover_curve<S: BallSource>(
-    source: &S,
-    centers: &[NodeId],
-    max_h: u32,
-    max_ball_nodes: usize,
-) -> Vec<CurvePoint> {
-    ball_curve(source, centers, max_h, |g| {
-        if g.node_count() > max_ball_nodes {
-            return None;
-        }
-        Some(vertex_cover_size(g) as f64)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,12 +132,13 @@ mod tests {
     }
 
     #[test]
-    fn cover_curve_monotone_with_ball() {
-        use crate::balls::PlainBalls;
+    fn cover_grows_monotone_with_ball() {
+        use crate::engine::{plain_curve, CoverMetric};
         let g = mesh(9, 9);
-        let src = PlainBalls { graph: &g };
-        let centers: Vec<NodeId> = vec![40];
-        let c = cover_curve(&src, &centers, 8, 10_000);
+        let metric = CoverMetric {
+            max_ball_nodes: 10_000,
+        };
+        let c = plain_curve(&g, &[40], 8, 0, &metric);
         let finite: Vec<f64> = c
             .iter()
             .filter(|p| p.value.is_finite())

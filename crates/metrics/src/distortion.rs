@@ -9,8 +9,6 @@
 //! same, additionally trying the maximum-degree node as a root (cheap and
 //! occasionally better).
 
-use crate::balls::{ball_curve, BallSource};
-use crate::CurvePoint;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -201,22 +199,6 @@ pub fn improve_tree_distortion(
     (tree, current)
 }
 
-/// D as a ball-growing curve (average ball size vs average distortion per
-/// radius).
-pub fn distortion_curve<S: BallSource>(
-    source: &S,
-    centers: &[NodeId],
-    max_h: u32,
-    params: &DistortionParams,
-) -> Vec<CurvePoint> {
-    ball_curve(source, centers, max_h, |g| {
-        if g.node_count() > params.max_ball_nodes {
-            return None;
-        }
-        graph_distortion(g, params)
-    })
-}
-
 /// A Bartal-style hierarchical decomposition spanning tree: recursively
 /// split the node set into balls of geometrically shrinking radius around
 /// random centers, connecting each cluster's center to its parent
@@ -395,7 +377,8 @@ fn attach_bfs(g: &Graph, in_cluster: &[bool], center: NodeId, parent: &mut [Node
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balls::{sample_centers, PlainBalls};
+    use crate::balls::sample_centers;
+    use crate::engine::{plain_curve, DistortionMetric};
     use topogen_generators::canonical::{kary_tree, mesh, random_gnp, ring};
     use topogen_graph::components::largest_component;
 
@@ -444,12 +427,16 @@ mod tests {
     }
 
     #[test]
-    fn distortion_curve_on_tree_flat_at_one() {
+    fn tree_ball_distortion_flat_at_one() {
         let g = kary_tree(2, 7);
-        let src = PlainBalls { graph: &g };
         use rand::SeedableRng;
         let centers = sample_centers(g.node_count(), 10, &mut StdRng::seed_from_u64(5));
-        let curve = distortion_curve(&src, &centers, 8, &params());
+        let metric = DistortionMetric {
+            max_ball_nodes: 2_000,
+            use_bartal: true,
+            polish: false,
+        };
+        let curve = plain_curve(&g, &centers, 8, 2, &metric);
         for p in curve.iter().filter(|p| p.value.is_finite()) {
             assert!(
                 (p.value - 1.0).abs() < 1e-9,

@@ -1,12 +1,11 @@
-//! The shared-ball metrics engine.
+//! The shared-ball metrics engine: the one path every ball-growing
+//! curve (§3.2.1, and Appendix B's Figures 8 and 10) is computed on.
 //!
-//! The legacy path had every ball-growing metric call
-//! [`BallSource::balls_up_to`] independently: with k metrics over the
-//! same centers, each center's BFS + ball construction ran k times.
-//! [`BallPlan`] inverts that: per sampled center it computes the
-//! radius-indexed ball subgraphs (and, for expansion, the distance
-//! field) **once**, and hands each ball to every registered
-//! [`BallMetric`] consumer. An [`Instrument`] sink counts traversals,
+//! Per sampled center, [`BallPlan`] computes the radius-indexed ball
+//! subgraphs (and, for expansion, the distance field) **once**, and
+//! hands each ball to every registered [`BallMetric`] consumer, so k
+//! metrics over the same centers cost one BFS + ball construction per
+//! center, not k. An [`Instrument`] sink counts traversals,
 //! balls built, cache hits and partitioner restarts so the sharing is
 //! observable in timing reports.
 //!
@@ -59,8 +58,8 @@ pub struct MeasureCtx<'a> {
 /// A per-ball metric consumer registered with a [`BallPlan`].
 ///
 /// `measure` maps one ball subgraph to a value; `None` skips the ball
-/// (too small / too large), exactly like the legacy
-/// [`crate::balls::ball_curve`] closure contract.
+/// (too small / too large), and a skipped ball contributes to neither
+/// the size nor the value average of its radius.
 pub trait BallMetric: Sync {
     /// Short stable name, used for phase timings and curve lookup.
     fn name(&self) -> &'static str;
@@ -224,6 +223,26 @@ impl BallMetric for PathLengthMetric {
     }
 }
 
+/// Expected center→surface max flow (footnote 22) as an engine
+/// consumer: the mean unit max flow from the ball's center to up to
+/// `surface_samples` nodes at its maximum distance.
+pub struct SurfaceFlowMetric {
+    /// Skip balls larger than this.
+    pub max_ball_nodes: usize,
+    /// Surface nodes sampled per ball.
+    pub surface_samples: usize,
+}
+
+impl BallMetric for SurfaceFlowMetric {
+    fn name(&self) -> &'static str {
+        "surface_flow"
+    }
+
+    fn measure(&self, ball: &Graph, _ctx: &MeasureCtx<'_>) -> Option<f64> {
+        crate::extra::ball_surface_flow(ball, self.max_ball_nodes, self.surface_samples)
+    }
+}
+
 /// Everything a [`BallPlan::run`] produces: one curve per registered
 /// metric (same order as registration), the expansion curve (empty if
 /// no expansion centers were set), and the instrumentation snapshot.
@@ -278,14 +297,14 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
             expansion_centers: Vec::new(),
             metrics: Vec::new(),
             ctx: None,
-            kernel: topogen_graph::bfs_bitset::default_policy(),
+            kernel: KernelPolicy::default(),
             ball_size_cap: None,
         }
     }
 
-    /// Kernel policy for this plan (defaults to the process default,
-    /// i.e. `--kernel` or `Auto`). [`KernelPolicy::Auto`] consults
-    /// [`select_kernel`]; forcing `Scalar`/`Bitset` pins the path.
+    /// Kernel policy for this plan (default [`KernelPolicy::Auto`],
+    /// which consults [`select_kernel`]); forcing `Scalar`/`Bitset`
+    /// pins the path. Suite runs pass their run context's policy.
     pub fn kernel(mut self, policy: KernelPolicy) -> Self {
         self.kernel = policy;
         self
@@ -332,9 +351,10 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     }
 
     /// Run under an explicit engine context instead of whatever
-    /// deadline/sink is ambient on the calling thread — the re-entrant
-    /// path concurrent callers (one context per request) use. Without
-    /// this, [`run`](Self::run) observes the ambient state, as before.
+    /// deadline/sink the calling thread's scope installed — the
+    /// re-entrant path concurrent callers (one context per request)
+    /// use. Without this, [`run`](Self::run) observes the caller's
+    /// scope.
     pub fn context(mut self, ctx: topogen_par::EngineCtx) -> Self {
         self.ctx = Some(ctx);
         self
@@ -412,8 +432,8 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     pub fn aggregate(&self, outputs: &[JobOut], report: InstrumentReport) -> PlanResult {
         let radii = self.max_radius as usize + 1;
         // Aggregate in fixed job order: bit-identical for any thread
-        // count, and matching the legacy ball_curve semantics (only
-        // finite values contribute to the size/value averages).
+        // count. Only finite values contribute to the size/value
+        // averages (see [`BallMetric`]).
         let curves = (0..self.metrics.len())
             .map(|mi| {
                 (0..radii as u32)
@@ -785,11 +805,38 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     }
 }
 
+/// One metric's curve over plain shortest-path balls around `centers`
+/// (sorted): the unit tests' single-consumer plan.
+#[cfg(test)]
+pub(crate) fn plain_curve(
+    g: &Graph,
+    centers: &[NodeId],
+    max_h: u32,
+    seed: u64,
+    metric: &dyn BallMetric,
+) -> Vec<CurvePoint> {
+    let src = crate::balls::PlainBalls { graph: g };
+    let mut out = BallPlan::new(&src, max_h, seed)
+        .ball_centers(centers.to_vec())
+        .metric(metric)
+        .run();
+    out.curves.swap_remove(0)
+}
+
+/// E(h) over plain balls from the sorted expansion `centers`.
+#[cfg(test)]
+pub(crate) fn plain_expansion(g: &Graph, centers: &[NodeId], max_h: u32) -> Vec<f64> {
+    let src = crate::balls::PlainBalls { graph: g };
+    BallPlan::new(&src, max_h, 0)
+        .expansion_centers(centers.to_vec())
+        .run()
+        .expansion
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balls::{ball_curve, PlainBalls};
-    use crate::expansion::expansion_curve;
+    use crate::balls::PlainBalls;
     use topogen_graph::Graph;
 
     /// Seed-independent test metric: edge count of the ball.
@@ -821,34 +868,39 @@ mod tests {
         Graph::from_edges((side * side) as usize, e)
     }
 
-    #[test]
-    fn engine_matches_legacy_ball_curve() {
-        let g = mesh(8);
-        let src = PlainBalls { graph: &g };
-        let centers: Vec<NodeId> = vec![0, 9, 27, 63];
-        let legacy = ball_curve(&src, &centers, 5, |b| Some(b.edge_count() as f64));
-        let em = EdgeCount;
-        let plan = BallPlan::new(&src, 5, 1).ball_centers(centers).metric(&em);
-        let out = plan.run();
-        assert_eq!(out.curves[0].len(), legacy.len());
-        for (a, b) in out.curves[0].iter().zip(&legacy) {
-            assert_eq!(a.radius, b.radius);
-            assert_eq!(a.avg_size.to_bits(), b.avg_size.to_bits());
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
+    /// 1.0 on balls of at least three nodes, undefined below.
+    struct OneFromThree;
+
+    impl BallMetric for OneFromThree {
+        fn name(&self) -> &'static str {
+            "one"
+        }
+
+        fn measure(&self, ball: &Graph, _ctx: &MeasureCtx<'_>) -> Option<f64> {
+            (ball.node_count() >= 3).then_some(1.0)
         }
     }
 
+    fn path5() -> Graph {
+        Graph::from_edges(5, (0..4).map(|i| (i, i + 1)))
+    }
+
     #[test]
-    fn engine_matches_legacy_expansion() {
-        let g = mesh(8);
-        let src = PlainBalls { graph: &g };
-        let centers: Vec<NodeId> = (0..64).collect();
-        let legacy = expansion_curve(&src, &centers, 10);
-        let out = BallPlan::new(&src, 10, 1).expansion_centers(centers).run();
-        assert_eq!(out.expansion.len(), legacy.len());
-        for (a, b) in out.expansion.iter().zip(&legacy) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+    fn curve_averages_size_and_value_per_radius() {
+        // Edge count on the path graph from every center.
+        let curve = plain_curve(&path5(), &[0, 1, 2, 3, 4], 1, 0, &EdgeCount);
+        assert_eq!(curve.len(), 2);
+        assert_eq!(curve[0].value, 0.0);
+        // Radius 1 around ends: 1 edge; around middle: 2 edges → avg 8/5.
+        assert!((curve[1].value - 8.0 / 5.0).abs() < 1e-12);
+        assert!((curve[1].avg_size - (2.0 + 3.0 + 3.0 + 3.0 + 2.0) / 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn curve_skips_declined_balls() {
+        let curve = plain_curve(&path5(), &[0, 1, 2, 3, 4], 1, 0, &OneFromThree);
+        assert!(curve[0].value.is_nan());
+        assert_eq!(curve[1].value, 1.0); // only middle balls counted
     }
 
     #[test]
@@ -856,14 +908,15 @@ mod tests {
         let g = mesh(8);
         let src = PlainBalls { graph: &g };
         let centers: Vec<NodeId> = vec![0, 20, 40];
-        let legacy = expansion_curve(&src, &centers, 6);
+        // Expansion-only centers take the standalone distance pass.
+        let standalone = plain_expansion(&g, &centers, 6);
         let em = EdgeCount;
         let out = BallPlan::new(&src, 6, 1)
             .ball_centers(centers.clone())
             .expansion_centers(centers)
             .metric(&em)
             .run();
-        for (a, b) in out.expansion.iter().zip(&legacy) {
+        for (a, b) in out.expansion.iter().zip(&standalone) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // All three centers shared: no standalone distance pass at all.

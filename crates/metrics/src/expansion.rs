@@ -5,53 +5,22 @@
 //! random graph expands exponentially (`E(h) ∝ k^h / N`); a mesh
 //! quadratically (`E(h) ∝ h² / N`) — the distinction behind Figure
 //! 2(a,d,g,j).
-
-use crate::balls::BallSource;
-use topogen_graph::{NodeId, UNREACHED};
-use topogen_par::par_map;
-
-/// E(h) for `h = 0..=max_h`, averaged over the given centers, normalized
-/// by the total node count. With `centers` = all nodes this is the
-/// paper's exact definition; sampling gives an unbiased estimate.
-///
-/// ```
-/// use topogen_graph::Graph;
-/// use topogen_metrics::balls::PlainBalls;
-/// use topogen_metrics::expansion::expansion_curve;
-///
-/// // A 5-cycle seen from every node: 1 node at h=0, 3 by h=1, all by h=2.
-/// let g = Graph::from_edges(5, (0..5).map(|i| (i, (i + 1) % 5)));
-/// let src = PlainBalls { graph: &g };
-/// let centers: Vec<u32> = g.nodes().collect();
-/// let e = expansion_curve(&src, &centers, 2);
-/// assert_eq!(e, vec![0.2, 0.6, 1.0]);
-/// ```
-pub fn expansion_curve<S: BallSource>(source: &S, centers: &[NodeId], max_h: u32) -> Vec<f64> {
-    let n = source.node_count();
-    if n == 0 || centers.is_empty() {
-        return vec![0.0; max_h as usize + 1];
-    }
-    let counts: Vec<Vec<usize>> = par_map(centers, |&c| {
-        let dist = source.distances(c);
-        let mut cum = vec![0usize; max_h as usize + 1];
-        for &d in &dist {
-            if d != UNREACHED && d <= max_h {
-                cum[d as usize] += 1;
-            }
-        }
-        // Ring counts → cumulative counts.
-        for h in 1..cum.len() {
-            cum[h] += cum[h - 1];
-        }
-        cum
-    });
-    (0..=max_h as usize)
-        .map(|h| {
-            let total: usize = counts.iter().map(|c| c[h]).sum();
-            total as f64 / (centers.len() as f64 * n as f64)
-        })
-        .collect()
-}
+//!
+//! E(h) itself is computed by the shared-ball engine: register
+//! expansion centers on a [`BallPlan`](crate::engine::BallPlan) and read
+//! [`PlanResult::expansion`](crate::engine::PlanResult::expansion).
+//!
+//! ```
+//! use topogen_graph::Graph;
+//! use topogen_metrics::balls::PlainBalls;
+//! use topogen_metrics::engine::BallPlan;
+//!
+//! // A 5-cycle seen from every node: 1 node at h=0, 3 by h=1, all by h=2.
+//! let g = Graph::from_edges(5, (0..5).map(|i| (i, (i + 1) % 5)));
+//! let src = PlainBalls { graph: &g };
+//! let e = BallPlan::new(&src, 2, 0).expansion_centers(g.nodes().collect()).run().expansion;
+//! assert_eq!(e, vec![0.2, 0.6, 1.0]);
+//! ```
 
 /// The smallest radius at which E(h) reaches `fraction` (e.g. 0.9), or
 /// `None` if it never does within the curve. A compact "effective
@@ -91,9 +60,9 @@ pub fn expansion_growth_rate(curve: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balls::PlainBalls;
+    use crate::engine::plain_expansion;
     use topogen_generators::canonical::{kary_tree, linear, mesh, random_gnp};
-    use topogen_graph::Graph;
+    use topogen_graph::{Graph, NodeId};
 
     fn all_centers(g: &Graph) -> Vec<NodeId> {
         g.nodes().collect()
@@ -102,9 +71,7 @@ mod tests {
     #[test]
     fn expansion_reaches_one() {
         let g = kary_tree(3, 4);
-        let src = PlainBalls { graph: &g };
-        let c = all_centers(&g);
-        let e = expansion_curve(&src, &c, 8);
+        let e = plain_expansion(&g, &all_centers(&g), 8);
         assert!((e.last().unwrap() - 1.0).abs() < 1e-12);
         assert!((e[0] - 1.0 / g.node_count() as f64).abs() < 1e-12);
         assert!(e.windows(2).all(|w| w[1] >= w[0]), "monotone");
@@ -113,9 +80,7 @@ mod tests {
     #[test]
     fn linear_chain_expands_linearly() {
         let g = linear(101);
-        let src = PlainBalls { graph: &g };
-        let c = all_centers(&g);
-        let e = expansion_curve(&src, &c, 100);
+        let e = plain_expansion(&g, &all_centers(&g), 100);
         // E(h) ≈ (2h+1)/N for interior nodes; growth rate near zero.
         let rate = expansion_growth_rate(&e);
         assert!(rate < 0.1, "rate {rate}");
@@ -124,9 +89,7 @@ mod tests {
     #[test]
     fn tree_expands_exponentially() {
         let g = kary_tree(3, 6); // 1093 nodes
-        let src = PlainBalls { graph: &g };
-        let c = all_centers(&g);
-        let e = expansion_curve(&src, &c, 14);
+        let e = plain_expansion(&g, &all_centers(&g), 14);
         let rate = expansion_growth_rate(&e);
         // Averaged over all centers (mostly deep leaves) the measured
         // rate is ≈ 0.46 — well above the mesh's ≈ 0.12.
@@ -136,9 +99,7 @@ mod tests {
     #[test]
     fn mesh_expands_slowly() {
         let g = mesh(30, 30);
-        let src = PlainBalls { graph: &g };
-        let c = all_centers(&g);
-        let e = expansion_curve(&src, &c, 58);
+        let e = plain_expansion(&g, &all_centers(&g), 58);
         let rate = expansion_growth_rate(&e);
         assert!(rate < 0.2, "rate {rate}");
     }
@@ -149,9 +110,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let g = random_gnp(900, 0.006, &mut rng);
         let (lcc, _) = topogen_graph::components::largest_component(&g);
-        let src = PlainBalls { graph: &lcc };
-        let c = all_centers(&lcc);
-        let e = expansion_curve(&src, &c, 15);
+        let e = plain_expansion(&lcc, &all_centers(&lcc), 15);
         let rate = expansion_growth_rate(&e);
         assert!(rate > 0.6, "rate {rate}");
     }
@@ -161,16 +120,8 @@ mod tests {
         // The paper's qualitative claim: the mesh is the slow one.
         let t = kary_tree(2, 9); // 1023 nodes
         let m = mesh(32, 32); // 1024 nodes
-        let rt = expansion_growth_rate(&expansion_curve(
-            &PlainBalls { graph: &t },
-            &all_centers(&t),
-            20,
-        ));
-        let rm = expansion_growth_rate(&expansion_curve(
-            &PlainBalls { graph: &m },
-            &all_centers(&m),
-            62,
-        ));
+        let rt = expansion_growth_rate(&plain_expansion(&t, &all_centers(&t), 20));
+        let rm = expansion_growth_rate(&plain_expansion(&m, &all_centers(&m), 62));
         assert!(rt > rm, "tree {rt} vs mesh {rm}");
     }
 
@@ -184,9 +135,8 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
+        // No expansion centers: the plan reports no E(h) at all.
         let g = Graph::empty(0);
-        let src = PlainBalls { graph: &g };
-        let e = expansion_curve(&src, &[], 3);
-        assert_eq!(e, vec![0.0; 4]);
+        assert!(plain_expansion(&g, &[], 3).is_empty());
     }
 }

@@ -4,77 +4,18 @@
 //! on its surface. The paper reports both were consistent with — but not
 //! more discriminating than — the three basic metrics; we include them
 //! for completeness and as cross-checks.
+//!
+//! Both run as engine consumers:
+//! [`PathLengthMetric`](crate::engine::PathLengthMetric) and
+//! [`SurfaceFlowMetric`](crate::engine::SurfaceFlowMetric).
 
-use crate::balls::BallSource;
-use crate::CurvePoint;
-use topogen_graph::bfs::{average_path_length, distances};
+use topogen_graph::bfs::distances;
 use topogen_graph::flow::max_flow_unit;
 use topogen_graph::{Graph, NodeId, UNREACHED};
-use topogen_par::par_map;
-
-/// Average pairwise path length inside balls, as a ball-growing curve.
-/// Exact on each ball (BFS from every ball node).
-pub fn ball_path_length_curve<S: BallSource>(
-    source: &S,
-    centers: &[NodeId],
-    max_h: u32,
-    max_ball_nodes: usize,
-) -> Vec<CurvePoint> {
-    crate::balls::ball_curve(source, centers, max_h, |g| {
-        if g.node_count() < 2 || g.node_count() > max_ball_nodes {
-            return None;
-        }
-        let nodes: Vec<NodeId> = g.nodes().collect();
-        average_path_length(g, &nodes)
-    })
-}
-
-/// Expected center→surface max flow: for each ball, the mean unit max
-/// flow from the ball's center (subgraph node 0) to sampled nodes at the
-/// maximum distance from it (the ball's "surface").
-pub fn center_surface_flow_curve<S: BallSource>(
-    source: &S,
-    centers: &[NodeId],
-    max_h: u32,
-    max_ball_nodes: usize,
-    surface_samples: usize,
-) -> Vec<CurvePoint> {
-    let per_center: Vec<Vec<(f64, f64)>> = par_map(centers, |&c| {
-        source
-            .balls_up_to(c, max_h)
-            .into_iter()
-            .map(|(g, _)| {
-                let v = ball_surface_flow(&g, max_ball_nodes, surface_samples);
-                (g.node_count() as f64, v.unwrap_or(f64::NAN))
-            })
-            .collect()
-    });
-    (0..=max_h)
-        .map(|h| {
-            let mut size_sum = 0.0;
-            let mut val_sum = 0.0;
-            let mut n = 0usize;
-            for row in &per_center {
-                if let Some(&(s, v)) = row.get(h as usize) {
-                    if v.is_finite() {
-                        size_sum += s;
-                        val_sum += v;
-                        n += 1;
-                    }
-                }
-            }
-            CurvePoint {
-                radius: h,
-                avg_size: if n > 0 { size_sum / n as f64 } else { 0.0 },
-                value: if n > 0 { val_sum / n as f64 } else { f64::NAN },
-            }
-        })
-        .collect()
-}
 
 /// Mean unit max-flow from ball node 0 (the center by construction of
 /// [`topogen_graph::subgraph::ball`]) to up to `samples` surface nodes.
-fn ball_surface_flow(g: &Graph, max_ball_nodes: usize, samples: usize) -> Option<f64> {
+pub(crate) fn ball_surface_flow(g: &Graph, max_ball_nodes: usize, samples: usize) -> Option<f64> {
     let n = g.node_count();
     if n < 2 || n > max_ball_nodes {
         return None;
@@ -98,16 +39,26 @@ fn ball_surface_flow(g: &Graph, max_ball_nodes: usize, samples: usize) -> Option
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::balls::PlainBalls;
+    use crate::engine::{plain_curve, PathLengthMetric, SurfaceFlowMetric};
     use topogen_generators::canonical::{kary_tree, mesh, ring};
+
+    const FLOW: SurfaceFlowMetric = SurfaceFlowMetric {
+        max_ball_nodes: 1000,
+        surface_samples: 6,
+    };
 
     #[test]
     fn path_length_curve_on_ring() {
         let g = ring(12);
-        let src = PlainBalls { graph: &g };
-        let centers: Vec<NodeId> = vec![0, 6];
-        let c = ball_path_length_curve(&src, &centers, 6, 1000);
+        let c = plain_curve(
+            &g,
+            &[0, 6],
+            6,
+            0,
+            &PathLengthMetric {
+                max_ball_nodes: 1000,
+            },
+        );
         // Radius-1 balls are 3-node paths: APL = (1+1+2+2+1+1)/6 = 4/3.
         assert!((c[1].value - 4.0 / 3.0).abs() < 1e-9);
         // Radius 6 closes the cycle: APL of C12 = 36/11 (per node the
@@ -124,8 +75,7 @@ mod tests {
     #[test]
     fn tree_surface_flow_is_one() {
         let g = kary_tree(3, 4);
-        let src = PlainBalls { graph: &g };
-        let c = center_surface_flow_curve(&src, &[0], 4, 1000, 6);
+        let c = plain_curve(&g, &[0], 4, 0, &FLOW);
         for p in c.iter().filter(|p| p.value.is_finite()) {
             assert!((p.value - 1.0).abs() < 1e-9, "tree flow {}", p.value);
         }
@@ -134,8 +84,7 @@ mod tests {
     #[test]
     fn mesh_surface_flow_exceeds_tree() {
         let g = mesh(9, 9);
-        let src = PlainBalls { graph: &g };
-        let c = center_surface_flow_curve(&src, &[40], 4, 1000, 6);
+        let c = plain_curve(&g, &[40], 4, 0, &FLOW);
         // Some surface nodes sit in degree-2 pockets of the ball, so the
         // average lands between 1 and 2 — still clearly above the
         // tree's 1.0.
@@ -146,8 +95,11 @@ mod tests {
     #[test]
     fn degenerate_balls_skipped() {
         let g = kary_tree(2, 2);
-        let src = PlainBalls { graph: &g };
-        let c = center_surface_flow_curve(&src, &[0], 0, 1000, 4);
+        let flow = SurfaceFlowMetric {
+            max_ball_nodes: 1000,
+            surface_samples: 4,
+        };
+        let c = plain_curve(&g, &[0], 0, 0, &flow);
         assert!(c[0].value.is_nan());
     }
 }

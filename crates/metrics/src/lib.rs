@@ -35,9 +35,11 @@
 //! [`balls`] provides the shared ball-source abstraction — plain BFS
 //! balls or policy-induced balls (Appendix E) — so every metric can run
 //! with and without policy routing, exactly as the paper reports for the
-//! AS and RL graphs. [`engine`] runs several per-ball metrics over one
-//! shared set of balls per center (one traversal serves every consumer),
-//! with [`instrument`] counting the work it saves. The scoped-thread
+//! AS and RL graphs. [`engine`] is the one ball-growing path: every
+//! ball-grown curve is a [`BallMetric`] consumer of a [`BallPlan`],
+//! which runs all registered metrics over one shared set of balls per
+//! center (one traversal serves every consumer), with [`instrument`]
+//! counting the work it saves. The scoped-thread
 //! parallel map spreading per-center computations over cores lives in
 //! the shared `topogen-par` crate (re-exported here as [`par`]), which
 //! also serves the `topogen-hierarchy` link-value pipeline (this
@@ -65,7 +67,6 @@ pub mod tolerance;
 
 pub use balls::{BallSource, PlainBalls, PolicyBalls};
 pub use engine::{BallMetric, BallPlan, MeasureCtx, PlanResult};
-pub use expansion::expansion_curve;
 pub use instrument::{Instrument, InstrumentReport};
 
 /// A point on a ball-growing curve: the average ball size and average

@@ -7,50 +7,12 @@
 //!
 //! A tree has R(n) = 1, a mesh R(n) ∝ √n, and a random graph of average
 //! degree k has R(n) ∝ kn — the behaviours behind Figure 2(b,e,h,k).
+//!
+//! The per-ball cut is the engine consumer
+//! [`ResilienceMetric`](crate::engine::ResilienceMetric); this module
+//! holds the summary statistics the classification reads off its curve.
 
-use crate::balls::{ball_curve, BallSource};
-use crate::partition::min_balanced_cut;
 use crate::CurvePoint;
-use topogen_graph::NodeId;
-
-/// Tunables for the resilience computation.
-#[derive(Clone, Copy, Debug)]
-pub struct ResilienceParams {
-    /// Multilevel partitioner restarts per ball.
-    pub restarts: usize,
-    /// Skip balls larger than this (partitioning very large balls is the
-    /// dominant cost; the paper also capped its computations).
-    pub max_ball_nodes: usize,
-    /// RNG seed for the partition heuristics.
-    pub seed: u64,
-}
-
-impl Default for ResilienceParams {
-    fn default() -> Self {
-        ResilienceParams {
-            restarts: 3,
-            max_ball_nodes: 4_000,
-            seed: 0xC0FFEE,
-        }
-    }
-}
-
-/// R as a ball-growing curve: for each radius, the average ball size and
-/// average min balanced cut. Balls with < 2 nodes (or above the size
-/// cap) are skipped.
-pub fn resilience_curve<S: BallSource>(
-    source: &S,
-    centers: &[NodeId],
-    max_h: u32,
-    params: &ResilienceParams,
-) -> Vec<CurvePoint> {
-    ball_curve(source, centers, max_h, |g| {
-        if g.node_count() < 2 || g.node_count() > params.max_ball_nodes {
-            return None;
-        }
-        min_balanced_cut(g, params.restarts, params.seed).map(|c| c as f64)
-    })
-}
 
 /// The (n, R) support for the growth-exponent fit: the curve's finite
 /// positive points, thinned to a roughly geometric ball-size progression
@@ -99,31 +61,33 @@ pub fn resilience_growth_exponent(curve: &[CurvePoint]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balls::{sample_centers, PlainBalls};
+    use crate::balls::sample_centers;
+    use crate::engine::{plain_curve, ResilienceMetric};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use topogen_generators::canonical::{kary_tree, mesh, random_gnp};
     use topogen_graph::components::largest_component;
+    use topogen_graph::{Graph, NodeId};
 
-    fn params() -> ResilienceParams {
-        ResilienceParams {
-            restarts: 2,
-            max_ball_nodes: 2_000,
-            seed: 1,
-        }
+    const PARAMS: ResilienceMetric = ResilienceMetric {
+        restarts: 2,
+        max_ball_nodes: 2_000,
+    };
+
+    /// R(n) around `centers` with plan seed 1.
+    fn r_curve(g: &Graph, centers: &[NodeId], max_h: u32, m: &ResilienceMetric) -> Vec<CurvePoint> {
+        plain_curve(g, centers, max_h, 1, m)
     }
 
     #[test]
     fn tree_resilience_stays_low() {
         let g = kary_tree(3, 5); // 364 nodes
-        let src = PlainBalls { graph: &g };
         let centers = sample_centers(g.node_count(), 12, &mut StdRng::seed_from_u64(2));
-        let p = ResilienceParams {
+        let p = ResilienceMetric {
             restarts: 6,
             max_ball_nodes: 2_000,
-            seed: 1,
         };
-        let curve = resilience_curve(&src, &centers, 10, &p);
+        let curve = r_curve(&g, &centers, 10, &p);
         let last = curve.iter().rev().find(|p| p.value.is_finite()).unwrap();
         // A *ternary* tree's balanced bipartition needs to slice 2–4
         // subtrees to hit 45–55% (a binary tree needs exactly 1); the
@@ -145,9 +109,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let g = random_gnp(500, 0.02, &mut rng);
         let (lcc, _) = largest_component(&g);
-        let src = PlainBalls { graph: &lcc };
         let centers = sample_centers(lcc.node_count(), 8, &mut rng);
-        let curve = resilience_curve(&src, &centers, 6, &params());
+        let curve = r_curve(&lcc, &centers, 6, &PARAMS);
         let last = curve.iter().rev().find(|p| p.value.is_finite()).unwrap();
         assert!(
             last.value > 50.0,
@@ -162,9 +125,8 @@ mod tests {
     #[test]
     fn mesh_resilience_sqrt_like() {
         let g = mesh(24, 24);
-        let src = PlainBalls { graph: &g };
         let centers = sample_centers(g.node_count(), 10, &mut StdRng::seed_from_u64(3));
-        let curve = resilience_curve(&src, &centers, 20, &params());
+        let curve = r_curve(&g, &centers, 20, &PARAMS);
         let expo = resilience_growth_exponent(&curve);
         assert!(
             (0.3..0.85).contains(&expo),
@@ -181,10 +143,9 @@ mod tests {
             let g = random_gnp(400, 0.02, &mut rng);
             largest_component(&g).0
         };
-        let val = |g: &topogen_graph::Graph, h: u32| {
-            let src = PlainBalls { graph: g };
+        let val = |g: &Graph, h: u32| {
             let centers = sample_centers(g.node_count(), 8, &mut StdRng::seed_from_u64(4));
-            let c = resilience_curve(&src, &centers, h, &params());
+            let c = r_curve(g, &centers, h, &PARAMS);
             c.iter().rev().find(|p| p.value.is_finite()).unwrap().value
         };
         let (vt, vm, vr) = (val(&t, 10), val(&m, 20), val(&r, 6));
@@ -195,13 +156,11 @@ mod tests {
     #[test]
     fn ball_size_cap_respected() {
         let g = mesh(20, 20);
-        let src = PlainBalls { graph: &g };
-        let p = ResilienceParams {
+        let p = ResilienceMetric {
             restarts: 1,
             max_ball_nodes: 30,
-            seed: 1,
         };
-        let curve = resilience_curve(&src, &[0, 210], 40, &p);
+        let curve = r_curve(&g, &[0, 210], 40, &p);
         // Large balls skipped → values become NaN at big radii.
         assert!(curve.last().unwrap().value.is_nan());
         // Small radii still computed.

@@ -1,26 +1,20 @@
 //! Re-entrant engine contexts.
 //!
-//! Historically the engines picked up their deadline from a thread-local
-//! (installed once per unit by the suite runner) and their trace sink
-//! from a process-global slot (installed once by the CLI). That shape
-//! cannot express two concurrent runs with *different* deadlines and
-//! trace streams in one process — exactly what a serving daemon needs.
-//!
-//! [`EngineCtx`] is the explicit alternative: a small, cloneable bundle
-//! of the ambient state an engine run depends on. [`EngineCtx::scope`]
-//! installs it thread-locally for the duration of a closure (and
-//! [`par_map`](crate::par_map) re-installs the same state inside each
-//! worker), so any number of contexts can be live at once on different
-//! threads. The process-global installers ([`trace::install`]
-//! (crate::trace::install), the runner's per-unit deadline) remain as a
-//! compatibility shim for the batch CLI; [`EngineCtx::ambient`] snapshots
-//! them into an explicit context.
+//! [`EngineCtx`] is the small, cloneable bundle of state an engine run
+//! depends on: an optional cooperative deadline and an optional span
+//! sink. [`EngineCtx::scope`] installs it thread-locally for the
+//! duration of a closure (and [`par_map`](crate::par_map) re-installs
+//! the same state inside each worker), so any number of contexts can be
+//! live at once on different threads — two concurrent daemon requests
+//! run with their own deadlines and trace streams in one process. There
+//! is no process-global fallback: outside a scope, engines run with no
+//! deadline and no tracing.
 
 use crate::cancel::{self, Deadline};
 use crate::trace::{self, TraceSink};
 use std::sync::Arc;
 
-/// The ambient state one engine run executes under: an optional
+/// The state one engine run executes under: an optional
 /// cooperative deadline and an optional span sink. `Clone` is cheap
 /// (an `Arc` and a token); a daemon clones one per request.
 #[derive(Clone, Debug, Default)]
@@ -29,8 +23,7 @@ pub struct EngineCtx {
     /// [`cancel::checkpoint`] inside the scope.
     pub deadline: Option<Deadline>,
     /// Span sink receiving every [`trace::span`] opened inside the
-    /// scope. `None` means tracing is *off* for the scope, even when a
-    /// process-global sink is installed — a context is authoritative.
+    /// scope. `None` means tracing is off for the scope.
     pub trace: Option<Arc<TraceSink>>,
 }
 
@@ -38,17 +31,6 @@ impl EngineCtx {
     /// A context with no deadline and no tracing.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Snapshot the compatibility shims — the calling thread's ambient
-    /// deadline and the process-global trace sink — into an explicit
-    /// context. This is how the legacy entry points keep their exact
-    /// behavior while routing through the context-threaded engine core.
-    pub fn ambient() -> Self {
-        EngineCtx {
-            deadline: cancel::current_deadline(),
-            trace: trace::active(),
-        }
     }
 
     /// Replace the deadline.
@@ -149,14 +131,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_context_disables_ambient_tracing() {
-        let _gate = trace::exclusive_for_tests();
-        let global = Arc::new(TraceSink::new());
-        trace::install(Some(global.clone()));
-        EngineCtx::new().scope(|| drop(trace::span("muted")));
-        drop(trace::span("loud"));
-        trace::install(None);
-        let names: Vec<&str> = global
+    fn empty_context_disables_tracing_inside_a_traced_scope() {
+        let outer = Arc::new(TraceSink::new());
+        trace::with_sink(Some(outer.clone()), || {
+            EngineCtx::new().scope(|| drop(trace::span("muted")));
+            drop(trace::span("loud"));
+        });
+        let names: Vec<&str> = outer
             .snapshot()
             .iter()
             .filter_map(|e| match e {
@@ -164,18 +145,10 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(names, vec!["loud"], "scoped span must not hit the global");
-    }
-
-    #[test]
-    fn ambient_snapshot_round_trips() {
-        let _gate = trace::exclusive_for_tests();
-        let global = Arc::new(TraceSink::new());
-        trace::install(Some(global.clone()));
-        let ctx = EngineCtx::ambient();
-        trace::install(None);
-        assert!(ctx.trace.is_some(), "snapshot captured the global sink");
-        ctx.scope(|| drop(trace::span("via-snapshot")));
-        assert_eq!(global.snapshot().len(), 2);
+        assert_eq!(
+            names,
+            vec!["loud"],
+            "scoped span must not hit the outer sink"
+        );
     }
 }

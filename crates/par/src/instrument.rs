@@ -46,6 +46,9 @@ pub struct Instrument {
     /// (a max across sources, not a sum — the compressed frontier-local
     /// representation's high-water mark).
     scratch_bytes: AtomicU64,
+    /// Largest single arena held: a traversal-set arena or a streaming
+    /// build's edge buffer (a max, where `arena_bytes` is a sum).
+    arena_peak: AtomicU64,
     /// Sorted runs spilled to disk by memory-budgeted streaming builds.
     spill_runs: AtomicU64,
     /// Artifact-store lookups served from disk (`repro --cache`).
@@ -117,6 +120,11 @@ impl Instrument {
         self.scratch_bytes.fetch_max(n, Ordering::Relaxed);
     }
 
+    /// Raise the largest-single-arena mark to at least `bytes`.
+    pub fn record_arena_peak(&self, bytes: u64) {
+        self.arena_peak.fetch_max(bytes, Ordering::Relaxed);
+    }
+
     /// Record `n` spilled streaming-build runs.
     pub fn add_spill_runs(&self, n: u64) {
         self.spill_runs.fetch_add(n, Ordering::Relaxed);
@@ -168,6 +176,7 @@ impl Instrument {
             words_scanned: self.words_scanned.load(Ordering::Relaxed),
             frontier_passes: self.frontier_passes.load(Ordering::Relaxed),
             scratch_bytes: self.scratch_bytes.load(Ordering::Relaxed),
+            arena_bytes_peak: self.arena_peak.load(Ordering::Relaxed),
             spill_runs: self.spill_runs.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_misses: self.store_misses.load(Ordering::Relaxed),
@@ -176,46 +185,6 @@ impl Instrument {
             phases,
         }
     }
-}
-
-/// Process-wide high-water mark of arena residency, in bytes.
-///
-/// Individual [`Instrument`] sinks *sum* `arena_bytes` across runs,
-/// which answers "how much arena traffic" but not "how big did a single
-/// resident arena get". The runner wants the latter per unit, so the
-/// traversal stage also publishes each arena's size here via
-/// [`record_arena_highwater`]; the runner drains the maximum with
-/// [`take_arena_highwater`] around each unit attempt.
-static ARENA_HIGHWATER: AtomicU64 = AtomicU64::new(0);
-
-/// Raise the process-wide arena high-water mark to at least `bytes`.
-pub fn record_arena_highwater(bytes: u64) {
-    ARENA_HIGHWATER.fetch_max(bytes, Ordering::Relaxed);
-}
-
-/// Read and reset the process-wide arena high-water mark.
-///
-/// Returns the largest single arena observed since the previous call
-/// (0 when no arena was built in the window).
-pub fn take_arena_highwater() -> u64 {
-    ARENA_HIGHWATER.swap(0, Ordering::Relaxed)
-}
-
-/// Process-wide tally of streaming-build spill runs, mirroring
-/// [`ARENA_HIGHWATER`]'s publish/drain shape: topology builds happen
-/// deep inside store cache-miss closures with no instrument in reach,
-/// so the builder's caller publishes here and the runner drains the
-/// count into each unit's timing report.
-static SPILL_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Record `n` spilled streaming-build runs against the process tally.
-pub fn record_spill_runs(n: u64) {
-    SPILL_RUNS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Read and reset the process-wide spill-run tally.
-pub fn take_spill_runs() -> u64 {
-    SPILL_RUNS.swap(0, Ordering::Relaxed)
 }
 
 /// Wall time attributed to one named engine phase.
@@ -250,6 +219,8 @@ pub struct InstrumentReport {
     pub frontier_passes: u64,
     /// Peak per-source hierarchy-traversal scratch bytes (max, not sum).
     pub scratch_bytes: u64,
+    /// Largest single arena or streaming-build buffer (max, not sum).
+    pub arena_bytes_peak: u64,
     /// Sorted runs spilled by memory-budgeted streaming builds.
     pub spill_runs: u64,
     /// Artifact-store lookups served from disk.
@@ -278,6 +249,7 @@ impl InstrumentReport {
         self.words_scanned += other.words_scanned;
         self.frontier_passes += other.frontier_passes;
         self.scratch_bytes = self.scratch_bytes.max(other.scratch_bytes);
+        self.arena_bytes_peak = self.arena_bytes_peak.max(other.arena_bytes_peak);
         self.spill_runs += other.spill_runs;
         self.store_hits += other.store_hits;
         self.store_misses += other.store_misses;
@@ -341,15 +313,13 @@ mod tests {
     }
 
     #[test]
-    fn arena_highwater_tracks_max_and_resets() {
-        // Single test touching the process-wide mark, so no cross-test
-        // races inside this binary.
-        take_arena_highwater();
-        record_arena_highwater(100);
-        record_arena_highwater(700);
-        record_arena_highwater(300);
-        assert_eq!(take_arena_highwater(), 700);
-        assert_eq!(take_arena_highwater(), 0);
+    fn arena_peak_tracks_max() {
+        let ins = Instrument::new();
+        assert_eq!(ins.report().arena_bytes_peak, 0);
+        ins.record_arena_peak(100);
+        ins.record_arena_peak(700);
+        ins.record_arena_peak(300);
+        assert_eq!(ins.report().arena_bytes_peak, 700);
     }
 
     #[test]

@@ -51,14 +51,13 @@ where
             })
             .collect();
     }
-    // Capture the caller's ambient deadline, current trace span, and
-    // any scoped sink override so workers observe the same cancellation
-    // state the caller does, per-item spans parent on the caller's span
-    // across threads, and a re-entrant context's private sink keeps
-    // receiving its own workers' events.
+    // Capture the caller's deadline, current trace span, and trace sink
+    // so workers observe the same cancellation state the caller does,
+    // per-item spans parent on the caller's span across threads, and the
+    // caller's sink keeps receiving its own workers' events.
     let ambient = cancel::current_deadline();
     let trace_parent = crate::trace::current_parent();
-    let sink_override = crate::trace::current_override();
+    let sink = crate::trace::active();
 
     let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
     out.resize_with(items.len(), || None);
@@ -100,10 +99,7 @@ where
                             None => work(),
                         })
                     };
-                    match &sink_override {
-                        Some(sink) => crate::trace::with_sink(sink.clone(), scoped),
-                        None => scoped(),
-                    }
+                    crate::trace::with_sink(sink.clone(), scoped)
                 })
             })
             .collect();

@@ -12,7 +12,7 @@
 //! Design constraints, in order:
 //!
 //! 1. **Zero-cost when off.** With no sink installed, [`span`] is a
-//!    single relaxed atomic load returning an inert guard — the engines
+//!    single thread-local `Cell` read returning an inert guard — the engines
 //!    keep their spans unconditionally, like [`faults::inject`]
 //!    (crate::faults) keeps its sites.
 //! 2. **Never perturbs results.** Tracing only ever *observes*: no
@@ -31,8 +31,8 @@
 //! across threads.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Number of event-buffer shards; events shard by thread id, so a
@@ -93,8 +93,8 @@ pub struct SpanRollup {
 pub struct Mark(Vec<usize>);
 
 /// The lock-sharded in-memory event buffer. Cheap to share behind an
-/// `Arc`; all methods take `&self`. Install one process-wide with
-/// [`install`] to turn every [`span`] call site live.
+/// `Arc`; all methods take `&self`. Install one for a scope with
+/// [`with_sink`] to turn every [`span`] call site in it live.
 #[derive(Debug)]
 pub struct TraceSink {
     epoch: Instant,
@@ -253,81 +253,43 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-/// Fast-path switch: one relaxed load decides whether [`span`] does any
-/// work at all. Kept outside the `RwLock` so the disabled path never
-/// touches a lock.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-fn slot() -> &'static RwLock<Option<Arc<TraceSink>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<TraceSink>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
-
-/// Install (or with `None`, remove) the process-global trace sink. Like
-/// the ambient store handle, the CLI installs one after parsing
-/// `--trace` and deep call sites never thread a handle around.
-pub fn install(sink: Option<Arc<TraceSink>>) {
-    ENABLED.store(sink.is_some(), Ordering::Release);
-    *slot().write().unwrap_or_else(|e| e.into_inner()) = sink;
-}
-
 thread_local! {
-    /// Fast flag mirroring whether [`SINK_OVERRIDE`] holds a value, so
-    /// the common no-override path costs one `Cell` read.
-    static OVERRIDDEN: Cell<bool> = const { Cell::new(false) };
-    /// Per-thread sink override: `Some(Some(sink))` routes this thread's
-    /// spans to a private sink, `Some(None)` disables tracing for this
-    /// thread even when a process-global sink is installed. `None`
-    /// falls through to the global slot. This is what lets two
-    /// concurrent `topogen-serve` requests stream disjoint progress
-    /// traces from one process.
-    static SINK_OVERRIDE: RefCell<Option<Option<Arc<TraceSink>>>> = const { RefCell::new(None) };
+    /// Fast flag mirroring whether [`SINK`] holds a sink, so the
+    /// tracing-off path of [`span`] costs one `Cell` read.
+    static TRACING: Cell<bool> = const { Cell::new(false) };
+    /// The calling thread's sink, installed by [`with_sink`]. Per
+    /// thread, so two concurrent `topogen-serve` requests stream
+    /// disjoint progress traces from one process.
+    static SINK: RefCell<Option<Arc<TraceSink>>> = const { RefCell::new(None) };
 }
 
-/// The calling thread's sink override, if one is installed (the outer
-/// `Option` distinguishes "no override" from "overridden to off").
-/// `par_map` captures this on entry and re-installs it inside each
-/// worker, like the ambient deadline and trace parent.
-pub fn current_override() -> Option<Option<Arc<TraceSink>>> {
-    if !OVERRIDDEN.with(Cell::get) {
-        return None;
-    }
-    SINK_OVERRIDE.with(|s| s.borrow().clone())
-}
-
-/// Run `f` with `sink` as this thread's trace sink — `None` explicitly
-/// disables tracing for the scope — restoring the previous state
-/// afterwards (unwind-safe via a drop guard). Unlike [`install`], this
-/// never touches the process-global slot, so concurrent scopes on
-/// different threads are independent: the re-entrant alternative the
-/// engine contexts use.
+/// Run `f` with `sink` as this thread's trace sink — `None` disables
+/// tracing for the scope — restoring the previous one afterwards
+/// (unwind-safe via a drop guard). Scopes on different threads are
+/// independent; [`par_map`](crate::par_map) carries the caller's sink
+/// into its workers.
 pub fn with_sink<R>(sink: Option<Arc<TraceSink>>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Option<Arc<TraceSink>>>);
+    struct Restore(Option<Arc<TraceSink>>);
     impl Drop for Restore {
         fn drop(&mut self) {
             let prev = self.0.take();
-            OVERRIDDEN.with(|c| c.set(prev.is_some()));
-            SINK_OVERRIDE.with(|s| *s.borrow_mut() = prev);
+            TRACING.with(|c| c.set(prev.is_some()));
+            SINK.with(|s| *s.borrow_mut() = prev);
         }
     }
-    let prev = SINK_OVERRIDE.with(|s| s.borrow_mut().replace(sink));
-    OVERRIDDEN.with(|c| c.set(true));
+    TRACING.with(|c| c.set(sink.is_some()));
+    let prev = SINK.with(|s| s.replace(sink));
     let _restore = Restore(prev);
     f()
 }
 
-/// The ambient sink, if tracing is on: the thread's scoped override
-/// when one is installed (see [`with_sink`]), else the process-global
-/// slot. The fully-disabled path is one `Cell` read plus one relaxed
-/// atomic load.
+/// The calling thread's sink, if tracing is on (see [`with_sink`]).
+/// The tracing-off path is one `Cell` read.
 pub fn active() -> Option<Arc<TraceSink>> {
-    if OVERRIDDEN.with(Cell::get) {
-        return SINK_OVERRIDE.with(|s| s.borrow().clone()).flatten();
-    }
-    if !ENABLED.load(Ordering::Relaxed) {
+    if !TRACING.with(Cell::get) {
         return None;
     }
-    slot().read().unwrap_or_else(|e| e.into_inner()).clone()
+    SINK.with(|s| s.borrow().clone())
 }
 
 /// Process-wide trace-thread-id allocator; ids are small sequential
@@ -462,34 +424,24 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Serialize access to the process-global sink for tests (mirrors
-/// [`faults::exclusive_for_tests`](crate::faults)); hold the guard for
-/// the whole test so concurrent tests don't fight over [`install`].
-pub fn exclusive_for_tests() -> std::sync::MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_spans_are_inert() {
-        let _gate = exclusive_for_tests();
-        install(None);
         let g = span("noop");
         assert_eq!(g.id(), 0);
         drop(g);
         assert_eq!(current_parent(), 0);
+        // A scope with no sink is as inert as no scope at all.
+        with_sink(None, || assert_eq!(span("noop").id(), 0));
     }
 
     #[test]
     fn spans_nest_and_events_pair() {
-        let _gate = exclusive_for_tests();
         let sink = Arc::new(TraceSink::new());
-        install(Some(sink.clone()));
-        {
+        with_sink(Some(sink.clone()), || {
             let outer = span_labeled("outer", "o");
             assert_eq!(current_parent(), outer.id());
             {
@@ -497,8 +449,7 @@ mod tests {
                 assert_ne!(current_parent(), outer.id());
             }
             assert_eq!(current_parent(), outer.id());
-        }
-        install(None);
+        });
         let events = sink.snapshot();
         assert_eq!(events.len(), 4);
         let enters: Vec<&TraceEvent> = events
@@ -528,14 +479,13 @@ mod tests {
 
     #[test]
     fn exit_emitted_during_unwind() {
-        let _gate = exclusive_for_tests();
         let sink = Arc::new(TraceSink::new());
-        install(Some(sink.clone()));
-        let _ = std::panic::catch_unwind(|| {
-            let _s = span("doomed");
-            panic!("boom");
+        with_sink(Some(sink.clone()), || {
+            let _ = std::panic::catch_unwind(|| {
+                let _s = span("doomed");
+                panic!("boom");
+            });
         });
-        install(None);
         let events = sink.snapshot();
         assert_eq!(events.len(), 2, "{events:?}");
         assert!(matches!(events[1], TraceEvent::Exit { .. }));
@@ -544,15 +494,15 @@ mod tests {
 
     #[test]
     fn rollup_aggregates_since_mark() {
-        let _gate = exclusive_for_tests();
         let sink = Arc::new(TraceSink::new());
-        install(Some(sink.clone()));
-        drop(span("before"));
-        let mark = sink.mark();
-        drop(span("work"));
-        drop(span("work"));
-        drop(span("other"));
-        install(None);
+        let mark = with_sink(Some(sink.clone()), || {
+            drop(span("before"));
+            let mark = sink.mark();
+            drop(span("work"));
+            drop(span("work"));
+            drop(span("other"));
+            mark
+        });
         let roll = sink.rollup_since(&mark);
         assert_eq!(roll.len(), 2);
         assert_eq!(roll[0].name, "other");
@@ -565,26 +515,27 @@ mod tests {
 
     #[test]
     fn parent_propagates_with_with_parent() {
-        let _gate = exclusive_for_tests();
         let sink = Arc::new(TraceSink::new());
-        install(Some(sink.clone()));
-        let outer = span("outer");
-        let parent = current_parent();
-        let child_parent = std::thread::scope(|s| {
-            s.spawn(|| {
-                with_parent(parent, || {
-                    let _c = span("child");
-                    // Inside the worker the child's parent is the
-                    // cross-thread outer span.
-                    current_parent()
+        let (parent, child_parent) = with_sink(Some(sink.clone()), || {
+            let _outer = span("outer");
+            let parent = current_parent();
+            let child_parent = std::thread::scope(|s| {
+                s.spawn(|| {
+                    with_sink(Some(sink.clone()), || {
+                        with_parent(parent, || {
+                            let _c = span("child");
+                            // Inside the worker the child's parent is
+                            // the cross-thread outer span.
+                            current_parent()
+                        })
+                    })
                 })
-            })
-            .join()
-            .unwrap()
+                .join()
+                .unwrap()
+            });
+            (parent, child_parent)
         });
         assert_ne!(child_parent, 0);
-        drop(outer);
-        install(None);
         let events = sink.snapshot();
         let child_enter = events.iter().find_map(|e| match e {
             TraceEvent::Enter {
@@ -599,11 +550,10 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_valid_objects() {
-        let _gate = exclusive_for_tests();
         let sink = Arc::new(TraceSink::new());
-        install(Some(sink.clone()));
-        drop(span_labeled("unit", "tab\"1\n"));
-        install(None);
+        with_sink(Some(sink.clone()), || {
+            drop(span_labeled("unit", "tab\"1\n"))
+        });
         let mut buf = Vec::new();
         let n = sink.write_jsonl(&mut buf).unwrap();
         assert_eq!(n, 2);

@@ -289,7 +289,20 @@ pub fn read_sections(bytes: &[u8]) -> Result<Sections<'_>, CodecError> {
     let body = &bytes[..bytes.len() - 8];
     let mut r = Reader::new(body);
     let _ = r.take(12)?; // magic + version + endian tag
+    let count_at = r.offset;
     let n = r.u32()?;
+    // Every section needs at least a 4-byte tag and an 8-byte length,
+    // so a count the remaining bytes cannot hold is rejected before it
+    // sizes an allocation.
+    if n as usize > r.remaining() / 12 {
+        return Err(CodecError::Malformed {
+            offset: count_at,
+            what: format!(
+                "section count {n} exceeds what {} remaining bytes can hold",
+                r.remaining()
+            ),
+        });
+    }
     let mut out = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let at = r.offset;
@@ -539,6 +552,23 @@ mod tests {
         put_u64(&mut payload, u64::MAX);
         let err = graph_from_payload(&payload).unwrap_err();
         assert!(matches!(err, CodecError::Malformed { .. }), "{err}");
+    }
+
+    #[test]
+    fn huge_section_count_does_not_allocate() {
+        // A checksummed container whose header claims u32::MAX sections
+        // must fail on the count, not reserve room for 4 billion.
+        let mut bytes = ContainerWriter::new().finish();
+        bytes.truncate(bytes.len() - 8);
+        bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.write(&bytes);
+        put_u64(&mut bytes, h.finish());
+        let err = read_sections(&bytes).unwrap_err();
+        assert!(
+            matches!(err, CodecError::Malformed { offset: 12, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -19,14 +19,13 @@
 //!   name + canonicalized parameters, seed, scale, codec version, and
 //!   an engine code-version stamp, so any change that could shift
 //!   results invalidates old entries.
-//! * [`ambient`] — a process-global store handle, installed once by the
-//!   CLI so deep call sites (topology builds, metric suites) can
-//!   consult the cache without plumbing a handle through every layer.
+//!
+//! A run reaches the store through the handle its run context carries
+//! (`topogen_core::RunCtx::store`); nothing here is process-global.
 //!
 //! Zero external dependencies (consistent with the vendored-shim
 //! policy): hashing, encoding, and the ledger are all hand-rolled.
 
-pub mod ambient;
 pub mod codec;
 pub mod fnv;
 pub mod key;

@@ -589,6 +589,14 @@ mod tests {
         d
     }
 
+    /// A fresh store directory plus the fault-harness gate, held for the
+    /// whole test: the fault tests arm process-global `store-*` and
+    /// `ledger-append` faults, which would otherwise hit the writes of
+    /// tests running beside them.
+    fn gated_tmpdir(tag: &str) -> (std::sync::MutexGuard<'static, ()>, PathBuf) {
+        (topogen_par::faults::exclusive_for_tests(), tmpdir(tag))
+    }
+
     fn sample_container(seed: u32) -> Vec<u8> {
         let g = Graph::from_edges(4, vec![(0, 1), (1, 2), (2, 3), (0, seed % 3 + 1)]);
         encode_graph(&g)
@@ -596,7 +604,8 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip_and_counters() {
-        let store = Store::open(tmpdir("roundtrip")).unwrap();
+        let (_gate, dir) = gated_tmpdir("roundtrip");
+        let store = Store::open(dir).unwrap();
         let bytes = sample_container(0);
         assert!(store.get("k1").is_none());
         store.put("k1", &bytes);
@@ -610,7 +619,8 @@ mod tests {
 
     #[test]
     fn corrupt_entry_is_evicted_then_rewritten() {
-        let store = Store::open(tmpdir("corrupt")).unwrap();
+        let (_gate, dir) = gated_tmpdir("corrupt");
+        let store = Store::open(dir).unwrap();
         let bytes = sample_container(1);
         store.put("k", &bytes);
         // Corrupt the single entry on disk.
@@ -636,7 +646,8 @@ mod tests {
 
     #[test]
     fn verify_reports_corruption() {
-        let store = Store::open(tmpdir("verify")).unwrap();
+        let (_gate, dir) = gated_tmpdir("verify");
+        let store = Store::open(dir).unwrap();
         store.put("a", &sample_container(0));
         store.put("b", &sample_container(1));
         let (_, path, _) = store.walk_entries().remove(0).clone();
@@ -652,7 +663,8 @@ mod tests {
 
     #[test]
     fn gc_evicts_lru_deterministically() {
-        let store = Store::open(tmpdir("gc")).unwrap();
+        let (_gate, dir) = gated_tmpdir("gc");
+        let store = Store::open(dir).unwrap();
         let mut w = ContainerWriter::new();
         w.section(SEC_LINK_VALUES, &crate::codec::f64_payload(&[1.0; 64]));
         let big = w.finish();
@@ -678,7 +690,8 @@ mod tests {
 
     #[test]
     fn ls_shows_keys_from_ledger() {
-        let store = Store::open(tmpdir("ls")).unwrap();
+        let (_gate, dir) = gated_tmpdir("ls");
+        let store = Store::open(dir).unwrap();
         store.put("kind=test|x=1", &sample_container(0));
         let ls = store.ls();
         assert_eq!(ls.len(), 1);
@@ -689,7 +702,7 @@ mod tests {
 
     #[test]
     fn stale_tmp_is_cleaned_and_never_shadows_a_valid_entry() {
-        let dir = tmpdir("staletmp");
+        let (_gate, dir) = gated_tmpdir("staletmp");
         let bytes = sample_container(0);
         {
             let store = Store::open(&dir).unwrap();
@@ -725,7 +738,8 @@ mod tests {
         // compaction dropped the line appended mid-walk. With publish
         // and record under the ledger lock, every completed put survives
         // a generous-budget gc with its recency intact.
-        let store = std::sync::Arc::new(Store::open(tmpdir("putgc")).unwrap());
+        let (_gate, dir) = gated_tmpdir("putgc");
+        let store = std::sync::Arc::new(Store::open(dir).unwrap());
         const KEYS: usize = 40;
         let writer = {
             let store = std::sync::Arc::clone(&store);
@@ -795,7 +809,7 @@ mod tests {
 
     #[test]
     fn torn_ledger_tail_is_recovered_on_open() {
-        let dir = tmpdir("torntail");
+        let (_gate, dir) = gated_tmpdir("torntail");
         let bytes = sample_container(0);
         {
             let store = Store::open(&dir).unwrap();
@@ -825,8 +839,8 @@ mod tests {
 
     #[test]
     fn injected_read_faults_are_retried_without_evicting_good_entries() {
-        let _x = topogen_par::faults::exclusive_for_tests();
-        let store = Store::open(tmpdir("readfault")).unwrap();
+        let (_gate, dir) = gated_tmpdir("readfault");
+        let store = Store::open(dir).unwrap();
         let bytes = sample_container(0);
         store.put("k", &bytes);
         // Every read attempt fails: the lookup retries, then fails open
@@ -853,8 +867,8 @@ mod tests {
 
     #[test]
     fn injected_write_faults_never_leave_a_corrupt_entry() {
-        let _x = topogen_par::faults::exclusive_for_tests();
-        let store = Store::open(tmpdir("writefault")).unwrap();
+        let (_gate, dir) = gated_tmpdir("writefault");
+        let store = Store::open(dir).unwrap();
         let bytes = sample_container(1);
         // All write attempts fail (rate 1): put gives up cleanly, no
         // entry and no tmp debris.
@@ -879,8 +893,8 @@ mod tests {
 
     #[test]
     fn injected_ledger_faults_only_cost_recency() {
-        let _x = topogen_par::faults::exclusive_for_tests();
-        let store = Store::open(tmpdir("ledgerfault")).unwrap();
+        let (_gate, dir) = gated_tmpdir("ledgerfault");
+        let store = Store::open(dir).unwrap();
         let bytes = sample_container(0);
         // A shorted ledger append leaves a torn tail; a later complete
         // append would merge lines, but reopening first recovers it.

@@ -8,7 +8,8 @@
 //! Reproduces the flavor of the paper's Figure 1 (the topology table)
 //! and Appendix A (which generators have heavy-tailed degrees).
 
-use topogen::core::zoo::{build, Scale, TopologySpec};
+use topogen::core::zoo::{build_in, Scale, TopologySpec};
+use topogen::core::RunCtx;
 use topogen::generators::degseq::{fit_power_law_exponent, max_to_mean_degree_ratio};
 use topogen::graph::bfs::eccentricity;
 
@@ -24,7 +25,7 @@ fn main() {
     );
     println!("{}", "-".repeat(64));
     for spec in specs {
-        let t = build(&spec, Scale::Small, 7);
+        let t = build_in(&RunCtx::new(), &spec, Scale::Small, 7);
         let g = &t.graph;
         let alpha = fit_power_law_exponent(&g.degrees(), 2)
             .map(|a| format!("{a:.2}"))
@@ -42,8 +43,14 @@ fn main() {
     }
     println!();
     // A taste of structure: diameters of two contrasting networks.
-    let mesh = build(&TopologySpec::Mesh { side: 30 }, Scale::Small, 7);
-    let plrg = build(
+    let mesh = build_in(
+        &RunCtx::new(),
+        &TopologySpec::Mesh { side: 30 },
+        Scale::Small,
+        7,
+    );
+    let plrg = build_in(
+        &RunCtx::new(),
         &TopologySpec::Plrg(topogen::generators::plrg::PlrgParams {
             n: 1300,
             alpha: 2.246,

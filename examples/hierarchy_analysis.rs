@@ -11,8 +11,9 @@
 //! ↔ min-endpoint-degree correlation — reproducing the §5.1 grouping
 //! table and the Figure 5 story.
 
-use topogen::core::hier::{hierarchy_report, HierOptions};
-use topogen::core::zoo::{build, Scale, TopologySpec};
+use topogen::core::hier::{hierarchy_report_timed_in, HierOptions};
+use topogen::core::zoo::{build_in, Scale, TopologySpec};
+use topogen::core::RunCtx;
 use topogen::generators::plrg::PlrgParams;
 use topogen::generators::tiers::TiersParams;
 use topogen::generators::transit_stub::TransitStubParams;
@@ -63,8 +64,8 @@ fn main() {
         // analysis; everything else was sized above.
         let scale = Scale::Small;
         eprintln!("analyzing {} ...", spec.name());
-        let topo = build(&spec, scale, 42);
-        let report = hierarchy_report(&topo, &HierOptions::default());
+        let topo = build_in(&RunCtx::new(), &spec, scale, 42);
+        let report = hierarchy_report_timed_in(&RunCtx::new(), &topo, &HierOptions::default()).0;
         println!(
             "{:10} {:>6} {:>9.4} {:>9.4} {:>10} {:>7.2}",
             report.name,

@@ -11,8 +11,9 @@
 //! which generators match the measured graphs — reproducing the §4.4
 //! conclusion.
 
-use topogen::core::suite::{run_suite, SuiteParams};
-use topogen::core::zoo::{build, Scale, TopologySpec};
+use topogen::core::suite::{run_suite_in, SuiteParams};
+use topogen::core::zoo::{build_in, Scale, TopologySpec};
+use topogen::core::RunCtx;
 
 fn main() {
     let specs = TopologySpec::figure1_zoo(Scale::Small);
@@ -20,8 +21,8 @@ fn main() {
     let mut rows = Vec::new();
     for spec in specs {
         eprintln!("building + measuring {} ...", spec.name());
-        let topo = build(&spec, Scale::Small, 42);
-        let result = run_suite(&topo, &params);
+        let topo = build_in(&RunCtx::new(), &spec, Scale::Small, 42);
+        let result = run_suite_in(&RunCtx::new(), &topo, &params);
         rows.push((topo.name.clone(), topo.graph.node_count(), result.signature));
     }
 

@@ -8,8 +8,9 @@
 //! the three basic metrics on each, and prints the Low/High signature
 //! table of §3.2.1/§4.4.
 
-use topogen::core::suite::{run_suite, SuiteParams};
-use topogen::core::zoo::{build, Scale, TopologySpec};
+use topogen::core::suite::{run_suite_in, SuiteParams};
+use topogen::core::zoo::{build_in, Scale, TopologySpec};
+use topogen::core::RunCtx;
 use topogen::generators::plrg::PlrgParams;
 
 fn main() {
@@ -29,8 +30,8 @@ fn main() {
     );
     println!("{}", "-".repeat(40));
     for spec in specs {
-        let topo = build(&spec, Scale::Small, 42);
-        let result = run_suite(&topo, &SuiteParams::quick());
+        let topo = build_in(&RunCtx::new(), &spec, Scale::Small, 42);
+        let result = run_suite_in(&RunCtx::new(), &topo, &SuiteParams::quick());
         println!(
             "{:10} {:>7} {:>9.2} {:>10}",
             topo.name,

@@ -25,8 +25,10 @@ use std::collections::HashMap;
 use topogen::core::classify::{
     classify_distortion, classify_expansion, classify_resilience, ClassifyThresholds,
 };
-use topogen::core::suite::{run_suite, SuiteParams};
+use topogen::core::hier::{hierarchy_report_timed_in, HierOptions};
+use topogen::core::suite::{run_suite_in, SuiteParams};
 use topogen::core::zoo::{BuiltTopology, TopologySpec};
+use topogen::core::RunCtx;
 use topogen::generators as gens;
 use topogen::graph::io::{parse_edge_list, to_edge_list};
 use topogen::graph::Graph;
@@ -210,7 +212,7 @@ fn cmd_classify(args: &[String]) {
     };
     let mut params = SuiteParams::quick();
     params.seed = get(&flags, "seed", 0x51DE);
-    let r = run_suite(&t, &params);
+    let r = run_suite_in(&RunCtx::new(), &t, &params);
     let th = ClassifyThresholds::default();
     println!("expansion:  {}", classify_expansion(&r.expansion, &th));
     println!("resilience: {}", classify_resilience(&r.resilience, &th));
@@ -241,9 +243,10 @@ fn cmd_compare(args: &[String]) {
             as_overlay: None,
             spec: TopologySpec::MeasuredAs,
         };
-        let sig = run_suite(&t, &params).signature;
+        let sig = run_suite_in(&RunCtx::new(), &t, &params).signature;
         let hier = if t.graph.node_count() <= 2500 {
-            topogen::core::hier::hierarchy_report(&t, &topogen::core::hier::HierOptions::default())
+            hierarchy_report_timed_in(&RunCtx::new(), &t, &HierOptions::default())
+                .0
                 .class
         } else {
             "-".into()
@@ -282,9 +285,10 @@ fn cmd_hierarchy(args: &[String]) {
         as_overlay: None,
         spec: TopologySpec::MeasuredAs,
     };
-    let r = topogen::core::hier::hierarchy_report(
+    let (r, _) = hierarchy_report_timed_in(
+        &RunCtx::new(),
         &t,
-        &topogen::core::hier::HierOptions {
+        &HierOptions {
             policy: false,
             core_threshold: 2500,
         },

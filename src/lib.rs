@@ -33,19 +33,24 @@
 //!   `par_map` and the `Instrument` counter/phase-timer layer.
 //! * [`linalg`] — Jacobi and Lanczos eigensolvers for spectra.
 //! * [`core`] — the comparison framework: topology zoo, suite runner,
-//!   L/H signatures, reporting.
+//!   L/H signatures, reporting, and `RunCtx`, the one carrier of run
+//!   state that every entry point takes.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use topogen::core::zoo::{build, Scale, TopologySpec};
-//! use topogen::core::suite::{run_suite, SuiteParams};
+//! use topogen::core::zoo::{build_in, Scale, TopologySpec};
+//! use topogen::core::suite::{run_suite_in, SuiteParams};
+//! use topogen::core::RunCtx;
 //! use topogen::generators::plrg::PlrgParams;
 //!
-//! // Build the paper's PLRG instance (CI-sized) and classify it.
+//! // Build the paper's PLRG instance (CI-sized) and classify it. The
+//! // run context carries every piece of run state (cache, deadline,
+//! // tracing, kernel choice); `RunCtx::new()` is a plain in-memory run.
+//! let ctx = RunCtx::new();
 //! let spec = TopologySpec::Plrg(PlrgParams { n: 1300, alpha: 2.246, max_degree: None });
-//! let topo = build(&spec, Scale::Small, 42);
-//! let result = run_suite(&topo, &SuiteParams::quick());
+//! let topo = build_in(&ctx, &spec, Scale::Small, 42);
+//! let result = run_suite_in(&ctx, &topo, &SuiteParams::quick());
 //! // The paper's headline: PLRG shares the Internet's HHL signature.
 //! assert_eq!(result.signature.to_string(), "HHL");
 //! ```

@@ -1,16 +1,19 @@
 //! The paper's headline results as cross-crate integration tests: the
 //! §4.4 signature table and the §5.1/§5.2 hierarchy results.
 
-use topogen::core::hier::{hierarchy_report, HierOptions};
-use topogen::core::suite::{run_suite, run_suite_policy, SuiteParams};
-use topogen::core::zoo::{build, Scale, TopologySpec};
+use topogen::core::hier::{hierarchy_report_timed_in, HierOptions};
+use topogen::core::suite::{run_suite_in, run_suite_policy_in, SuiteParams};
+use topogen::core::zoo::{build_in, Scale, TopologySpec};
+use topogen::core::RunCtx;
 use topogen::generators::plrg::PlrgParams;
 use topogen::generators::tiers::TiersParams;
 use topogen::generators::transit_stub::TransitStubParams;
 
 fn sig(spec: &TopologySpec) -> String {
-    let t = build(spec, Scale::Small, 42);
-    run_suite(&t, &SuiteParams::quick()).signature.to_string()
+    let t = build_in(&RunCtx::new(), spec, Scale::Small, 42);
+    run_suite_in(&RunCtx::new(), &t, &SuiteParams::quick())
+        .signature
+        .to_string()
 }
 
 #[test]
@@ -33,9 +36,9 @@ fn question_one_only_plrg_matches_the_internet() {
 
 #[test]
 fn policy_routing_does_not_change_the_classification() {
-    let t = build(&TopologySpec::MeasuredAs, Scale::Small, 42);
-    let plain = run_suite(&t, &SuiteParams::quick()).signature;
-    let policy = run_suite_policy(&t, &SuiteParams::quick()).signature;
+    let t = build_in(&RunCtx::new(), &TopologySpec::MeasuredAs, Scale::Small, 42);
+    let plain = run_suite_in(&RunCtx::new(), &t, &SuiteParams::quick()).signature;
+    let policy = run_suite_policy_in(&RunCtx::new(), &t, &SuiteParams::quick()).signature;
     assert_eq!(plain, policy);
 }
 
@@ -69,8 +72,8 @@ fn question_two_hierarchy_classes() {
         (TopologySpec::MeasuredAs, "moderate"),
     ];
     for (spec, want) in cases {
-        let t = build(&spec, Scale::Small, 42);
-        let r = hierarchy_report(&t, &HierOptions::default());
+        let t = build_in(&RunCtx::new(), &spec, Scale::Small, 42);
+        let r = hierarchy_report_timed_in(&RunCtx::new(), &t, &HierOptions::default()).0;
         assert_eq!(r.class, want, "{}", t.name);
     }
 }
@@ -79,7 +82,8 @@ fn question_two_hierarchy_classes() {
 fn hierarchy_correlation_story() {
     // §5.2: PLRG's hierarchy is degree-driven (high correlation), the
     // structural generators' is not.
-    let plrg = build(
+    let plrg = build_in(
+        &RunCtx::new(),
         &TopologySpec::Plrg(PlrgParams {
             n: 900,
             alpha: 2.246,
@@ -88,8 +92,9 @@ fn hierarchy_correlation_story() {
         Scale::Small,
         42,
     );
-    let rp = hierarchy_report(&plrg, &HierOptions::default());
-    let tiers = build(
+    let rp = hierarchy_report_timed_in(&RunCtx::new(), &plrg, &HierOptions::default()).0;
+    let tiers = build_in(
+        &RunCtx::new(),
         &TopologySpec::Tiers(TiersParams {
             mans_per_wan: 6,
             lans_per_man: 4,
@@ -101,7 +106,7 @@ fn hierarchy_correlation_story() {
         Scale::Small,
         42,
     );
-    let rt = hierarchy_report(&tiers, &HierOptions::default());
+    let rt = hierarchy_report_timed_in(&RunCtx::new(), &tiers, &HierOptions::default()).0;
     let cp = rp.degree_correlation.unwrap();
     let ct = rt.degree_correlation.unwrap();
     assert!(cp > 0.7, "PLRG correlation {cp}");
