@@ -30,9 +30,10 @@
 //! --timings prints the parallel engines' instrumentation — shared-ball
 //! counters (traversals, cache hits) for the metric suite, hierarchy
 //! counters (DAG states, pairs accumulated, arena bytes) for the
-//! link-value stage, per-phase wall times for both, store-cache traffic
-//! when a cache is active — and with --json also archives it as
-//! BENCH_<id>.json.
+//! link-value stage, and per-phase seconds summed over the threads that
+//! ran them — and with --json also archives it as BENCH_<id>.json.
+//! Store traffic is counted by the store itself: the run ledger's
+//! per-unit `cache` block and the `>>> store-cache:` line.
 //!
 //! --trace[=DIR] records a structured span log — suite units and retry
 //! attempts, per-center metric-engine stages, hierarchy traversal/cover
@@ -110,7 +111,7 @@
 //!                        compare the current run's BENCH_*.json op
 //!                        counters against committed baselines
 //!                        (ci/perf-baselines); fail on >PCT% regression
-//!                        (default 5%), wall-clock advisory-only
+//!                        (default 5%); phase times are not compared
 //!   serve --addr HOST:PORT  run the topology-metrics daemon: POST
 //!                        /measure with a schema_version=1 JSON request
 //!                        (topology + seed + scale + metric set), bounded
@@ -238,7 +239,7 @@ impl Output {
         let mut r = r.clone();
         if let Some(sink) = trace::active() {
             if let Some(mark) = &*self.trace_mark.lock().unwrap_or_else(|p| p.into_inner()) {
-                r.add_span_rollups(&sink.rollup_since(mark));
+                r.spans = sink.rollup_since(mark);
             }
         }
         println!("== {id} timings ==");
@@ -287,7 +288,7 @@ fn usage() -> ! {
     eprintln!("       repro perf-gate [--baseline DIR] [--current DIR] [--tolerance PCT]");
     eprintln!(
         "       repro serve --addr HOST:PORT [--workers N] [--queue N] [--cache[=DIR]] \
-         [--deadline SECS] [--drain-deadline SECS] [--ledger PATH] [--timings] \
+         [--deadline SECS] [--drain-deadline SECS] [--ledger PATH] \
          [--self-test] [--chaos-soak [--requests N]]"
     );
     eprintln!("       repro measure FILE|-");
@@ -789,7 +790,6 @@ fn run_serve_cmd(args: &[String]) -> ExitCode {
     let mut chaos_soak = false;
     let mut soak_requests = 96usize;
     let mut drain_deadline = Duration::from_secs(30);
-    let mut timings = false;
     let mut ledger_given = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -846,7 +846,6 @@ fn run_serve_cmd(args: &[String]) -> ExitCode {
                     .parse()
                     .expect("requests must be an integer");
             }
-            "--timings" => timings = true,
             "--chaos-soak" => chaos_soak = true,
             "--cache" => cache_dir = Some("out/store".to_string()),
             other if other.starts_with("--cache=") => {
@@ -892,9 +891,9 @@ fn run_serve_cmd(args: &[String]) -> ExitCode {
                 "POST /measure with a schema_version={} document; GET /healthz to probe",
                 serve::WIRE_VERSION
             );
-            if timings {
+            if handle.recovered_lines() > 0 {
                 println!(
-                    "timings: ledger recovered_lines={} (damaged lines skipped at open)",
+                    "ledger: recovered_lines={} (damaged lines skipped at open)",
                     handle.recovered_lines()
                 );
             }

@@ -7,8 +7,8 @@
 //! counts for a fixed seed. The gate compares those counters in the
 //! current run's `BENCH_*.json` files against archived baselines
 //! (committed under `ci/perf-baselines/`) and fails when any gated
-//! counter regresses by more than the tolerance. Wall-clock phase times
-//! are reported advisory-only, never gated.
+//! counter regresses by more than the tolerance. Phase times are not
+//! read: the gate is count-only.
 //!
 //! The gate *ratchets*: when a counter improves past the tolerance the
 //! gate prints a ratchet-candidate note, and the improvement is locked
@@ -18,33 +18,20 @@
 //! Two file shapes are understood:
 //!
 //! - A [`TimingReport`](topogen_core::report::TimingReport) archive
-//!   (what `repro <exp> --timings --json` writes): the fixed
-//!   [`GATED_COUNTERS`] subset is compared. Cache-traffic counters
-//!   (`ball_cache_hits`, `store_*`) are excluded — they depend on
-//!   store state, not on algorithmic work.
+//!   (what `repro <exp> --timings --json` writes): the counters the
+//!   table in `topogen_par::instrument` marks gated
+//!   ([`gated_counters`]) are compared. Cache-dependent counters
+//!   (`ball_cache_hits`) are not gated — they depend on store state,
+//!   not on algorithmic work.
 //! - A document with a top-level `"gate"` object of integer counters
 //!   (what the `bench_scale` harness writes into `BENCH_scale.json`):
 //!   every baseline gate counter is compared by name.
 
 use serde::Content;
 use std::path::{Path, PathBuf};
+use topogen_par::instrument::gated_counters;
 
 use crate::ExitCode;
-
-/// TimingReport counters the gate compares (deterministic operation
-/// counts; cache-traffic fields intentionally excluded).
-pub const GATED_COUNTERS: [&str; 10] = [
-    "bfs_runs",
-    "balls_built",
-    "partitioner_restarts",
-    "dag_states",
-    "pairs_accumulated",
-    "arena_bytes",
-    "scratch_bytes",
-    "spill_runs",
-    "words_scanned",
-    "frontier_passes",
-];
 
 /// Default allowed regression before the gate fails (5%).
 pub const DEFAULT_TOLERANCE: f64 = 0.05;
@@ -95,15 +82,13 @@ impl CounterDelta {
 }
 
 /// The gate's verdict: regressions (fail), improvements past tolerance
-/// (ratchet candidates), advisory wall-clock lines, and bookkeeping.
+/// (ratchet candidates), and bookkeeping.
 #[derive(Clone, Debug, Default)]
 pub struct GateReport {
     /// Counters that regressed past tolerance — these fail the gate.
     pub regressions: Vec<CounterDelta>,
     /// Counters that improved past tolerance — refresh the baseline.
     pub ratchet_candidates: Vec<CounterDelta>,
-    /// Advisory notes (wall-clock deltas, skipped files).
-    pub notes: Vec<String>,
     /// Baseline files compared.
     pub files_compared: usize,
     /// Counters compared across all files.
@@ -158,10 +143,6 @@ impl GateReport {
                 d.pct()
             ));
         }
-        for n in &self.notes {
-            out.push_str(n);
-            out.push('\n');
-        }
         out.push_str(&format!(
             "perf-gate: {} counter(s) across {} file(s): {}\n",
             self.counters_compared,
@@ -190,24 +171,9 @@ fn counter_of(doc: &Content, key: &str) -> u64 {
     counter_lookup(doc, key).unwrap_or(0)
 }
 
-/// Summed wall-clock seconds of a report's `phases` array (advisory).
-fn total_phase_seconds(doc: &Content) -> f64 {
-    let Some(Content::Seq(phases)) = doc.get("phases") else {
-        return 0.0;
-    };
-    phases
-        .iter()
-        .map(|p| match p.get("seconds") {
-            Some(Content::F64(s)) => *s,
-            Some(Content::U64(s)) => *s as f64,
-            _ => 0.0,
-        })
-        .sum()
-}
-
 /// The `(name, value)` counters a document exposes to the gate: the
 /// entries of its top-level `"gate"` object when present, else the
-/// [`GATED_COUNTERS`] subset of a timing report.
+/// [`gated_counters`] of a timing report.
 fn gate_counters(doc: &Content) -> Vec<(String, u64)> {
     if let Some(Content::Map(entries)) = doc.get("gate") {
         return entries
@@ -219,8 +185,7 @@ fn gate_counters(doc: &Content) -> Vec<(String, u64)> {
             })
             .collect();
     }
-    GATED_COUNTERS
-        .iter()
+    gated_counters()
         .map(|k| (k.to_string(), counter_of(doc, k)))
         .collect()
 }
@@ -260,12 +225,6 @@ fn compare_docs(
         } else if base > 0 && (cur as f64) < base as f64 * (1.0 - tolerance) {
             report.ratchet_candidates.push(delta);
         }
-    }
-    let (bt, ct) = (total_phase_seconds(baseline), total_phase_seconds(current));
-    if bt > 0.0 && ct > 0.0 {
-        report.notes.push(format!(
-            "note {file}: wall-clock {bt:.3}s -> {ct:.3}s (advisory only, never gated)"
-        ));
     }
 }
 
@@ -412,7 +371,7 @@ mod tests {
         let r = run_gate(&opts).unwrap();
         assert!(r.passed(), "{:?}", r.regressions);
         assert_eq!(r.files_compared, 1);
-        assert_eq!(r.counters_compared, GATED_COUNTERS.len());
+        assert_eq!(r.counters_compared, gated_counters().count());
         assert!(r.render(0.05).contains("PASS"));
         let _ = std::fs::remove_dir_all(&b);
         let _ = std::fs::remove_dir_all(&c);

@@ -150,8 +150,9 @@ fn checkpoint_resume_identity(seed: u64) -> Result<(), String> {
     // The mid-suite-kill shape: batch partials persisted, final curves
     // entry absent. The resumed run must rebuild purely from partials.
     store.remove(&plain_curves_key(&t, &params));
+    let before = store.counters().snapshot();
     let resumed = run_suite_in(&ctx, &t, &params);
-    let partial_hits = resumed.timings.store_hits;
+    let partial_hits = before.delta_to(&store.counters().snapshot()).hits;
     let fp = suite_fingerprint(&resumed);
     let _ = std::fs::remove_dir_all(&dir);
     if fp != one_shot {
@@ -162,6 +163,15 @@ fn checkpoint_resume_identity(seed: u64) -> Result<(), String> {
     }
     if partial_hits == 0 {
         return Err("resumed run recomputed every batch: no partial checkpoint hits".to_string());
+    }
+    // A hit counts as soon as the entry verifies; a partial that then
+    // fails to decode is recomputed. Every partial was persisted, so the
+    // engine must not have run at all.
+    if resumed.timings.bfs_runs != 0 {
+        return Err(format!(
+            "resumed run recomputed batches: {} BFS runs",
+            resumed.timings.bfs_runs
+        ));
     }
     Ok(())
 }

@@ -565,10 +565,17 @@ mod tests {
         let t1 = build_in(&cached, &spec, Scale::Small, 5);
         let warm1 = run_suite_in(&cached, &t1, &params);
         let t2 = build_in(&cached, &spec, Scale::Small, 5);
+        let before = store.counters().snapshot();
         let warm2 = run_suite_in(&cached, &t2, &params);
+        let warm2_hits = before.delta_to(&store.counters().snapshot()).hits;
 
         assert_eq!(t2.graph.edges(), cold_t.graph.edges());
-        assert!(warm2.timings.store_hits >= 1, "second run must hit");
+        assert!(warm2_hits >= 1, "second run must hit");
+        assert_eq!(
+            warm2.timings,
+            crate::report::TimingReport::default(),
+            "second run must not recompute"
+        );
         for (w, c) in [(&warm1, &cold), (&warm2, &cold)] {
             assert_eq!(w.expansion.len(), c.expansion.len());
             for (a, b) in w.expansion.iter().zip(&c.expansion) {

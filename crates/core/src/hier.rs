@@ -108,7 +108,7 @@ pub fn hierarchy_report_timed_in(
         class: class.to_string(),
         degree_correlation,
     };
-    (report, TimingReport::from(&timings))
+    (report, timings)
 }
 
 /// The raw link-value vector (edge order, pre-sort), served from the
@@ -137,16 +137,14 @@ fn cached_link_values(
         ),
     };
     let key = key.finish();
-    if let Some(bytes) = store.get(&key) {
-        if let Some(values) = crate::cache::decode_link_values(&bytes, work.edge_count()) {
-            ins.add_store_traffic(1, 0, bytes.len() as u64, 0);
-            return values;
-        }
+    if let Some(values) = store
+        .get(&key)
+        .and_then(|bytes| crate::cache::decode_link_values(&bytes, work.edge_count()))
+    {
+        return values;
     }
     let values = ctx.scope(|| link_values_threads(work, mode, None, Some(ins)));
-    let bytes = crate::cache::encode_link_values(&values);
-    store.put(&key, &bytes);
-    ins.add_store_traffic(0, 1, 0, bytes.len() as u64);
+    store.put(&key, &crate::cache::encode_link_values(&values));
     values
 }
 

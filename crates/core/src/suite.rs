@@ -243,8 +243,8 @@ fn curves_key(mode: &str, params: &SuiteParams) -> topogen_store::key::KeyBuilde
 ///
 /// The cached payload is the three curves, exact to the bit; the
 /// signature is reclassified from them (a pure function, so hit and
-/// cold results are identical). On a hit the timing report carries only
-/// the store counters — the engine never ran.
+/// cold results are identical). On a hit the timing report is empty —
+/// the engine never ran; the store counts its own traffic.
 fn with_curve_cache(
     ctx: &crate::ctx::RunCtx,
     key: String,
@@ -261,27 +261,20 @@ fn with_curve_cache(
                 resilience: classify_resilience(&resilience, &th),
                 distortion: classify_distortion(&distortion, &th),
             };
-            let timings = TimingReport {
-                store_hits: 1,
-                store_bytes_read: bytes.len() as u64,
-                ..Default::default()
-            };
             return SuiteResult {
                 expansion,
                 resilience,
                 distortion,
                 signature,
-                timings,
+                timings: TimingReport::default(),
                 cis: crate::cache::decode_curve_cis(&bytes),
             };
         }
     }
-    let mut r = compute();
+    let r = compute();
     let bytes =
         crate::cache::encode_curves_ci(&r.expansion, &r.resilience, &r.distortion, r.cis.as_ref());
     store.put(&key, &bytes);
-    r.timings.store_misses += 1;
-    r.timings.store_bytes_written += bytes.len() as u64;
     r
 }
 
@@ -323,61 +316,37 @@ fn run_with_source<S: BallSource>(
         .ball_size_cap(Some(params.max_ball_nodes))
         .context(ctx.engine());
 
-    let (out, mut timings, outputs) = match params.batch {
-        // Historical one-shot path, untouched: small/paper runs never
-        // take the decomposed branch below.
-        None if params.bootstrap.is_none() => {
-            let out = plan.run();
-            let timings = TimingReport::from(&out.report);
-            (out, timings, None)
-        }
-        batch => {
-            let jobs = plan.jobs();
-            // Nothing to persist without a store: one engine call.
-            let chunk = batch
-                .filter(|_| ctx.store.is_some())
-                .unwrap_or(jobs.len())
-                .max(1);
+    let jobs = plan.jobs();
+    let (outputs, timings) = match (ctx.store.as_deref(), params.batch) {
+        // Each batch is a checkpoint: serve completed batches from the
+        // store (that is the whole restart story: a killed run left
+        // them behind), compute and persist the rest before moving on.
+        (Some(store), Some(batch)) => {
+            let chunk = batch.max(1);
             let mut outputs = Vec::with_capacity(jobs.len());
             let mut timings = TimingReport::default();
             for (i, slice) in jobs.chunks(chunk).enumerate() {
-                // Serve completed batches from the store (that is the
-                // whole restart story: a killed run left them behind),
-                // compute and persist the rest before moving on.
-                let pkey = ctx
-                    .store
-                    .as_ref()
-                    .map(|_| crate::cache::suite_partial_key(cache_key, chunk, i));
-                let cached = ctx.store.as_deref().zip(pkey.as_deref()).and_then(
-                    |(store, pkey)| -> Option<Vec<topogen_metrics::engine::JobOut>> {
-                        let bytes = store.get(pkey)?;
-                        let outs = crate::cache::decode_suite_partial(&bytes)?;
-                        (outs.len() == slice.len()).then(|| {
-                            timings.store_hits += 1;
-                            timings.store_bytes_read += bytes.len() as u64;
-                            outs
-                        })
-                    },
-                );
+                let pkey = crate::cache::suite_partial_key(cache_key, chunk, i);
+                let cached = store
+                    .get(&pkey)
+                    .and_then(|bytes| crate::cache::decode_suite_partial(&bytes))
+                    .filter(|outs| outs.len() == slice.len());
                 match cached {
                     Some(mut outs) => outputs.append(&mut outs),
                     None => {
                         let (outs, report) = plan.run_collect(slice);
-                        timings.merge(&TimingReport::from(&report));
-                        if let (Some(store), Some(pkey)) = (ctx.store.as_deref(), pkey.as_deref()) {
-                            let bytes = crate::cache::encode_suite_partial(&outs);
-                            store.put(pkey, &bytes);
-                            timings.store_misses += 1;
-                            timings.store_bytes_written += bytes.len() as u64;
-                        }
+                        timings.merge(&report);
+                        store.put(&pkey, &crate::cache::encode_suite_partial(&outs));
                         outputs.extend(outs);
                     }
                 }
             }
-            let out = plan.aggregate(&outputs, Default::default());
-            (out, timings, Some((jobs, outputs)))
+            (outputs, timings)
         }
+        // Nothing to checkpoint: one engine call.
+        _ => plan.run_collect(&jobs),
     };
+    let out = plan.aggregate(&outputs, TimingReport::default());
     let expansion = out.expansion;
     let resilience = out.curves[0].clone();
     let distortion = out.curves[1].clone();
@@ -388,23 +357,22 @@ fn run_with_source<S: BallSource>(
         resilience: classify_resilience(&resilience, &th),
         distortion: classify_distortion(&distortion, &th),
     };
-    let cis = match (params.bootstrap, &outputs) {
-        (Some(resamples), Some((jobs, outs))) => Some(bootstrap_cis(
-            jobs,
-            outs,
+    let cis = params.bootstrap.map(|resamples| {
+        bootstrap_cis(
+            &jobs,
+            &outputs,
             n,
             params.max_radius as usize + 1,
             resamples,
             params.seed,
-        )),
-        _ => None,
-    };
+        )
+    });
     SuiteResult {
         expansion,
         resilience,
         distortion,
         signature,
-        timings: std::mem::take(&mut timings),
+        timings,
         cis,
     }
 }
@@ -640,7 +608,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("topogen-suite-batch-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = std::sync::Arc::new(topogen_store::Store::open(&dir).unwrap());
-        let ctx = RunCtx::new().with_store(store);
+        let ctx = RunCtx::new().with_store(store.clone());
         let mut p = params;
         p.batch = Some(4);
         p.bootstrap = Some(50);
@@ -650,10 +618,11 @@ mod tests {
         assert!(cis.expansion_rate.0 <= cis.expansion_rate.1);
         assert!(cis.resilience_peak.0 <= cis.resilience_peak.1);
         // Warm run: the final curves entry hits, CIs replay from it.
+        let before = store.counters().snapshot();
         let warm = run_suite_in(&ctx, &t, &p);
         assert_eq!(fp(&warm), fp(&one_shot), "warm replay");
         assert_eq!(warm.cis, Some(cis), "CIs survive the cache round-trip");
-        assert!(warm.timings.store_hits >= 1);
+        assert!(before.delta_to(&store.counters().snapshot()).hits >= 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -681,17 +650,48 @@ mod tests {
             .hash("graph", crate::cache::graph_hash(&t.graph))
             .finish();
         store.remove(&key);
+        let before = store.counters().snapshot();
         let resumed = run_suite_in(&ctx, &t, &p);
-        assert!(
-            resumed.timings.store_hits >= 3,
-            "all batches must replay: {:?}",
-            resumed.timings.store_hits
-        );
+        let hits = before.delta_to(&store.counters().snapshot()).hits;
+        assert!(hits >= 3, "all batches must replay: {hits}");
+        // A hit counts before the partial decodes; no engine run proves
+        // every batch was accepted.
+        assert_eq!(resumed.timings.bfs_runs, 0, "no batch recomputed");
         for (a, b) in resumed.expansion.iter().zip(&cold.expansion) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(resumed.signature.to_string(), cold.signature.to_string());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unbatched_stored_suite_writes_only_the_curves_entry() {
+        // The warm-replay shape: a store-less build, then a small-tier
+        // suite run with a store and `batch: None`. Without a batch
+        // there is nothing to checkpoint, bootstrap or not, so the run
+        // persists its curves and no `suite-partial` entry.
+        let t = build_in(
+            &RunCtx::new(),
+            &TopologySpec::Mesh { side: 8 },
+            Scale::Small,
+            5,
+        );
+        for bootstrap in [None, Some(20)] {
+            let dir = std::env::temp_dir().join(format!(
+                "topogen-suite-unbatched-{bootstrap:?}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = std::sync::Arc::new(topogen_store::Store::open(&dir).unwrap());
+            let p = SuiteParams {
+                bootstrap,
+                ..SuiteParams::quick()
+            };
+            run_suite_in(&RunCtx::new().with_store(store.clone()), &t, &p);
+            let keys: Vec<Option<String>> = store.ls().into_iter().map(|e| e.key).collect();
+            assert_eq!(keys, [Some(plain_curves_key(&t, &p))], "{bootstrap:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

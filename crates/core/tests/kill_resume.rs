@@ -113,8 +113,10 @@ fn sigkilled_suite_resumes_fingerprint_identical() {
     let t = build_in(&RunCtx::new(), &spec, Scale::Small, 7);
     let store = Arc::new(Store::open(&dir).unwrap());
     store.remove(&plain_curves_key(&t, &params));
-    let ctx = RunCtx::new().with_store(store);
+    let ctx = RunCtx::new().with_store(store.clone());
+    let before = store.counters().snapshot();
     let resumed = run_suite_in(&ctx, &t, &params);
+    let resumed_hits = before.delta_to(&store.counters().snapshot()).hits;
 
     let one_shot = run_suite_in(
         &RunCtx::new(),
@@ -131,8 +133,14 @@ fn sigkilled_suite_resumes_fingerprint_identical() {
         "resume after SIGKILL must reproduce the one-shot curves bit-for-bit"
     );
     assert!(
-        resumed.timings.store_hits >= 1,
+        resumed_hits >= 1,
         "resume must be served from the killed run's checkpoints"
+    );
+    assert!(
+        resumed.timings.bfs_runs < one_shot.timings.bfs_runs,
+        "resume must skip the checkpointed batches: {} vs {} BFS runs",
+        resumed.timings.bfs_runs,
+        one_shot.timings.bfs_runs
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

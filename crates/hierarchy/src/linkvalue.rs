@@ -3,7 +3,7 @@
 use crate::cover::link_value;
 use crate::traversal::{link_traversals_threads, PairWeight};
 use topogen_graph::Graph;
-use topogen_par::{par_map_threads, Instrument};
+use topogen_par::{par_map_threads, phase, Instrument};
 use topogen_policy::rel::AsAnnotations;
 
 /// Which path notion defines the traversal sets.
@@ -55,14 +55,9 @@ pub fn link_values_threads(
     }
     let t = link_traversals_threads(g, mode, threads, ins);
     // Per-link covers are independent: spread them over cores.
-    let start = std::time::Instant::now();
-    let _cover_span = topogen_par::trace::span("hier-cover");
+    let _cover_phase = phase(ins, "hier-cover");
     let links: Vec<&[PairWeight]> = t.iter_links().collect();
-    let values = par_map_threads(&links, threads, |pairs| link_value(pairs) / n as f64);
-    if let Some(ins) = ins {
-        ins.add_phase("hier-cover", start.elapsed());
-    }
-    values
+    par_map_threads(&links, threads, |pairs| link_value(pairs) / n as f64)
 }
 
 /// One point of the link-value rank distribution.

@@ -24,7 +24,7 @@
 use crate::dag::PathDag;
 use crate::linkvalue::PathMode;
 use topogen_graph::{Graph, NodeId, UNREACHED};
-use topogen_par::{par_map_threads, Instrument};
+use topogen_par::{par_map_threads, phase, Instrument};
 
 /// One traversal-set entry: pair `(u, v)` crosses the link with weight
 /// `w` (0 < w ≤ 1).
@@ -131,12 +131,11 @@ pub fn link_traversals_threads(
     threads: Option<usize>,
     ins: Option<&Instrument>,
 ) -> LinkTraversals {
-    let start = std::time::Instant::now();
     // Fault site + deadline checkpoint at the phase boundary; both are
     // no-ops unless armed / a deadline is ambient.
     topogen_par::faults::inject("hier", "traversal");
     topogen_par::cancel::checkpoint();
-    let _span = topogen_par::trace::span("hier-traversal");
+    let _phase = phase(ins, "hier-traversal");
     let n = g.node_count();
     let m = g.edge_count();
     let sources: Vec<NodeId> = (0..n as NodeId).collect();
@@ -190,7 +189,6 @@ pub fn link_traversals_threads(
         // perf gate ratchets instead.
         let scratch = contribs.iter().map(|c| c.scratch_peak).max().unwrap_or(0);
         ins.record_scratch_peak((scratch * std::mem::size_of::<(u32, f64)>()) as u64);
-        ins.add_phase("hier-traversal", start.elapsed());
     }
     t
 }

@@ -27,11 +27,10 @@
 //! downstream curve aggregates.
 
 use crate::balls::BallSource;
-use crate::instrument::{Instrument, InstrumentReport};
+use crate::instrument::{phase, Instrument, TimingReport};
 use crate::partition::min_balanced_cut;
 use crate::CurvePoint;
 use std::sync::Mutex;
-use std::time::Instant;
 use topogen_graph::bfs_bitset::{
     select_kernel, BfsStats, BitsetScratch, KernelChoice, LaneScratch, MAX_LANES,
 };
@@ -61,7 +60,8 @@ pub struct MeasureCtx<'a> {
 /// (too small / too large), and a skipped ball contributes to neither
 /// the size nor the value average of its radius.
 pub trait BallMetric: Sync {
-    /// Short stable name, used for phase timings and curve lookup.
+    /// Short stable name: the name of the metric's phase and trace
+    /// span, and its curve's lookup key.
     fn name(&self) -> &'static str;
 
     /// Metric value on one ball, or `None` to skip it.
@@ -255,7 +255,7 @@ pub struct PlanResult {
     /// E(h) over the expansion centers (empty when none were set).
     pub expansion: Vec<f64>,
     /// Counter + phase-timing snapshot of the run.
-    pub report: InstrumentReport,
+    pub report: TimingReport,
 }
 
 impl PlanResult {
@@ -363,10 +363,8 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     /// Run the plan: one `balls_up_to` per ball center (shared by all
     /// metrics), one `distances` per expansion-only center.
     pub fn run(&self) -> PlanResult {
-        match &self.ctx {
-            Some(ctx) => ctx.scope(|| self.run_inner()),
-            None => self.run_inner(),
-        }
+        let (outputs, report) = self.run_collect(&self.jobs());
+        self.aggregate(&outputs, report)
     }
 
     /// The deduplicated, sorted job list this plan runs: one
@@ -381,10 +379,13 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     /// [`JobOut`] per job (same order) plus the instrument snapshot of
     /// just this batch. See [`JobOut`] for the batching-independence
     /// contract that makes partial collects resumable.
-    pub fn run_collect(&self, jobs: &[(NodeId, bool, bool)]) -> (Vec<JobOut>, InstrumentReport) {
+    pub fn run_collect(&self, jobs: &[(NodeId, bool, bool)]) -> (Vec<JobOut>, TimingReport) {
         let body = || {
             let instrument = Instrument::new();
             let outputs = self.collect_with(jobs, &instrument);
+            // Phase boundary between measurement and aggregation (or
+            // the next checkpoint batch).
+            topogen_par::cancel::checkpoint();
             (outputs, instrument.report())
         };
         match &self.ctx {
@@ -429,7 +430,7 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     /// `report` as the run's instrument snapshot. `run` =
     /// `aggregate(run_collect(jobs))`; checkpointed suites call this
     /// once after the last batch lands.
-    pub fn aggregate(&self, outputs: &[JobOut], report: InstrumentReport) -> PlanResult {
+    pub fn aggregate(&self, outputs: &[JobOut], report: TimingReport) -> PlanResult {
         let radii = self.max_radius as usize + 1;
         // Aggregate in fixed job order: bit-identical for any thread
         // count. Only finite values contribute to the size/value
@@ -499,17 +500,6 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         }
     }
 
-    fn run_inner(&self) -> PlanResult {
-        let t_total = Instant::now();
-        let instrument = Instrument::new();
-        let jobs = self.merge_centers();
-        let outputs = self.collect_with(&jobs, &instrument);
-        // Phase boundary between measurement and aggregation.
-        topogen_par::cancel::checkpoint();
-        instrument.add_phase("total", t_total.elapsed());
-        self.aggregate(&outputs, instrument.report())
-    }
-
     /// One scalar job: the PR-1 per-center path, verbatim — one
     /// `balls_up_to` per ball center, one `distances` per
     /// expansion-only center.
@@ -523,13 +513,11 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         let mut ball_rows = None;
         let mut cum = None;
         if is_ball {
-            let t0 = Instant::now();
-            let ball_span = topogen_par::trace::span("balls");
+            let ball_phase = phase(Some(instrument), "balls");
             let balls = self.source.balls_up_to(c, self.max_radius);
-            drop(ball_span);
+            drop(ball_phase);
             instrument.add_bfs_runs(1);
             instrument.add_balls_built(balls.len() as u64);
-            instrument.add_phase("balls", t0.elapsed());
             if self.metrics.len() > 1 {
                 // Every consumer after the first reuses each ball.
                 instrument
@@ -550,11 +538,8 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
                         .metrics
                         .iter()
                         .map(|m| {
-                            let t1 = Instant::now();
-                            let _m_span = topogen_par::trace::span_labeled("measure", m.name());
-                            let v = m.measure(g, &ctx).unwrap_or(f64::NAN);
-                            instrument.add_phase(m.name(), t1.elapsed());
-                            v
+                            let _m_phase = phase(Some(instrument), m.name());
+                            m.measure(g, &ctx).unwrap_or(f64::NAN)
                         })
                         .collect();
                     (g.node_count() as f64, vals)
@@ -568,8 +553,7 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
             }
             ball_rows = Some(rows);
         } else if is_exp {
-            let t0 = Instant::now();
-            let _dist_span = topogen_par::trace::span("distances");
+            let _dist_phase = phase(Some(instrument), "distances");
             let dist = self.source.distances(c);
             instrument.add_bfs_runs(1);
             let mut counts = vec![0usize; radii];
@@ -581,7 +565,6 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
             for h in 1..radii {
                 counts[h] += counts[h - 1];
             }
-            instrument.add_phase("distances", t0.elapsed());
             cum = Some(counts);
         }
         (ball_rows, cum)
@@ -668,15 +651,13 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     ) -> Vec<(usize, JobOut)> {
         let mut outs = Vec::with_capacity(exp_only.len());
         for chunk in exp_only.chunks(MAX_LANES) {
-            let t0 = Instant::now();
-            let _dist_span = topogen_par::trace::span("distances");
+            let _dist_phase = phase(Some(instrument), "distances");
             let sources: Vec<NodeId> = chunk.iter().map(|&i| jobs[i].0).collect();
             let mut stats = BfsStats::default();
             let rings = lanes.ring_counts(g, &sources, self.max_radius, &mut stats);
             instrument.add_bfs_runs(sources.len() as u64);
             instrument.add_words_scanned(stats.words_scanned);
             instrument.add_frontier_passes(stats.frontier_passes);
-            instrument.add_phase("distances", t0.elapsed());
             for (&i, mut counts) in chunk.iter().zip(rings) {
                 for h in 1..radii {
                     counts[h] += counts[h - 1];
@@ -704,8 +685,7 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         radii: usize,
     ) -> JobOut {
         let _center_span = topogen_par::trace::span("center");
-        let t0 = Instant::now();
-        let ball_span = topogen_par::trace::span("balls");
+        let ball_phase = phase(Some(instrument), "balls");
         let mut stats = BfsStats::default();
         scratch.run_bounded(g, c, self.max_radius, &mut stats);
         instrument.add_words_scanned(stats.words_scanned);
@@ -721,8 +701,7 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         let largest_built = cum.iter().copied().take_while(|&size| size <= cap).last();
         scratch.sort_prefix(largest_built.unwrap_or(0));
         instrument.add_bfs_runs(1);
-        instrument.add_phase("balls", t0.elapsed());
-        drop(ball_span);
+        drop(ball_phase);
 
         let center_seed = mix_seed(self.seed, c as u64);
         let mut built = 0u64;
@@ -736,9 +715,10 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
                     // produce exactly (size, NaN…) here.
                     return (size as f64, vec![f64::NAN; self.metrics.len()]);
                 }
-                let t_build = Instant::now();
-                let (ball, _) = scratch.ball(g, &cum, h);
-                instrument.add_phase("balls", t_build.elapsed());
+                let (ball, _) = {
+                    let _build_phase = phase(Some(instrument), "balls");
+                    scratch.ball(g, &cum, h)
+                };
                 built += 1;
                 let ctx = MeasureCtx {
                     center: c,
@@ -750,11 +730,8 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
                     .metrics
                     .iter()
                     .map(|m| {
-                        let t1 = Instant::now();
-                        let _m_span = topogen_par::trace::span_labeled("measure", m.name());
-                        let v = m.measure(&ball, &ctx).unwrap_or(f64::NAN);
-                        instrument.add_phase(m.name(), t1.elapsed());
-                        v
+                        let _m_phase = phase(Some(instrument), m.name());
+                        m.measure(&ball, &ctx).unwrap_or(f64::NAN)
                     })
                     .collect();
                 (ball.node_count() as f64, vals)
@@ -1117,6 +1094,5 @@ mod tests {
         assert!(names.contains(&"balls"));
         assert!(names.contains(&"distances"));
         assert!(names.contains(&"edges"));
-        assert!(names.contains(&"total"));
     }
 }

@@ -67,7 +67,7 @@ pub mod tolerance;
 
 pub use balls::{BallSource, PlainBalls, PolicyBalls};
 pub use engine::{BallMetric, BallPlan, MeasureCtx, PlanResult};
-pub use instrument::{Instrument, InstrumentReport};
+pub use instrument::{Instrument, TimingReport};
 
 /// A point on a ball-growing curve: the average ball size and average
 /// metric value over all sampled balls of one radius.

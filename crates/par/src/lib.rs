@@ -25,6 +25,6 @@ pub mod trace;
 pub use cancel::{CancelToken, Cancelled, Deadline};
 pub use ctx::EngineCtx;
 pub use faults::IoFault;
-pub use instrument::{Instrument, InstrumentReport, PhaseTiming};
+pub use instrument::{phase, Instrument, TimingReport};
 pub use par::{panic_message, par_map, par_map_catch, par_map_threads, worker_count};
 pub use trace::{SpanGuard, SpanRollup, TraceEvent, TraceSink};

@@ -82,7 +82,7 @@ pub struct SpanRollup {
     pub count: u64,
     /// Total duration across them, nanoseconds (spans on concurrent
     /// threads sum, so this can exceed wall-clock — same convention as
-    /// [`PhaseTiming`](crate::PhaseTiming)).
+    /// the phase rows of a [`TimingReport`](crate::TimingReport)).
     pub nanos: u64,
 }
 
