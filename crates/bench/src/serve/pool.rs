@@ -16,7 +16,7 @@
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -65,6 +65,8 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn `workers` threads sharing a queue of `queue` waiting jobs.
+    /// Returns once every worker has registered, so [`stats`](Self::stats)
+    /// reports all of them live from the start.
     ///
     /// # Panics
     /// Panics if `workers == 0`.
@@ -79,8 +81,15 @@ impl WorkerPool {
             next_id: AtomicUsize::new(workers),
             handles: Mutex::new(Vec::new()),
         });
+        let (registered_tx, registered) = std::sync::mpsc::channel();
         for i in 0..workers {
-            spawn_worker(&shared, i);
+            spawn_worker(&shared, i, Some(registered_tx.clone()));
+        }
+        drop(registered_tx);
+        for _ in 0..workers {
+            registered
+                .recv()
+                .expect("a worker exited before registering");
         }
         WorkerPool {
             tx: Mutex::new(Some(tx)),
@@ -144,11 +153,13 @@ impl Drop for WorkerPool {
     }
 }
 
-fn spawn_worker(shared: &Arc<Shared>, id: usize) {
+/// Spawn worker `id`; it signals `registered`, if given, once it counts
+/// itself live.
+fn spawn_worker(shared: &Arc<Shared>, id: usize, registered: Option<Sender<()>>) {
     let for_worker = Arc::clone(shared);
     let handle = std::thread::Builder::new()
         .name(format!("serve-worker-{id}"))
-        .spawn(move || worker_run(&for_worker))
+        .spawn(move || worker_run(&for_worker, registered))
         .expect("spawn worker thread");
     shared
         .handles
@@ -169,16 +180,20 @@ impl Drop for Sentinel {
         if std::thread::panicking() {
             self.shared.respawns.fetch_add(1, Ordering::SeqCst);
             let id = self.shared.next_id.fetch_add(1, Ordering::SeqCst);
-            spawn_worker(&self.shared, id);
+            spawn_worker(&self.shared, id, None);
         }
     }
 }
 
-fn worker_run(shared: &Arc<Shared>) {
+fn worker_run(shared: &Arc<Shared>, registered: Option<Sender<()>>) {
     shared.live.fetch_add(1, Ordering::SeqCst);
     let sentinel = Sentinel {
         shared: Arc::clone(shared),
     };
+    if let Some(registered) = registered {
+        // `new` is still waiting on the other end.
+        let _ = registered.send(());
+    }
     loop {
         // Hold the lock only while waiting for the next job, not while
         // running it — otherwise the pool degrades to one worker.
@@ -240,6 +255,16 @@ mod tests {
         );
         release_tx.send(()).unwrap();
         pool.shutdown();
+    }
+
+    #[test]
+    fn new_returns_with_every_worker_live() {
+        for workers in [1, 2, 4] {
+            let pool = WorkerPool::new(workers, 4);
+            assert_eq!(pool.stats().live, workers);
+            pool.shutdown();
+            assert_eq!(pool.stats().live, 0);
+        }
     }
 
     #[test]

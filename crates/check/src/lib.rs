@@ -18,7 +18,7 @@
 //! | `store`     | ledger ↔ entries consistent; gc keeps LRU frontier   | re-derived frontier from pre-gc state |
 //! | `trace`     | span streams form per-thread LIFO trees              | independent stream verifier |
 //! | `hierarchy` | arena link-value engine ≡ kept textbook baseline     | `baseline::link_values_ref` |
-//! | `distortion`| allocation-free Brandes ≡ DAG-based Brandes; center reuse ≡ fresh thread | the kept DAG loop; a fresh thread |
+//! | `distortion`| allocation-free Brandes ≡ DAG-based Brandes; folded values within their bound, certified centers ≡ reference; center reuse ≡ fresh thread | the kept DAG loop; a fresh thread |
 //!
 //! Every failure is replayable: the runner prints (and records in
 //! `check-report.json`) a one-line `TOPOGEN_CHECK=suite:invariant:seed`

@@ -1,12 +1,13 @@
 //! Distortion's ball centers (footnote 14): the allocation-free Brandes
 //! pass against the per-source shortest-path-DAG loop it replaced, kept
-//! verbatim below as the oracle, and `graph_distortion`'s per-thread
-//! center reuse against a fresh thread.
+//! verbatim below as the oracle; the leaf-folding fast path against its
+//! documented error bound; and `graph_distortion`'s per-thread center
+//! reuse against a fresh thread.
 
 use crate::gen;
 use crate::invariant::{Check, Suite};
 use topogen_generators::canonical::complete;
-use topogen_graph::apsp::{betweenness, betweenness_center};
+use topogen_graph::apsp::{betweenness, betweenness_center, folded_betweenness};
 use topogen_graph::bfs::shortest_path_dag;
 use topogen_graph::{Graph, NodeId};
 use topogen_metrics::distortion::{graph_distortion, DistortionParams};
@@ -22,11 +23,26 @@ pub fn suite() -> Suite {
                 property: "betweenness returns bit-identical values, and betweenness_center \
                            the same node, as the per-source shortest-path-DAG loop on \
                            arbitrary graphs (disconnected, isolated nodes), a complete \
-                           graph, and the empty graph",
+                           graph, the empty graph, and leaf- and tie-heavy shapes: random \
+                           trees, a cycle or clique with pendant trees, stars, even-node \
+                           paths whose two middle nodes tie, symmetric pendants on a \
+                           cycle, a single edge, and mirrored halves whose images tie",
                 oracle: "the DAG-based Brandes loop it replaced, kept verbatim",
                 shrink_hint: "shrink the node count, then the edge count",
                 max_cases: u32::MAX,
                 run: brandes_matches_reference,
+            }),
+            Box::new(Check {
+                name: "folded-within-bound",
+                property: "on arbitrary connected graphs and the leaf-heavy shapes, \
+                           folded_betweenness answers whenever there is a leaf, every \
+                           folded value lies within its documented tolerance of \
+                           betweenness (exactly equal on trees), and a certified center \
+                           is always the reference center",
+                oracle: "the DAG-based Brandes loop, kept verbatim",
+                shrink_hint: "shrink the node count, then the extra-edge count",
+                max_cases: u32::MAX,
+                run: folded_within_bound,
             }),
             Box::new(Check {
                 name: "center-reuse-identity",
@@ -82,10 +98,87 @@ fn center_ref(bc: &[f64]) -> Option<NodeId> {
         .map(|(i, _)| i as NodeId)
 }
 
+/// Leaf- and tie-heavy connected shapes, where the fast path folds most
+/// of the graph or cannot separate the top two values.
+fn leafy_shapes(rng: &mut gen::Lcg) -> Vec<(&'static str, Graph)> {
+    let n = 2 + rng.below(50);
+    let k = 3 + rng.below(8);
+    let path = 2 * (1 + rng.below(20));
+    vec![
+        ("tree", gen::connected_graph(n, 0, rng.next() as u64)),
+        ("cycle+trees", with_pendant_trees(cycle_edges(k), k, n, rng)),
+        (
+            "clique+trees",
+            with_pendant_trees(clique_edges(k), k, n, rng),
+        ),
+        (
+            "star",
+            Graph::from_edges(n, (1..n as NodeId).map(|v| (0, v))),
+        ),
+        (
+            "even-path",
+            Graph::from_edges(path, (1..path as NodeId).map(|v| (v - 1, v))),
+        ),
+        (
+            "cycle+leaf-each",
+            Graph::from_edges(
+                2 * k,
+                cycle_edges(k)
+                    .into_iter()
+                    .chain((0..k as NodeId).map(|v| (v, v + k as NodeId))),
+            ),
+        ),
+        ("edge", Graph::from_edges(2, vec![(0, 1)])),
+        ("mirrored", mirrored(rng)),
+    ]
+}
+
+/// Two copies of a random connected graph, joined by one edge between
+/// the two copies of a random node: mirror images tie exactly, but
+/// their values sum different fractions in different orders, so
+/// rounding can split the tie either way.
+fn mirrored(rng: &mut gen::Lcg) -> Graph {
+    let h = 3 + rng.below(20);
+    let half = gen::connected_graph(h, rng.below(h), rng.next() as u64);
+    let u = rng.below(h) as NodeId;
+    let h = h as NodeId;
+    let edges = half
+        .edges()
+        .iter()
+        .flat_map(|e| [(e.a, e.b), (e.a + h, e.b + h)])
+        .chain([(u, u + h)]);
+    Graph::from_edges(2 * h as usize, edges)
+}
+
+fn cycle_edges(k: usize) -> Vec<(NodeId, NodeId)> {
+    (0..k as NodeId)
+        .map(|v| (v, (v + 1) % k as NodeId))
+        .collect()
+}
+
+fn clique_edges(k: usize) -> Vec<(NodeId, NodeId)> {
+    let k = k as NodeId;
+    (0..k)
+        .flat_map(|u| (u + 1..k).map(move |v| (u, v)))
+        .collect()
+}
+
+/// `edges` on nodes `0..k`, plus nodes `k..k + extra` each hung off a
+/// random earlier node: trees pendant to that core.
+fn with_pendant_trees(
+    mut edges: Vec<(NodeId, NodeId)>,
+    k: usize,
+    extra: usize,
+    rng: &mut gen::Lcg,
+) -> Graph {
+    edges.extend((k..k + extra).map(|v| (rng.below(v) as NodeId, v as NodeId)));
+    Graph::from_edges(k + extra, edges)
+}
+
 fn brandes_matches_reference(seed: u64) -> Result<(), String> {
     let mut rng = gen::Lcg::new(seed);
     let n = 1 + rng.below(60);
-    let cases = [
+    let mut cases = vec![
         (
             "sparse",
             gen::sparse_graph(n, rng.below(3 * n + 1), rng.next() as u64),
@@ -93,6 +186,7 @@ fn brandes_matches_reference(seed: u64) -> Result<(), String> {
         ("complete", complete(1 + rng.below(24))),
         ("empty", Graph::empty(0)),
     ];
+    cases.extend(leafy_shapes(&mut rng));
     for (what, g) in &cases {
         let shape = format!("{what} n={} m={}", g.node_count(), g.edge_count());
         let got = betweenness(g);
@@ -115,6 +209,57 @@ fn brandes_matches_reference(seed: u64) -> Result<(), String> {
             return Err(format!(
                 "{shape}: center {center:?}, reference {want_center:?}"
             ));
+        }
+    }
+    Ok(())
+}
+
+fn folded_within_bound(seed: u64) -> Result<(), String> {
+    let mut rng = gen::Lcg::new(seed);
+    let n = 2 + rng.below(60);
+    let mut cases = vec![(
+        "connected",
+        gen::connected_graph(n, rng.below(2 * n), rng.next() as u64),
+    )];
+    cases.extend(leafy_shapes(&mut rng));
+    for (what, g) in &cases {
+        let shape = format!("{what} n={} m={}", g.node_count(), g.edge_count());
+        let has_leaf = g.nodes().any(|v| g.degree(v) == 1);
+        let Some(folded) = folded_betweenness(g) else {
+            if has_leaf {
+                return Err(format!("{shape}: has a leaf, but the fast path declined"));
+            }
+            continue;
+        };
+        let want = betweenness_ref(g);
+        let is_tree = g.edge_count() + 1 == g.node_count();
+        if (folded.tolerance == 0.0) != is_tree {
+            return Err(format!(
+                "{shape}: tolerance {} on a {}",
+                folded.tolerance,
+                if is_tree {
+                    "tree"
+                } else {
+                    "graph with a cycle"
+                }
+            ));
+        }
+        for (v, (&fast, &slow)) in folded.values.iter().zip(&want).enumerate() {
+            if (fast - slow).abs() > folded.tolerance * fast {
+                return Err(format!(
+                    "{shape}: node {v} folded {fast}, reference {slow}, beyond the \
+                     tolerance {:e}",
+                    folded.tolerance
+                ));
+            }
+        }
+        if let Some(center) = folded.certified_center() {
+            if Some(center) != center_ref(&want) {
+                return Err(format!(
+                    "{shape}: certified center {center}, reference {:?}",
+                    center_ref(&want)
+                ));
+            }
         }
     }
     Ok(())

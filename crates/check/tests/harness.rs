@@ -18,6 +18,9 @@ fn opts(suite: Option<&str>, cases: u32) -> CheckOptions {
 
 #[test]
 fn all_suites_green_at_seed_42() {
+    // Other tests here arm process-wide faults; a store-write fault
+    // landing mid-sweep would drop the scale suite's checkpoints.
+    let _guard = faults::exclusive_for_tests();
     let report = run_checks(&opts(None, 2)).unwrap();
     assert!(report.suites.len() >= 7, "expected >= 7 suites");
     let failures = report.failures();
@@ -36,6 +39,7 @@ fn all_suites_green_at_seed_42() {
 /// requested case must actually run, not get clamped.
 #[test]
 fn zero_cases_is_an_error_not_a_vacuous_pass() {
+    let _guard = faults::exclusive_for_tests();
     let err = run_checks(&opts(None, 0)).expect_err("0 cases must not produce a report");
     assert!(
         err.contains("--cases") && err.contains("vacuous"),

@@ -53,9 +53,13 @@ pub fn waxman_with_points<R: Rng>(params: &WaxmanParams, rng: &mut R) -> (Graph,
     let mut b = GraphBuilder::new(n);
     for i in 0..n {
         for j in (i + 1)..n {
-            let d = points[i].dist(&points[j]);
-            let p = alpha * (-d / (beta * l)).exp();
-            if rng.gen::<f64>() < p {
+            // One uniform draw per pair, as always. The link probability
+            // `α·exp(−d/βL)` is at most α: the exponent is ≤ 0, so `exp`
+            // returns at most 1, and rounding the product is monotone. A
+            // draw ≥ α therefore rejects the pair without its distance or
+            // its `exp`, and every decision is the one the full test makes.
+            let x = rng.gen::<f64>();
+            if x < alpha && x < alpha * (-points[i].dist(&points[j]) / (beta * l)).exp() {
                 b.add_edge(i as NodeId, j as NodeId);
             }
         }
@@ -177,6 +181,45 @@ mod tests {
         let g1 = waxman(&p, &mut StdRng::seed_from_u64(6));
         let g2 = waxman(&p, &mut StdRng::seed_from_u64(6));
         assert_eq!(g1.edges(), g2.edges());
+    }
+
+    /// The pair loop before draws ≥ α skipped the distance, verbatim.
+    fn waxman_every_pair_priced<R: Rng>(params: &WaxmanParams, rng: &mut R) -> Graph {
+        let WaxmanParams { n, alpha, beta } = *params;
+        let points: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>()))
+            .collect();
+        let l = 2f64.sqrt(); // max distance in the unit square
+        let mut b = GraphBuilder::new(n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = points[i].dist(&points[j]);
+                let p = alpha * (-d / (beta * l)).exp();
+                if rng.gen::<f64>() < p {
+                    b.add_edge(i as NodeId, j as NodeId);
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn rejecting_draws_above_alpha_first_changes_no_graph() {
+        for (n, alpha, beta) in [
+            (400, 0.005, 0.3),
+            (300, 0.05, 0.05),
+            (200, 0.4, 0.8),
+            (150, 1.0, 0.2),
+            (120, 1.0, 1.0),
+        ] {
+            let p = WaxmanParams { n, alpha, beta };
+            for seed in [1u64, 7, 42] {
+                let got = waxman(&p, &mut StdRng::seed_from_u64(seed));
+                let want = waxman_every_pair_priced(&p, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(got.edges(), want.edges(), "{p:?} seed {seed}");
+                assert!(got.edge_count() > 0, "{p:?} seed {seed}: vacuous case");
+            }
+        }
     }
 
     #[test]

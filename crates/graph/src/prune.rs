@@ -7,10 +7,14 @@
 use crate::subgraph::{induced_subgraph, SubgraphMap};
 use crate::{Graph, NodeId};
 
-/// Recursively remove degree-1 nodes until none remain, returning the core
-/// subgraph and the mapping back to original node ids. Isolated nodes
-/// (degree 0 in the original graph) are also dropped.
-pub fn core(g: &Graph) -> (Graph, SubgraphMap) {
+/// Recursively remove nodes of degree at most 1 — leaves, then the
+/// nodes that become leaves — calling `fold(v, parent)` as each goes.
+/// `parent` is `v`'s one neighbour still present, or `None` when none
+/// is left (an isolated node, or the last node of a tree component).
+/// A node goes only after all but one of its neighbours, so everything
+/// that folds into it has folded by then. Returns which nodes were
+/// removed; the rest induce the 2-core.
+pub fn peel_leaves(g: &Graph, mut fold: impl FnMut(NodeId, Option<NodeId>)) -> Vec<bool> {
     let n = g.node_count();
     let mut deg: Vec<usize> = g.degrees();
     let mut removed = vec![false; n];
@@ -20,16 +24,29 @@ pub fn core(g: &Graph) -> (Graph, SubgraphMap) {
             continue;
         }
         removed[v as usize] = true;
+        let mut parent = None;
         for &w in g.neighbors(v) {
             if !removed[w as usize] {
+                parent = Some(w);
                 deg[w as usize] -= 1;
                 if deg[w as usize] <= 1 {
                     stack.push(w);
                 }
             }
         }
+        fold(v, parent);
     }
-    let keep: Vec<NodeId> = (0..n as NodeId).filter(|&v| !removed[v as usize]).collect();
+    removed
+}
+
+/// Recursively remove degree-1 nodes until none remain, returning the core
+/// subgraph and the mapping back to original node ids. Isolated nodes
+/// (degree 0 in the original graph) are also dropped.
+pub fn core(g: &Graph) -> (Graph, SubgraphMap) {
+    let removed = peel_leaves(g, |_, _| {});
+    let keep: Vec<NodeId> = (0..g.node_count() as NodeId)
+        .filter(|&v| !removed[v as usize])
+        .collect();
     induced_subgraph(g, &keep)
 }
 
@@ -64,6 +81,17 @@ mod tests {
         let mut orig: Vec<NodeId> = map.originals().to_vec();
         orig.sort_unstable();
         assert_eq!(orig, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn peel_reports_each_node_once_with_its_remaining_neighbour() {
+        // Triangle 0-1-2, path 2-3-4, and an isolated node 5.
+        let g = Graph::from_edges(6, vec![(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]);
+        let mut folds = Vec::new();
+        let removed = peel_leaves(&g, |v, parent| folds.push((v, parent)));
+        assert_eq!(removed, vec![false, false, false, true, true, true]);
+        folds.sort_unstable();
+        assert_eq!(folds, vec![(3, Some(2)), (4, Some(3)), (5, None)]);
     }
 
     #[test]

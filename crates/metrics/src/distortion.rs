@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use topogen_graph::apsp::betweenness_center;
+use topogen_graph::apsp::{betweenness_center_counted, BrandesWork};
 use topogen_graph::tree::{distortion_of_tree, RootedTree};
 use topogen_graph::{Graph, NodeId};
 
@@ -48,8 +48,17 @@ impl Default for DistortionParams {
 /// trees, each polished by re-parenting local search. Returns `None`
 /// for graphs without edges.
 pub fn graph_distortion(g: &Graph, params: &DistortionParams) -> Option<f64> {
+    graph_distortion_counted(g, params).0
+}
+
+/// [`graph_distortion`], with the Brandes work its center computation did
+/// (none when the center was reused or the graph has no edges).
+pub(crate) fn graph_distortion_counted(
+    g: &Graph,
+    params: &DistortionParams,
+) -> (Option<f64>, BrandesWork) {
     if g.edge_count() == 0 {
-        return None;
+        return (None, BrandesWork::default());
     }
     let mut best = f64::INFINITY;
     let consider = |t: RootedTree, best: &mut f64| {
@@ -63,7 +72,7 @@ pub fn graph_distortion(g: &Graph, params: &DistortionParams) -> Option<f64> {
         }
     };
     // Root 1: the betweenness center (the paper's footnote-14 heuristic).
-    let center = ball_center(g);
+    let (center, work) = ball_center(g);
     let tree_span = topogen_par::trace::span("tree");
     if let Some(center) = center {
         consider(RootedTree::bfs_tree(g, center), &mut best);
@@ -82,11 +91,7 @@ pub fn graph_distortion(g: &Graph, params: &DistortionParams) -> Option<f64> {
             consider(bartal_tree(g, &mut rng), &mut best);
         }
     }
-    if best.is_finite() {
-        Some(best)
-    } else {
-        None
-    }
+    (best.is_finite().then_some(best), work)
 }
 
 thread_local! {
@@ -94,24 +99,24 @@ thread_local! {
     static LAST_CENTER: RefCell<Option<(Graph, Option<NodeId>)>> = const { RefCell::new(None) };
 }
 
-/// [`betweenness_center`] of `g`, reusing this worker's previous answer
-/// when `g` is the same ball. Every radius past a center's eccentricity
-/// regrows an identical ball under a new seed, which only the Bartal
-/// trees read. Only the center — a pure function of the ball — is kept,
-/// never a distortion, so calls that differ in `polish` or seed cannot
-/// alias.
-fn ball_center(g: &Graph) -> Option<NodeId> {
+/// [`betweenness_center_counted`] of `g`, reusing this
+/// worker's previous answer (at no Brandes work) when `g` is the same ball.
+/// Every radius past a center's eccentricity regrows an identical ball
+/// under a new seed, which only the Bartal trees read. Only the center —
+/// a pure function of the ball — is kept, never a distortion, so calls
+/// that differ in `polish` or seed cannot alias.
+fn ball_center(g: &Graph) -> (Option<NodeId>, BrandesWork) {
     LAST_CENTER.with(|slot| {
         let mut slot = slot.borrow_mut();
         if let Some((ball, center)) = slot.as_ref() {
             if ball == g {
-                return *center;
+                return (*center, BrandesWork::default());
             }
         }
         let _span = topogen_par::trace::span("betweenness");
-        let center = betweenness_center(g);
+        let (center, work) = betweenness_center_counted(g);
         *slot = Some((g.clone(), center));
-        center
+        (center, work)
     })
 }
 

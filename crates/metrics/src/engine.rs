@@ -141,7 +141,10 @@ impl BallMetric for DistortionMetric {
             polish: self.polish,
             seed: ctx.seed,
         };
-        crate::distortion::graph_distortion(ball, &params)
+        let (value, work) = crate::distortion::graph_distortion_counted(ball, &params);
+        ctx.instrument.add_brandes_sources(work.sources);
+        ctx.instrument.add_brandes_edge_visits(work.edge_visits);
+        value
     }
 }
 

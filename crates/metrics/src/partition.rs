@@ -88,6 +88,16 @@ pub fn min_balanced_cut(g: &Graph, restarts: usize, seed: u64) -> Option<u64> {
 }
 
 fn multilevel_once<R: Rng>(g: &Graph, rng: &mut R) -> Bisection {
+    multilevel_with(g, rng, coarsen)
+}
+
+/// One multilevel run, coarsening with `coarsen` (the tests swap in an
+/// oracle).
+fn multilevel_with<R: Rng>(
+    g: &Graph,
+    rng: &mut R,
+    coarsen: impl Fn(&WGraph, &mut R) -> (WGraph, Vec<u32>),
+) -> Bisection {
     // Build the level stack.
     let mut levels: Vec<WGraph> = vec![WGraph::from_graph(g)];
     let mut maps: Vec<Vec<u32>> = Vec::new(); // maps[l][v_fine] = v_coarse
@@ -172,23 +182,29 @@ fn coarsen<R: Rng>(g: &WGraph, rng: &mut R) -> (WGraph, Vec<u32>) {
     for v in 0..n {
         wnode[coarse_id[v] as usize] += g.wnode[v];
     }
-    let mut edge_acc: std::collections::BTreeMap<(u32, u32), u64> = Default::default();
+    // Coarse edges keyed (low, high): sort, then sum each run of equal
+    // keys, so every coarse edge is pushed once, in key order.
+    let mut edges: Vec<((u32, u32), u64)> = Vec::new();
     for v in 0..n {
         let cv = coarse_id[v];
         for &(u, w) in &g.adj[v] {
             let cu = coarse_id[u as usize];
-            if cu == cv {
-                continue;
-            }
             // Count each direction once (v < u).
-            if (v as u32) < u {
-                let key = (cv.min(cu), cv.max(cu));
-                *edge_acc.entry(key).or_insert(0) += w;
+            if cu != cv && (v as u32) < u {
+                edges.push(((cv.min(cu), cv.max(cu)), w));
             }
         }
     }
+    edges.sort_unstable_by_key(|&(key, _)| key);
+    edges.dedup_by(|next, run| {
+        let same = next.0 == run.0;
+        if same {
+            run.1 += next.1;
+        }
+        same
+    });
     let mut adj = vec![Vec::new(); cn];
-    for ((a, b), w) in edge_acc {
+    for ((a, b), w) in edges {
         adj[a as usize].push((b, w));
         adj[b as usize].push((a, w));
     }
@@ -461,6 +477,101 @@ mod tests {
         let a = min_balanced_cut(&g, 3, 42);
         let b = min_balanced_cut(&g, 3, 42);
         assert_eq!(a, b);
+    }
+
+    /// The coarsening step `coarsen` replaced, verbatim: a `BTreeMap`
+    /// edge accumulator.
+    fn coarsen_btreemap<R: Rng>(g: &WGraph, rng: &mut R) -> (WGraph, Vec<u32>) {
+        let n = g.n();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(rng);
+        let mut matched = vec![u32::MAX; n];
+        let mut coarse_id = vec![u32::MAX; n];
+        let mut next = 0u32;
+        for &v in &order {
+            if matched[v as usize] != u32::MAX {
+                continue;
+            }
+            // Heaviest-edge unmatched neighbor.
+            let mut bestw = 0u64;
+            let mut bestu = u32::MAX;
+            for &(u, w) in &g.adj[v as usize] {
+                if matched[u as usize] == u32::MAX && u != v && w > bestw {
+                    bestw = w;
+                    bestu = u;
+                }
+            }
+            if bestu != u32::MAX {
+                matched[v as usize] = bestu;
+                matched[bestu as usize] = v;
+                coarse_id[v as usize] = next;
+                coarse_id[bestu as usize] = next;
+            } else {
+                matched[v as usize] = v;
+                coarse_id[v as usize] = next;
+            }
+            next += 1;
+        }
+        // Build the coarse graph.
+        let cn = next as usize;
+        let mut wnode = vec![0u64; cn];
+        for v in 0..n {
+            wnode[coarse_id[v] as usize] += g.wnode[v];
+        }
+        let mut edge_acc: std::collections::BTreeMap<(u32, u32), u64> = Default::default();
+        for v in 0..n {
+            let cv = coarse_id[v];
+            for &(u, w) in &g.adj[v] {
+                let cu = coarse_id[u as usize];
+                if cu == cv {
+                    continue;
+                }
+                // Count each direction once (v < u).
+                if (v as u32) < u {
+                    let key = (cv.min(cu), cv.max(cu));
+                    *edge_acc.entry(key).or_insert(0) += w;
+                }
+            }
+        }
+        let mut adj = vec![Vec::new(); cn];
+        for ((a, b), w) in edge_acc {
+            adj[a as usize].push((b, w));
+            adj[b as usize].push((a, w));
+        }
+        (WGraph { adj, wnode }, coarse_id)
+    }
+
+    #[test]
+    fn sort_merge_coarsening_matches_the_btreemap_oracle() {
+        use rand::SeedableRng;
+        for seed in 0..24u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = 20 + (seed as usize * 37) % 300;
+            let g = topogen_generators::canonical::random_gnp(n, 6.0 / n as f64, &mut rng);
+            // Each level of the stack, coarsened both ways from the same
+            // RNG state.
+            let mut level = WGraph::from_graph(&g);
+            while level.n() > 32 {
+                let (mut a, mut b) = (rng.clone(), rng.clone());
+                let (coarse, map) = coarsen(&level, &mut a);
+                let (want, want_map) = coarsen_btreemap(&level, &mut b);
+                assert_eq!((&coarse.adj, &coarse.wnode), (&want.adj, &want.wnode));
+                assert_eq!(map, want_map);
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "same RNG draws");
+                if coarse.n() as f64 > 0.95 * level.n() as f64 {
+                    break;
+                }
+                level = coarse;
+                rng = a;
+            }
+            // Whole restarts: same cut, same sides.
+            for r in 0..3u64 {
+                let restart = || rand::rngs::StdRng::seed_from_u64(seed ^ (r << 32));
+                let got = multilevel_once(&g, &mut restart());
+                let want = multilevel_with(&g, &mut restart(), coarsen_btreemap);
+                assert_eq!((got.cut, &got.side), (want.cut, &want.side), "seed {seed}");
+            }
+        }
     }
 
     #[test]

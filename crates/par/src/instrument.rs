@@ -176,6 +176,13 @@ counters! {
     /// Largest single arena held: a traversal-set arena or a streaming
     /// build's edge buffer (a max, where `arena_bytes` is a sum).
     arena_bytes_peak: record_arena_peak, Max, Nonzero, ungated;
+    /// Brandes sources swept by distortion's ball-center computations: the
+    /// folded 2-core's sources, plus every node when the reference pass
+    /// runs; zero for a reused center.
+    brandes_sources: add_brandes_sources, Sum, Nonzero, ungated;
+    /// Adjacency entries those Brandes sweeps scanned (forward BFS plus
+    /// reverse accumulation).
+    brandes_edge_visits: add_brandes_edge_visits, Sum, Nonzero, ungated;
 }
 
 impl Instrument {
