@@ -169,10 +169,10 @@ pub struct LedgerUnit {
     /// Store traffic attributed to this unit; absent when no cache was
     /// active or the unit never touched it.
     pub cache: Option<CacheBlock>,
-    /// High-water mark (bytes) of the hierarchy stage's traversal-set
-    /// arenas during the terminal attempt — the unit's peak arena
-    /// footprint, vs the cumulative `arena_bytes` counter in
-    /// `--timings`. Absent when the unit never built a DAG arena.
+    /// High-water mark (bytes) of the largest single buffer held during
+    /// the terminal attempt — a hierarchy link-range buffer or a
+    /// streamed build's edge buffer — vs the cumulative `arena_bytes`
+    /// counter in `--timings`. Absent when the unit held neither.
     pub arena_bytes_peak: Option<u64>,
     /// Sorted runs the memory-budgeted streaming builder spilled to
     /// disk during the terminal attempt. Absent when no build streamed

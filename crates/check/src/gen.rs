@@ -8,6 +8,7 @@
 
 use proptest::prelude::*;
 use topogen_graph::{Graph, NodeId};
+use topogen_policy::rel::{AsAnnotations, Relationship};
 
 /// The tiny deterministic generator behind every seeded case: a 64-bit
 /// LCG (Knuth's MMIX multiplier) returning the well-mixed high bits.
@@ -69,6 +70,25 @@ pub fn connected_graph(n: usize, extra: usize, seed: u64) -> Graph {
     Graph::from_edges(n, edges)
 }
 
+/// Arbitrary connected AS graph: [`connected_graph`] with each edge's
+/// relationship drawn uniformly from provider–customer (either way),
+/// peer and sibling — enough valleys that some pairs are unroutable
+/// under the valley-free policy.
+pub fn annotated_graph(n: usize, extra: usize, seed: u64) -> (Graph, AsAnnotations) {
+    let g = connected_graph(n, extra, seed);
+    // A stream of its own, so the draws do not echo the graph's.
+    let mut rng = Lcg::new(seed ^ 0xA5_A5A5);
+    let kinds = [
+        Relationship::ProviderOfB,
+        Relationship::CustomerOfB,
+        Relationship::Peer,
+        Relationship::Sibling,
+    ];
+    let rels = (0..g.edge_count()).map(|_| kinds[rng.below(4)]).collect();
+    let ann = AsAnnotations::new(&g, rels);
+    (g, ann)
+}
+
 /// Proptest strategy: arbitrary (possibly disconnected) graph of up to
 /// 30 nodes and up to 80 random edge pairs.
 pub fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -105,6 +125,24 @@ mod tests {
             let g = connected_graph(2 + (seed as usize % 28), 5, seed);
             assert_eq!(components(&g).sizes.len(), 1, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn annotated_graphs_are_deterministic_and_leave_pairs_unroutable() {
+        use topogen_graph::UNREACHED;
+        use topogen_policy::valley::policy_distances;
+        let mut unroutable = 0;
+        for seed in 0..16u64 {
+            let (g, ann) = annotated_graph(12, 6, seed);
+            let (h, bnn) = annotated_graph(12, 6, seed);
+            assert_eq!(g.edges(), h.edges());
+            assert_eq!(ann.agreement(&bnn), 1.0);
+            assert_eq!(components(&g).sizes.len(), 1, "seed {seed}");
+            unroutable += (0..12)
+                .filter(|&u| policy_distances(&g, &ann, u).contains(&UNREACHED))
+                .count();
+        }
+        assert!(unroutable > 0, "no valley ever blocked a pair");
     }
 
     #[test]

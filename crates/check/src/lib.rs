@@ -17,7 +17,7 @@
 //! | `degseq`    | Erdős–Gallai test ≡ constructive realizability       | independent Havel–Hakimi |
 //! | `store`     | ledger ↔ entries consistent; gc keeps LRU frontier   | re-derived frontier from pre-gc state |
 //! | `trace`     | span streams form per-thread LIFO trees              | independent stream verifier |
-//! | `hierarchy` | arena link-value engine ≡ kept textbook baseline     | `baseline::link_values_ref` |
+//! | `hierarchy` | link-value engine ≡ kept textbook baseline, shortest and valley-free paths | `baseline::link_values_ref` |
 //! | `distortion`| allocation-free Brandes ≡ DAG-based Brandes; folded values within their bound, certified centers ≡ reference; center reuse ≡ fresh thread | the kept DAG loop; a fresh thread |
 //!
 //! Every failure is replayable: the runner prints (and records in

@@ -55,8 +55,8 @@ impl Default for HierOptions {
 /// --timings` aggregates and archives as `BENCH_tab-hierarchy.json`.
 /// Link values are served from and persisted to `ctx.store`, the
 /// traversal runs under the context's deadline and trace sink, and the
-/// traversal arena's size raises `ctx.instrument`'s arena peak when one
-/// is attached.
+/// largest link-range buffer raises `ctx.instrument`'s arena peak when
+/// one is attached.
 ///
 /// # Panics
 /// Panics if `opts.policy` is set but the topology has no annotations
@@ -88,8 +88,8 @@ pub fn hierarchy_report_timed_in(
     let mut values = cached_link_values(ctx, &work, &mode, t, &ins);
     let timings = ins.report();
     if let Some(run) = &ctx.instrument {
-        // One traversal per call, so its arena bytes are this call's.
-        run.record_arena_peak(timings.arena_bytes);
+        // The largest link-range buffer the covers held at once.
+        run.record_arena_peak(timings.arena_bytes_peak);
     }
     let degree_correlation = link_value_degree_correlation(&work, &values);
     let class = topogen_hierarchy::classify_hierarchy(&values);
@@ -190,12 +190,17 @@ mod tests {
         let ctx = RunCtx::new().with_instrument(run.clone());
         let (r, timings) = hierarchy_report_timed_in(&ctx, &t, &HierOptions::default());
         assert_eq!(r.values.len(), t.graph.edge_count());
-        // The run-level sink keeps the arena's size as its peak.
-        assert_eq!(run.report().arena_bytes_peak, timings.arena_bytes);
+        // The run-level sink keeps the largest range buffer as its peak;
+        // one range never holds more than all the traversal sets.
+        assert_eq!(run.report().arena_bytes_peak, timings.arena_bytes_peak);
+        assert!(timings.arena_bytes_peak > 0);
+        assert!(timings.arena_bytes_peak <= timings.arena_bytes);
         // 36 nodes, all reachable: C(36, 2) pairs accumulated.
         assert_eq!(timings.pairs_accumulated, 36 * 35 / 2);
         assert!(timings.dag_states > 0);
-        assert!(timings.arena_bytes > 0);
+        // The traversal-set bytes the covers gather, unchanged from the
+        // arena they replace: 61 offsets plus 7,420 pairs of 16 bytes.
+        assert_eq!(timings.arena_bytes, 119_208);
         let names: Vec<&str> = timings.phases.iter().map(|p| p.name.as_str()).collect();
         assert!(names.contains(&"hier-traversal"), "phases: {names:?}");
         assert!(names.contains(&"hier-cover"), "phases: {names:?}");

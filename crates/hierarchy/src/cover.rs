@@ -6,11 +6,12 @@
 //! vertex cover of the pair set — approximated with the classical
 //! primal-dual (local-ratio) algorithm \[30\], a 2-approximation.
 //!
-//! The hot loops run on compact index-remapped vectors: the (few) nodes
-//! appearing in one link's traversal set are collected into a sorted id
-//! table ([`NodeWeights`]) and every per-node quantity (weight sums,
-//! primal-dual residuals) lives in a dense vector parallel to it — no
-//! hash maps anywhere on the link-value path.
+//! The hot loop (behind [`link_value`]) runs on a dense per-worker
+//! node-indexed table: each distinct endpoint gets a compact index on
+//! first sight, every per-node quantity (weight sums, primal-dual
+//! residuals) lives in a dense vector behind it, and only the chosen
+//! cover's nodes are sorted, to sum the value in ascending id order —
+//! no hash maps and no per-pair searches anywhere on the link-value path.
 
 use crate::traversal::PairWeight;
 use topogen_graph::NodeId;
@@ -79,38 +80,15 @@ impl NodeWeights {
 /// Node weights `W(x, l)` for one link's traversal set: the average
 /// pair weight over the pairs containing each node.
 pub fn traversal_node_weights(pairs: &[PairWeight]) -> NodeWeights {
-    node_weights_indexed(pairs).0
-}
-
-/// [`traversal_node_weights`] plus each pair's endpoints remapped to
-/// compact indices — the id-table lookups happen once here and are
-/// shared with the cover loop by [`link_value`].
-fn node_weights_indexed(pairs: &[PairWeight]) -> (NodeWeights, Vec<(u32, u32)>) {
-    let mut ids: Vec<NodeId> = Vec::with_capacity(2 * pairs.len());
-    for p in pairs {
-        ids.push(p.u);
-        ids.push(p.v);
-    }
-    ids.sort_unstable();
-    ids.dedup();
-    let mut sums = vec![0.0f64; ids.len()];
-    let mut counts = vec![0u32; ids.len()];
-    let mut idx = Vec::with_capacity(pairs.len());
-    for p in pairs {
-        let iu = ids.binary_search(&p.u).expect("endpoint in id table");
-        sums[iu] += p.w;
-        counts[iu] += 1;
-        let iv = ids.binary_search(&p.v).expect("endpoint in id table");
-        sums[iv] += p.w;
-        counts[iv] += 1;
-        idx.push((iu as u32, iv as u32));
-    }
-    let weights = sums
-        .into_iter()
-        .zip(&counts)
-        .map(|(s, &c)| s / c as f64)
-        .collect();
-    (NodeWeights { ids, weights }, idx)
+    let mut s = CoverScratch::for_pairs(pairs);
+    s.weigh(pairs);
+    NodeWeights::from_pairs_list(
+        s.ids
+            .iter()
+            .copied()
+            .zip(s.weights.iter().copied())
+            .collect(),
+    )
 }
 
 /// Primal-dual 2-approximate minimum weighted vertex cover of the pair
@@ -119,33 +97,15 @@ fn node_weights_indexed(pairs: &[PairWeight]) -> (NodeWeights, Vec<(u32, u32)>) 
 /// ascending node-id order (and `value` summed in that order, so the
 /// result is deterministic).
 pub fn weighted_vertex_cover(pairs: &[PairWeight], weights: &NodeWeights) -> (f64, Vec<NodeId>) {
-    let idx: Vec<(u32, u32)> = pairs
-        .iter()
-        .map(|p| {
+    let mut residual = weights.weights.clone();
+    primal_dual(
+        &mut residual,
+        pairs.iter().map(|p| {
             let iu = weights.index_of(p.u).expect("pair endpoint has a weight");
             let iv = weights.index_of(p.v).expect("pair endpoint has a weight");
-            (iu as u32, iv as u32)
-        })
-        .collect();
-    vertex_cover_indexed(&idx, weights)
-}
-
-/// The primal-dual loop over pre-remapped endpoint indices.
-fn vertex_cover_indexed(idx: &[(u32, u32)], weights: &NodeWeights) -> (f64, Vec<NodeId>) {
-    let mut residual: Vec<f64> = weights.weights.clone();
-    const TIGHT: f64 = 1e-12;
-    for &(iu, iv) in idx {
-        if iu == iv {
-            continue;
-        }
-        let (iu, iv) = (iu as usize, iv as usize);
-        if residual[iu] <= TIGHT || residual[iv] <= TIGHT {
-            continue; // already covered
-        }
-        let eps = residual[iu].min(residual[iv]);
-        residual[iu] -= eps;
-        residual[iv] -= eps;
-    }
+            (iu, iv)
+        }),
+    );
     let mut value = 0.0;
     let mut cover = Vec::new();
     for (i, &r) in residual.iter().enumerate() {
@@ -157,15 +117,119 @@ fn vertex_cover_indexed(idx: &[(u32, u32)], weights: &NodeWeights) -> (f64, Vec<
     (value, cover)
 }
 
-/// End-to-end value of one link: node weights from its traversal set,
-/// then the weighted cover value. Zero for an empty traversal set. The
-/// endpoint→index remap is computed once and shared by both stages.
-pub fn link_value(pairs: &[PairWeight]) -> f64 {
-    if pairs.is_empty() {
-        return 0.0;
+/// Residual at or below which a node counts as paid for (in the cover).
+const TIGHT: f64 = 1e-12;
+
+/// The primal-dual loop: for each pair in order whose endpoints both
+/// still have residual weight, lower both by the smaller residual.
+fn primal_dual(residual: &mut [f64], pairs: impl Iterator<Item = (usize, usize)>) {
+    for (iu, iv) in pairs {
+        if iu == iv {
+            continue;
+        }
+        if residual[iu] <= TIGHT || residual[iv] <= TIGHT {
+            continue; // already covered
+        }
+        let eps = residual[iu].min(residual[iv]);
+        residual[iu] -= eps;
+        residual[iv] -= eps;
     }
-    let (w, idx) = node_weights_indexed(pairs);
-    vertex_cover_indexed(&idx, &w).0
+}
+
+/// End-to-end value of one link: node weights from its traversal set,
+/// then the weighted cover value. Zero for an empty traversal set.
+pub fn link_value(pairs: &[PairWeight]) -> f64 {
+    CoverScratch::for_pairs(pairs).link_value(pairs)
+}
+
+/// Marks a node without a compact index in [`CoverScratch`].
+const UNSEEN: u32 = u32::MAX;
+
+/// Reusable state of [`CoverScratch::link_value`]: a node-indexed table
+/// of compact indices plus the dense per-index vectors behind it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct CoverScratch {
+    /// Compact index of each node id, or [`UNSEEN`].
+    slot: Vec<u32>,
+    /// Distinct endpoints, in first-appearance order.
+    ids: Vec<NodeId>,
+    /// Per index: the weight sum, then the average weight.
+    weights: Vec<f64>,
+    /// Per index: pairs containing the node.
+    counts: Vec<u32>,
+    /// Per index: primal-dual residual.
+    residual: Vec<f64>,
+    /// The cover's `(id, weight)`s, sorted by id to sum the value.
+    cover: Vec<(NodeId, f64)>,
+}
+
+impl CoverScratch {
+    /// Scratch for traversal sets over nodes `0..n`.
+    pub(crate) fn new(n: usize) -> CoverScratch {
+        CoverScratch {
+            slot: vec![UNSEEN; n],
+            ..CoverScratch::default()
+        }
+    }
+
+    /// Scratch sized for the endpoints of `pairs`.
+    fn for_pairs(pairs: &[PairWeight]) -> CoverScratch {
+        let n = pairs.iter().map(|p| p.u.max(p.v) as usize + 1).max();
+        CoverScratch::new(n.unwrap_or(0))
+    }
+
+    /// [`link_value`] on this scratch: the same sums, residuals and
+    /// ascending-id total, bit for bit.
+    pub(crate) fn link_value(&mut self, pairs: &[PairWeight]) -> f64 {
+        if pairs.is_empty() {
+            return 0.0;
+        }
+        self.weigh(pairs);
+        self.residual.clone_from(&self.weights);
+        let slot = &self.slot;
+        primal_dual(
+            &mut self.residual,
+            pairs
+                .iter()
+                .map(|p| (slot[p.u as usize] as usize, slot[p.v as usize] as usize)),
+        );
+        self.cover.clear();
+        for (i, &r) in self.residual.iter().enumerate() {
+            if r <= TIGHT {
+                self.cover.push((self.ids[i], self.weights[i]));
+            }
+        }
+        self.cover.sort_unstable_by_key(|&(x, _)| x);
+        let value = self.cover.iter().fold(0.0, |acc, &(_, w)| acc + w);
+        for &x in &self.ids {
+            self.slot[x as usize] = UNSEEN;
+        }
+        value
+    }
+
+    /// Give each distinct endpoint a compact index and its average pair
+    /// weight, summed in pair order.
+    fn weigh(&mut self, pairs: &[PairWeight]) {
+        self.ids.clear();
+        self.weights.clear();
+        self.counts.clear();
+        for p in pairs {
+            for x in [p.u, p.v] {
+                let s = &mut self.slot[x as usize];
+                if *s == UNSEEN {
+                    *s = self.ids.len() as u32;
+                    self.ids.push(x);
+                    self.weights.push(0.0);
+                    self.counts.push(0);
+                }
+                self.weights[*s as usize] += p.w;
+                self.counts[*s as usize] += 1;
+            }
+        }
+        for (w, &c) in self.weights.iter_mut().zip(&self.counts) {
+            *w /= c as f64;
+        }
+    }
 }
 
 /// Validation helper: does `cover` hit every pair?
@@ -245,6 +309,27 @@ mod tests {
         let small = vec![pw(0, 1, 1.0)];
         let big = vec![pw(0, 1, 1.0), pw(2, 3, 1.0), pw(4, 5, 1.0)];
         assert!(link_value(&big) >= link_value(&small) - 1e-9);
+    }
+
+    #[test]
+    fn scratch_matches_the_sorted_table_bit_for_bit() {
+        // Endpoints arrive out of id order, so first-appearance indices
+        // differ from sorted ones; the value must not.
+        let pairs = vec![
+            pw(9, 12, 0.3),
+            pw(2, 9, 0.7),
+            pw(4, 12, 0.1),
+            pw(2, 4, 0.9),
+            pw(0, 9, 0.25),
+        ];
+        let w = traversal_node_weights(&pairs);
+        let (want, _) = weighted_vertex_cover(&pairs, &w);
+        let mut s = CoverScratch::new(13);
+        for _ in 0..2 {
+            // Reuse leaves no state behind.
+            assert_eq!(s.link_value(&pairs).to_bits(), want.to_bits());
+        }
+        assert_eq!(link_value(&pairs).to_bits(), want.to_bits());
     }
 
     #[test]

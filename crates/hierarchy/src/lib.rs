@@ -23,15 +23,15 @@
 //! correlation means the backbone was placed deliberately (Tree, TS,
 //! Tiers, RL).
 //!
-//! Modules: [`dag`] (unified shortest-path/policy path DAGs),
-//! [`traversal`] (per-link traversal sets — a parallel, arena-backed
-//! engine over the shared `topogen-par` map, bit-identical at any
-//! thread count), [`cover`] (weighted vertex cover on compact
-//! index-remapped vectors), [`linkvalue`] (end-to-end link values and
+//! Modules: [`traversal`] (per-link traversal sets — flat per-source
+//! DAGs in parallel, then a parallel link-range gather, bit-identical
+//! at any thread count), [`cover`] (weighted vertex cover on a dense
+//! node-indexed scratch), [`linkvalue`] (end-to-end link values and
 //! rank distributions, with optional instrumentation), [`baseline`]
 //! (the serial pre-arena pipeline, kept as correctness oracle and bench
-//! baseline), [`classify`] (strict/moderate/loose), [`correlation`]
-//! (link-value ↔ degree).
+//! baseline), [`dag`] (the baseline's per-source path DAGs),
+//! [`classify`] (strict/moderate/loose), [`correlation`] (link-value ↔
+//! degree).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,4 +46,4 @@ pub mod traversal;
 
 pub use classify::{classify_hierarchy, HierarchyClass};
 pub use linkvalue::{link_values, link_values_threads, normalized_rank_distribution, PathMode};
-pub use traversal::{link_traversals, link_traversals_threads, LinkTraversals};
+pub use traversal::{link_traversals, link_traversals_threads};

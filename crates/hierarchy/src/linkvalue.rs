@@ -1,9 +1,9 @@
 //! End-to-end link values and their rank distributions (Figures 3 & 4).
 
-use crate::cover::link_value;
-use crate::traversal::{link_traversals_threads, PairWeight};
+use crate::cover::CoverScratch;
+use crate::traversal::SourceSets;
 use topogen_graph::Graph;
-use topogen_par::{par_map_threads, phase, Instrument};
+use topogen_par::{phase, Instrument};
 use topogen_policy::rel::AsAnnotations;
 
 /// Which path notion defines the traversal sets.
@@ -39,10 +39,11 @@ pub fn link_values(g: &Graph, mode: &PathMode<'_>) -> Vec<f64> {
 /// [`link_values`] with an explicit worker count (`None` =
 /// `available_parallelism`, `Some(1)` = fully serial) and an optional
 /// instrumentation sink. Both pipeline stages — the per-source traversal
-/// accumulation and the per-link weighted covers — run on the shared
-/// `topogen-par` map, and both are bit-identical at any thread count.
-/// The sink receives the `hier-traversal` / `hier-cover` phase times
-/// plus the DAG-state, pair, and arena-byte counters.
+/// accumulation and the per-link-range gather plus weighted covers —
+/// run on the shared `topogen-par` map, and both are bit-identical at
+/// any thread count. The sink receives the `hier-traversal` /
+/// `hier-cover` phase times plus the DAG-state, pair, traversal-byte
+/// and range-buffer counters.
 pub fn link_values_threads(
     g: &Graph,
     mode: &PathMode<'_>,
@@ -53,11 +54,17 @@ pub fn link_values_threads(
     if n == 0 {
         return Vec::new();
     }
-    let t = link_traversals_threads(g, mode, threads, ins);
-    // Per-link covers are independent: spread them over cores.
+    let sets = SourceSets::compute(g, mode, threads, ins);
+    // Each range's covers are independent: spread them over cores.
     let _cover_phase = phase(ins, "hier-cover");
-    let links: Vec<&[PairWeight]> = t.iter_links().collect();
-    par_map_threads(&links, threads, |pairs| link_value(pairs) / n as f64)
+    sets.map_ranges(threads, |range| {
+        let mut cover = CoverScratch::new(n);
+        range
+            .links()
+            .map(|pairs| cover.link_value(pairs) / n as f64)
+            .collect::<Vec<f64>>()
+    })
+    .concat()
 }
 
 /// One point of the link-value rank distribution.

@@ -42,7 +42,7 @@ proptest! {
         // b themselves (weight 1 unless split with an equal-cost path —
         // impossible for adjacent nodes). So no traversal set is empty.
         let t = link_traversals(&g, &PathMode::Shortest);
-        for (idx, link) in t.iter_links().enumerate() {
+        for (idx, link) in t.iter().enumerate() {
             let e = g.edges()[idx];
             let own = link.iter().find(|p| p.u == e.a && p.v == e.b);
             prop_assert!(own.is_some(), "link {e} missing its own pair");
@@ -55,7 +55,7 @@ proptest! {
         // Σ_links w(u,v,l) = d(u,v) for every pair.
         let t = link_traversals(&g, &PathMode::Shortest);
         let mut acc: std::collections::HashMap<(NodeId, NodeId), f64> = Default::default();
-        for link in t.iter_links() {
+        for link in &t {
             for p in link {
                 *acc.entry((p.u, p.v)).or_insert(0.0) += p.w;
             }
@@ -69,7 +69,7 @@ proptest! {
     #[test]
     fn covers_are_covers(g in arb_connected()) {
         let t = link_traversals(&g, &PathMode::Shortest);
-        for link in t.iter_links() {
+        for link in &t {
             let w = traversal_node_weights(link);
             let (value, cover) = weighted_vertex_cover(link, &w);
             prop_assert!(covers_all(link, &cover));

@@ -159,8 +159,8 @@ counters! {
     dag_states: add_dag_states, Sum, Always, gated;
     /// (source, target) pairs accumulated into traversal sets.
     pairs_accumulated: add_pairs_accumulated, Sum, Always, gated;
-    /// Bytes held by traversal-set arenas (offsets + flat pair buffer),
-    /// summed over link-value runs.
+    /// Traversal-set bytes the link-value covers gather (offsets + flat
+    /// pair buffer, as one arena would hold them), summed over runs.
     arena_bytes: add_arena_bytes, Sum, Always, gated;
     /// `u64` bitset words touched by the batched BFS kernels (frontier
     /// OR/AND-NOT sweeps plus bottom-up pulls; zero on the scalar path).
@@ -168,13 +168,13 @@ counters! {
     /// Frontier-expansion passes executed by the batched BFS kernels
     /// (one per level per direction-optimized sweep).
     frontier_passes: add_frontier_passes, Sum, Nonzero, gated;
-    /// Peak per-source scratch bytes of the hierarchy traversal stage
-    /// (the compressed frontier-local representation's high-water mark).
+    /// Peak per-pair scratch bytes of the hierarchy traversal stage: the
+    /// raw `(link, share)` contributions of the pair that emitted most.
     scratch_bytes: record_scratch_peak, Max, Nonzero, gated;
     /// Sorted runs spilled to disk by memory-budgeted streaming builds.
     spill_runs: add_spill_runs, Sum, Nonzero, gated;
-    /// Largest single arena held: a traversal-set arena or a streaming
-    /// build's edge buffer (a max, where `arena_bytes` is a sum).
+    /// Largest single buffer held: a hierarchy link-range buffer or a
+    /// streaming build's edge buffer (a max, where `arena_bytes` is a sum).
     arena_bytes_peak: record_arena_peak, Max, Nonzero, ungated;
     /// Brandes sources swept by distortion's ball-center computations: the
     /// folded 2-core's sources, plus every node when the reference pass

@@ -19,7 +19,7 @@
 //! equal-cost path counts — which the hierarchy analysis (§5, footnote
 //! 27) relies on.
 
-use crate::rel::AsAnnotations;
+use crate::rel::{AsAnnotations, Relationship};
 use std::collections::VecDeque;
 use topogen_graph::{Graph, NodeId, UNREACHED};
 
@@ -38,6 +38,31 @@ pub fn state(node: NodeId, phase: u32) -> u32 {
 #[inline]
 pub fn state_node(s: u32) -> NodeId {
     s / 2
+}
+
+/// The valley-free step rule: the phase a path in `phase` at `u` enters
+/// its neighbour `v` in when it crosses their link (annotated `rel`), or
+/// `None` when the step would break `up* peer? down*`. Ascending, an up
+/// or sibling step keeps climbing and a peer or down step starts the
+/// descent; descending, only down and sibling steps remain.
+pub fn step(rel: Relationship, u: NodeId, v: NodeId, phase: u32) -> Option<u32> {
+    let (a, b) = (u.min(v), u.max(v));
+    let up = rel.provider(a, b) == Some(v);
+    let down = rel.customer(a, b) == Some(v);
+    let sib = rel == Relationship::Sibling;
+    if phase == PHASE_UP {
+        if up || sib {
+            Some(PHASE_UP)
+        } else if down || rel == Relationship::Peer {
+            Some(PHASE_DOWN)
+        } else {
+            None
+        }
+    } else if down || sib {
+        Some(PHASE_DOWN)
+    } else {
+        None
+    }
 }
 
 /// Shortest valley-free distances (in AS hops) from `src` to every node.
@@ -127,28 +152,8 @@ pub fn policy_shortest_path_dag(g: &Graph, ann: &AsAnnotations, src: NodeId) -> 
         let du = dist[s as usize];
         for &v in g.neighbors(u) {
             let rel = ann.get(g, u, v).expect("annotated graph covers every edge");
-            // Determine the successor phase, or skip if forbidden.
-            let next_phase = {
-                let up = rel.provider(u.min(v), u.max(v)) == Some(v);
-                let down = rel.customer(u.min(v), u.max(v)) == Some(v);
-                let peer = matches!(rel, crate::rel::Relationship::Peer);
-                let sib = matches!(rel, crate::rel::Relationship::Sibling);
-                if phase == PHASE_UP {
-                    if up || sib {
-                        PHASE_UP
-                    } else if peer || down {
-                        PHASE_DOWN
-                    } else {
-                        continue;
-                    }
-                } else {
-                    // Descending: only down or sibling.
-                    if down || sib {
-                        PHASE_DOWN
-                    } else {
-                        continue;
-                    }
-                }
+            let Some(next_phase) = step(rel, u, v, phase) else {
+                continue;
             };
             let sv = state(v, next_phase);
             if dist[sv as usize] == UNREACHED {

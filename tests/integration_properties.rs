@@ -74,7 +74,7 @@ proptest! {
         let t = link_traversals(&g, &PathMode::Shortest);
         let mut per_pair: std::collections::HashMap<(NodeId, NodeId), f64> =
             Default::default();
-        for link in t.iter_links() {
+        for link in &t {
             for pw in link {
                 *per_pair.entry((pw.u, pw.v)).or_insert(0.0) += pw.w;
                 prop_assert!(pw.w > 0.0 && pw.w <= 1.0 + 1e-9);
