@@ -46,6 +46,8 @@ struct Row {
     scalar_secs: f64,
     bitset_secs: f64,
     identical: bool,
+    /// Bitset levels that ran bottom-up (of `BfsStats::frontier_passes`).
+    pull_passes: u64,
 }
 
 /// One topology's scalar-vs-bitset comparison; returns the row plus the
@@ -80,6 +82,7 @@ fn compare(name: &str, g: &Graph, max_h: u32, reps: usize) -> (Row, BfsStats) {
         scalar_secs: t_scalar.as_secs_f64(),
         bitset_secs: t_bitset.as_secs_f64(),
         identical: bitset_rings == scalar_rings,
+        pull_passes: stats.pull_passes,
     };
     (row, stats)
 }
@@ -117,7 +120,7 @@ fn scale_report(_c: &mut Criterion) {
     ] {
         let (row, stats) = compare(&name, g, max_h, reps);
         println!(
-            "scale report: {} ({} nodes, {} edges, {} sources) scalar {:.4}s, bitset {:.4}s ({:.2}x), identical {}",
+            "scale report: {} ({} nodes, {} edges, {} sources) scalar {:.4}s, bitset {:.4}s ({:.2}x), identical {}, {} of {} levels pulled",
             row.name,
             row.nodes,
             row.edges,
@@ -126,6 +129,8 @@ fn scale_report(_c: &mut Criterion) {
             row.bitset_secs,
             row.scalar_secs / row.bitset_secs.max(1e-12),
             row.identical,
+            row.pull_passes,
+            stats.frontier_passes,
         );
         gate.merge(&stats);
         rows.push(row);
@@ -178,7 +183,7 @@ fn scale_report(_c: &mut Criterion) {
         .iter()
         .map(|r| {
             format!(
-                "    {{ \"name\": \"{}\", \"nodes\": {}, \"edges\": {}, \"sources\": {}, \"scalar_secs\": {:.6}, \"bitset_secs\": {:.6}, \"speedup\": {:.3}, \"identical\": {} }}",
+                "    {{ \"name\": \"{}\", \"nodes\": {}, \"edges\": {}, \"sources\": {}, \"scalar_secs\": {:.6}, \"bitset_secs\": {:.6}, \"speedup\": {:.3}, \"identical\": {}, \"pull_passes\": {} }}",
                 r.name,
                 r.nodes,
                 r.edges,
@@ -187,6 +192,7 @@ fn scale_report(_c: &mut Criterion) {
                 r.bitset_secs,
                 r.scalar_secs / r.bitset_secs.max(1e-12),
                 r.identical,
+                r.pull_passes,
             )
         })
         .collect();

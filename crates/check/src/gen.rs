@@ -70,6 +70,55 @@ pub fn connected_graph(n: usize, extra: usize, seed: u64) -> Graph {
     Graph::from_edges(n, edges)
 }
 
+/// Arbitrary graph for the BFS kernels: 2–300 nodes in one of four
+/// shapes — sparse and often disconnected, dense (average degree 8–30),
+/// small-world (a ring lattice plus random chords), or two disjoint
+/// parts of those shapes — so that multi-source passes meet both sparse
+/// levels, which run top-down, and levels where the frontiers cover
+/// most nodes, which run bottom-up.
+pub fn bfs_graph(seed: u64) -> Graph {
+    let mut rng = Lcg::new(seed);
+    let n = 2 + rng.below(299);
+    let edges: Vec<(NodeId, NodeId)> = match rng.below(4) {
+        3 => {
+            let a = 1 + rng.below(n - 1);
+            let left = bfs_part(a, rng.below(3), rng.next() as u64);
+            let right = bfs_part(n - a, rng.below(3), rng.next() as u64);
+            let shift = a as NodeId;
+            left.into_iter()
+                .chain(right.into_iter().map(|(u, v)| (u + shift, v + shift)))
+                .collect()
+        }
+        shape => bfs_part(n, shape, rng.next() as u64),
+    };
+    Graph::from_edges(n, edges)
+}
+
+/// The edges of one [`bfs_graph`] shape over `n` nodes: 0 sparse, 1
+/// dense, 2 small-world.
+fn bfs_part(n: usize, shape: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
+    let mut rng = Lcg::new(seed);
+    let g = match shape {
+        0 => sparse_graph(n, rng.below(3 * n + 1), rng.next() as u64),
+        1 => sparse_graph(n, n * (4 + rng.below(12)), rng.next() as u64),
+        _ => {
+            let reach = 1 + rng.below(3);
+            let lattice = (0..n).flat_map(|u| (1..=reach).map(move |d| (u, (u + d) % n)));
+            let chords: Vec<(usize, usize)> = (0..rng.below(n / 2 + 1))
+                .map(|_| (rng.below(n), rng.below(n)))
+                .collect();
+            Graph::from_edges(
+                n,
+                lattice
+                    .chain(chords)
+                    .filter(|(u, v)| u != v)
+                    .map(|(u, v)| (u as NodeId, v as NodeId)),
+            )
+        }
+    };
+    g.edges().iter().map(|e| (e.a, e.b)).collect()
+}
+
 /// Arbitrary connected AS graph: [`connected_graph`] with each edge's
 /// relationship drawn uniformly from provider–customer (either way),
 /// peer and sibling — enough valleys that some pairs are unroutable
@@ -93,6 +142,12 @@ pub fn annotated_graph(n: usize, extra: usize, seed: u64) -> (Graph, AsAnnotatio
 /// 30 nodes and up to 80 random edge pairs.
 pub fn arb_graph() -> impl Strategy<Value = Graph> {
     (2usize..30, 0usize..80, any::<u64>()).prop_map(|(n, edges, seed)| sparse_graph(n, edges, seed))
+}
+
+/// Proptest strategy: [`bfs_graph`] — up to 300 nodes, sparse, dense,
+/// small-world or disjoint.
+pub fn arb_bfs_graph() -> impl Strategy<Value = Graph> {
+    any::<u64>().prop_map(bfs_graph)
 }
 
 /// Proptest strategy: arbitrary connected graph of up to 30 nodes
@@ -143,6 +198,21 @@ mod tests {
                 .count();
         }
         assert!(unroutable > 0, "no valley ever blocked a pair");
+    }
+
+    #[test]
+    fn bfs_graphs_cover_every_shape() {
+        let (mut disconnected, mut dense, mut large) = (0, 0, 0);
+        for seed in 0..64u64 {
+            let g = bfs_graph(seed);
+            assert_eq!(g.edges(), bfs_graph(seed).edges(), "seed {seed}");
+            assert!((2..=300).contains(&g.node_count()));
+            assert!(g.edges().iter().all(|e| e.a != e.b));
+            disconnected += usize::from(components(&g).sizes.len() > 1);
+            dense += usize::from(g.edge_count() >= 4 * g.node_count());
+            large += usize::from(g.node_count() > 150);
+        }
+        assert!(disconnected > 0 && dense > 0 && large > 0);
     }
 
     #[test]

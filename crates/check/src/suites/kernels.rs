@@ -10,7 +10,7 @@ use topogen_core::ctx::RunCtx;
 use topogen_core::suite::{run_suite_in, SuiteParams, SuiteResult};
 use topogen_core::zoo::{build_in, Scale, TopologySpec};
 use topogen_graph::bfs;
-use topogen_graph::bfs_bitset::{self, BfsStats};
+use topogen_graph::bfs_bitset::{self, BfsStats, BitsetScratch, MAX_LANES};
 use topogen_graph::{Graph, NodeId, UNREACHED};
 use topogen_metrics::balls::{BallSource, PlainBalls};
 use topogen_metrics::engine::{
@@ -27,8 +27,10 @@ pub fn suite() -> Suite {
         invariants: vec![
             Box::new(Check {
                 name: "bfs-bitset-vs-scalar",
-                property: "bitset bounded BFS distances, ring sizes, and multi-source \
-                           ring counts equal the scalar kernels on arbitrary graphs",
+                property: "bitset bounded BFS distances (with and without a reached-node \
+                           limit) and multi-source ring counts for 1-64 sources equal the \
+                           scalar kernels on sparse, dense, small-world and disconnected \
+                           graphs of up to 300 nodes",
                 oracle: "the scalar per-center BFS kernels",
                 shrink_hint: "shrink the node count, then the edge count, then the radius",
                 max_cases: u32::MAX,
@@ -38,7 +40,8 @@ pub fn suite() -> Suite {
                 name: "ballplan-kernel-identity",
                 property: "a BallPlan forced to the bitset kernels reproduces the \
                            forced-scalar curves bit-for-bit on arbitrary connected graphs, \
-                           with expansion-only centers spanning one or more lane passes",
+                           with expansion-only centers spanning one or more lane passes \
+                           and, in half the cases, a ball size cap below the node count",
                 oracle: "the same plan with KernelPolicy::Scalar",
                 shrink_hint: "shrink the node count, then drop the distortion metric",
                 max_cases: u32::MAX,
@@ -72,35 +75,82 @@ pub fn suite() -> Suite {
 }
 
 fn bfs_bitset_vs_scalar(seed: u64) -> Result<(), String> {
+    bfs_bitset_case(seed).map(drop)
+}
+
+/// One `bfs-bitset-vs-scalar` case. Returns the multi-source pass's
+/// counters, so that a sweep can show both lane directions ran.
+fn bfs_bitset_case(seed: u64) -> Result<BfsStats, String> {
     let mut rng = gen::Lcg::new(seed);
-    let n = 2 + rng.below(40);
-    let g = gen::sparse_graph(n, rng.below(3 * n + 1), rng.next() as u64);
-    let max_h = 1 + rng.below(8) as u32;
+    let g = gen::bfs_graph(rng.next() as u64);
+    let n = g.node_count();
+    // A radius that may stop mid-traversal, or none at all.
+    let max_h = if rng.below(4) == 0 {
+        u32::MAX
+    } else {
+        1 + rng.below(8) as u32
+    };
+    // 1–64 sources, duplicates allowed.
+    let sources: Vec<NodeId> = (0..1 + rng.below(MAX_LANES))
+        .map(|_| rng.below(n) as NodeId)
+        .collect();
+    let case = format!(
+        "n={n} m={} h={max_h} sources={}",
+        g.edge_count(),
+        sources.len()
+    );
     let mut stats = BfsStats::default();
-    for src in 0..n as NodeId {
+    let mut scratch = BitsetScratch::new();
+    for &src in &sources {
         let scalar = bfs::distances_bounded(&g, src, max_h);
         let bitset = bfs_bitset::distances_bounded(&g, src, max_h, &mut stats);
         if scalar != bitset {
             return Err(format!(
-                "n={n} h={max_h}: distances from {src} diverge: scalar {scalar:?} \
-                 vs bitset {bitset:?}"
+                "{case}: distances from {src} diverge: scalar {scalar:?} vs bitset {bitset:?}"
             ));
         }
+        // A node limit ends the run after the first level whose reached
+        // set exceeds it: find that level from the scalar level sizes.
+        let limit = rng.below(n + 1);
+        let mut levels = Vec::new();
+        for &d in scalar.iter().filter(|&&d| d != UNREACHED) {
+            if levels.len() <= d as usize {
+                levels.resize(d as usize + 1, 0);
+            }
+            levels[d as usize] += 1;
+        }
+        let (mut stop, mut reached) = (0, levels[0]);
+        while reached <= limit && stop + 1 < levels.len() {
+            stop += 1;
+            reached += levels[stop];
+        }
+        scratch.run_bounded(&g, src, max_h, limit, &mut stats);
+        for v in g.nodes() {
+            let d = scalar[v as usize];
+            let want = if d as usize <= stop { d } else { UNREACHED };
+            if scratch.dist(v) != want {
+                return Err(format!(
+                    "{case}: source {src} limit {limit}: node {v} at {} vs scalar {want}",
+                    scratch.dist(v)
+                ));
+            }
+        }
     }
-    // Multi-source lanes against per-source scalar ring sizes.
-    let lanes: Vec<NodeId> = (0..n.min(64) as NodeId).collect();
-    let rings = bfs_bitset::multi_source_ring_counts(&g, &lanes, max_h, &mut stats);
-    for (lane, &src) in lanes.iter().enumerate() {
-        let scalar = bfs::ring_sizes(&g, src, max_h);
+    // Multi-source lanes against per-source scalar ring sizes; n hops
+    // stand in for "no radius".
+    let ring_h = max_h.min(n as u32);
+    let mut lane_stats = BfsStats::default();
+    let rings = bfs_bitset::multi_source_ring_counts(&g, &sources, ring_h, &mut lane_stats);
+    for (lane, &src) in sources.iter().enumerate() {
+        let scalar = bfs::ring_sizes(&g, src, ring_h);
         if rings[lane] != scalar {
             return Err(format!(
-                "n={n} h={max_h}: ring counts for source {src} diverge: scalar \
-                 {scalar:?} vs lane {:?}",
+                "{case}: ring counts for source {src} diverge: scalar {scalar:?} vs lane {:?}",
                 rings[lane]
             ));
         }
     }
-    Ok(())
+    Ok(lane_stats)
 }
 
 fn ballplan_kernel_identity(seed: u64) -> Result<(), String> {
@@ -109,16 +159,23 @@ fn ballplan_kernel_identity(seed: u64) -> Result<(), String> {
     let n = 8 + rng.below(153);
     let g = gen::connected_graph(n, rng.below(2 * n), rng.next() as u64);
     let src = PlainBalls { graph: &g };
-    // Every node is an expansion center and about a quarter are also
-    // ball centers, so the multi-source lane kernel serves the rest.
-    let exp_centers: Vec<NodeId> = g.nodes().collect();
+    // About three quarters of the nodes are expansion centers, served
+    // by the multi-source lane kernel unless they are also among the
+    // quarter that are ball centers; the other ball centers are
+    // ball-only.
+    let exp_centers: Vec<NodeId> = g.nodes().filter(|_| rng.below(4) != 0).collect();
     let centers: Vec<NodeId> = g.nodes().filter(|_| rng.below(4) == 0).collect();
+    // In half the cases the metrics decline balls above a cap below the
+    // node count, and the plan carries that cap: ball-only centers then
+    // stop their BFS at the first over-cap radius.
+    let cap = (rng.below(2) == 0).then(|| 1 + rng.below(n - 1));
+    let max_ball_nodes = cap.unwrap_or(1_000);
     let res = ResilienceMetric {
         restarts: 2,
-        max_ball_nodes: 1_000,
+        max_ball_nodes,
     };
     let dis = DistortionMetric {
-        max_ball_nodes: 1_000,
+        max_ball_nodes,
         use_bartal: false,
         polish: false,
     };
@@ -127,6 +184,7 @@ fn ballplan_kernel_identity(seed: u64) -> Result<(), String> {
             .ball_centers(centers.clone())
             .expansion_centers(exp_centers.clone())
             .kernel(policy)
+            .ball_size_cap(cap)
             .metric(&res)
             .metric(&dis)
             .run()
@@ -140,7 +198,9 @@ fn ballplan_kernel_identity(seed: u64) -> Result<(), String> {
             .zip(&bitset.expansion)
             .any(|(a, b)| a.to_bits() != b.to_bits())
     {
-        return Err(format!("n={n}: expansion diverges between kernels"));
+        return Err(format!(
+            "n={n} cap={cap:?}: expansion diverges between kernels"
+        ));
     }
     if scalar.curves.len() != bitset.curves.len() {
         return Err(format!("n={n}: curve count diverges between kernels"));
@@ -153,7 +213,9 @@ fn ballplan_kernel_identity(seed: u64) -> Result<(), String> {
                     && x.value.to_bits() == y.value.to_bits()
             });
         if !same {
-            return Err(format!("n={n}: metric curve {i} diverges between kernels"));
+            return Err(format!(
+                "n={n} cap={cap:?}: metric curve {i} diverges between kernels"
+            ));
         }
     }
     Ok(())
@@ -384,4 +446,28 @@ fn zoo_archive_kernel_identity(_seed: u64) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bfs_cases_run_both_lane_directions() {
+        // Across a sweep the multi-source passes must take both
+        // directions, and some single pass must mix them.
+        let (mut total, mut mixed) = (BfsStats::default(), 0);
+        for seed in 0..48 {
+            let stats = bfs_bitset_case(seed).expect("green case");
+            mixed +=
+                usize::from(0 < stats.pull_passes && stats.pull_passes < stats.frontier_passes);
+            total.merge(&stats);
+        }
+        assert!(total.pull_passes > 0, "no level ran bottom-up");
+        assert!(
+            total.pull_passes < total.frontier_passes,
+            "no level ran top-down"
+        );
+        assert!(mixed > 0, "no pass mixed the two directions");
+    }
 }

@@ -627,6 +627,51 @@ mod tests {
     }
 
     #[test]
+    fn sampled_suite_cis_match_across_kernels() {
+        // Sampled settings on a graph larger than the ball cap: the
+        // bitset path's ball-only centers stop their BFS at the first
+        // over-cap radius and return shorter rows, and the curves,
+        // expansion and bootstrap CIs must still equal the scalar run's
+        // bit for bit.
+        let t = build_in(
+            &RunCtx::new(),
+            &TopologySpec::Mesh { side: 24 },
+            Scale::Small,
+            11,
+        );
+        let params = SuiteParams {
+            max_ball_nodes: 150,
+            bootstrap: Some(50),
+            ..SuiteParams::quick()
+        };
+        assert!(t.graph.node_count() > params.max_ball_nodes);
+        let run =
+            |policy: KernelPolicy| run_suite_in(&RunCtx::new().with_kernel(policy), &t, &params);
+        let (scalar, bitset) = (run(KernelPolicy::Scalar), run(KernelPolicy::Bitset));
+        assert!(bitset.timings.frontier_passes > 0, "bitset path not taken");
+        let bits = |r: &SuiteResult| {
+            let curve = |c: &[CurvePoint]| {
+                c.iter()
+                    .map(|p| (p.radius, p.avg_size.to_bits(), p.value.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            let cis = r.cis.expect("bootstrap CIs at sampled settings");
+            let pair = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+            (
+                r.expansion.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                curve(&r.resilience),
+                curve(&r.distortion),
+                [
+                    pair(cis.expansion_rate),
+                    pair(cis.resilience_peak),
+                    pair(cis.distortion_last),
+                ],
+            )
+        };
+        assert_eq!(bits(&bitset), bits(&scalar));
+    }
+
+    #[test]
     fn partial_checkpoints_resume_without_recompute() {
         // Simulate a mid-suite kill: run with a store (partials land on
         // disk), delete only the final curves entry, then re-run. The

@@ -12,18 +12,29 @@
 //!   pulls (scan unvisited nodes, probe their neighbors against a
 //!   frontier bitset) when the frontier grows past `2m/α` edges — the
 //!   dense small-diameter regime where top-down rescans most of the
-//!   edge set per level.
+//!   edge set per level. Besides a hop bound it takes a reached-node
+//!   limit: the run stops after the first level whose reached set
+//!   exceeds it, which is all a size-capped ball center needs.
 //! * A **multi-source** kernel ([`multi_source_ring_counts`]) advancing
 //!   up to 64 sources per pass: each node carries a `u64` lane mask (bit
-//!   `k` = "source `k` has reached this node"), and one frontier
-//!   expansion ORs whole lane words across edges (`next[u] |= front[v]`,
-//!   `new = next & !visited`), so 64 expansion-source traversals cost
-//!   one sweep. The multi-source kernel is deliberately top-down only:
-//!   bottom-up's payoff is the early exit on the first frontier
-//!   neighbor, and with 64 independent lanes a node almost never
-//!   completes all lanes on its first probe, while the lane-parallel
-//!   top-down sweep already caps per-level work at one word-op per
-//!   frontier edge.
+//!   `k` = "source `k` has reached this node"). It is direction-
+//!   optimizing too (Beamer et al., SC 2012). A **push** level ORs whole
+//!   lane words across the frontier's edges (`next[u] |= front[v]`,
+//!   `new = next & !visited`), so 64 traversals cost one sweep. Once the
+//!   frontier's adjacency exceeds `1/LANE_ALPHA` (half) of the adjacency
+//!   of the *open* nodes — those some lane has not reached yet — the
+//!   level runs as a **pull** instead: it walks the open list in node
+//!   order, ORs the frontier words of each node's neighbors until every
+//!   lane the node lacks is covered, and writes the node's new lanes
+//!   once. A push level does a scattered read-modify-write per edge and
+//!   then a second scattered pass over the touched nodes; a pull level
+//!   writes each node once, in order, and nodes every lane has reached
+//!   leave the open list for good. On small-world graphs the union of
+//!   64 frontiers holds nearly every node for several levels, and there
+//!   a pull level wins even when no node completes its lanes early.
+//!   Either way a level's per-lane ring counts accumulate in a
+//!   bit-sliced counter, a few word operations per node rather than one
+//!   increment per lane.
 //!
 //! Both kernels produce exactly the distances of the scalar oracle
 //! (hop-count BFS levels are unique), so every downstream aggregate —
@@ -132,10 +143,14 @@ pub fn select_kernel(policy: KernelPolicy, n: usize, m: usize, centers: usize) -
 /// timing, so they can feed the ratcheting perf gate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BfsStats {
-    /// Bitset words read or written.
+    /// Bitset and lane words read or written, in both directions.
     pub words_scanned: u64,
     /// Level-synchronous frontier passes executed.
     pub frontier_passes: u64,
+    /// The multi-source levels among `frontier_passes` that ran
+    /// bottom-up (pull). Proves the pull path ran; the perf gate does
+    /// not read it.
+    pub pull_passes: u64,
 }
 
 impl BfsStats {
@@ -143,12 +158,21 @@ impl BfsStats {
     pub fn merge(&mut self, other: &BfsStats) {
         self.words_scanned += other.words_scanned;
         self.frontier_passes += other.frontier_passes;
+        self.pull_passes += other.pull_passes;
     }
 }
 
 /// Frontier edges must exceed `2m/ALPHA` before a level runs bottom-up
 /// (Beamer's α; the conventional value for direction-optimizing BFS).
 const ALPHA: u64 = 14;
+
+/// A multi-source level runs bottom-up when its frontier's adjacency
+/// exceeds `1/LANE_ALPHA` of the open nodes' adjacency — "more than
+/// half". Chosen by measured time on the sampled large-tier graphs, not
+/// by the word counter: a pull level may read more words than the push
+/// level it replaces and still run faster, because it writes each node
+/// once, in order.
+const LANE_ALPHA: u64 = 2;
 
 /// Reusable single-source bitset BFS state: one visited bitmap, one
 /// frontier bitmap (materialized only for bottom-up levels), a distance
@@ -188,8 +212,19 @@ impl BitsetScratch {
 
     /// Run a bounded direction-optimizing BFS from `src`, replacing any
     /// previous contents. Nodes farther than `max_h` hops are left
-    /// unvisited. Work counters accumulate into `stats`.
-    pub fn run_bounded(&mut self, g: &Graph, src: NodeId, max_h: u32, stats: &mut BfsStats) {
+    /// unvisited, and a level starts only while at most `max_nodes`
+    /// nodes are reached: the run stops after the first level whose
+    /// reached set exceeds `max_nodes`, and levels past it read as
+    /// empty. Pass `usize::MAX` for the whole distance field. Work
+    /// counters accumulate into `stats`.
+    pub fn run_bounded(
+        &mut self,
+        g: &Graph,
+        src: NodeId,
+        max_h: u32,
+        max_nodes: usize,
+        stats: &mut BfsStats,
+    ) {
         let n = g.node_count();
         let words = n.div_ceil(64);
         if self.visited.len() < words {
@@ -212,7 +247,7 @@ impl BitsetScratch {
         // The frontier is `touched[lo..hi]`; each level appends the next.
         let (mut lo, mut hi) = (0, 1);
         let mut level = 1u32;
-        while lo < hi && level <= max_h {
+        while lo < hi && level <= max_h && hi <= max_nodes {
             let frontier_edges: u64 = self.touched[lo..hi]
                 .iter()
                 .map(|&u| g.neighbors(u).len() as u64)
@@ -334,6 +369,8 @@ impl BitsetScratch {
 
     /// Counts of nodes at *exactly* each hop distance `0..=max_h` for
     /// the most recent run (which must have been bounded by `max_h`).
+    /// After a run cut short by its node limit, rings past the last
+    /// level it ran are zero.
     pub fn ring_sizes(&self, max_h: u32) -> Vec<usize> {
         let mut rings = vec![0usize; max_h as usize + 1];
         for &v in &self.touched {
@@ -349,7 +386,7 @@ impl BitsetScratch {
 /// tests and one-off callers.
 pub fn distances_bounded(g: &Graph, src: NodeId, max_h: u32, stats: &mut BfsStats) -> Vec<u32> {
     let mut s = BitsetScratch::new();
-    s.run_bounded(g, src, max_h, stats);
+    s.run_bounded(g, src, max_h, usize::MAX, stats);
     let mut out = vec![UNREACHED; g.node_count()];
     for &v in s.touched() {
         out[v as usize] = s.dist[v as usize];
@@ -382,8 +419,9 @@ pub fn multi_source_ring_counts(
 }
 
 /// Reusable multi-source lane state: per-node visited/frontier/next
-/// lane masks (bit `k` of `visited[v]` = source `k` has reached `v`)
-/// plus the frontier node lists. Between passes `front` and `next` are
+/// lane masks (bit `k` of `visited[v]` = source `k` has reached `v`),
+/// the frontier node lists, and the open list pull levels walk (nodes
+/// some lane has not reached). Between passes `front` and `next` are
 /// all zero and the lists empty; each pass clears `visited` itself, so
 /// one scratch serves any number of passes over graphs of any size.
 #[derive(Debug, Default)]
@@ -393,6 +431,7 @@ pub struct LaneScratch {
     next: Vec<u64>,
     front_nodes: Vec<NodeId>,
     next_nodes: Vec<NodeId>,
+    open: Vec<NodeId>,
 }
 
 impl LaneScratch {
@@ -410,11 +449,15 @@ impl LaneScratch {
             next: vec![0; n],
             front_nodes: Vec::with_capacity(n),
             next_nodes: Vec::with_capacity(n),
+            open: Vec::with_capacity(n),
         }
     }
 
     /// One lane-parallel pass: the ring counts of
     /// [`multi_source_ring_counts`], reusing this scratch's buffers.
+    /// Each level runs top-down (push) or bottom-up (pull) as the
+    /// module doc describes; hop levels are unique, so the direction
+    /// never changes a count.
     ///
     /// # Panics
     /// Panics if `sources.len() > 64`.
@@ -447,8 +490,11 @@ impl LaneScratch {
             next,
             front_nodes,
             next_nodes,
+            open,
         } = self;
         visited[..n].fill(0);
+        let full = u64::MAX >> (MAX_LANES - lanes);
+        let degree = |v: NodeId| g.degree(v) as u64;
 
         for (k, &s) in sources.iter().enumerate() {
             if front[s as usize] == 0 {
@@ -459,44 +505,113 @@ impl LaneScratch {
             rings[k][0] += 1;
         }
         stats.words_scanned += lanes as u64;
+        // Adjacency of the frontier, and of the open nodes (those some
+        // lane has not reached); the open list itself is built by the
+        // first pull level.
+        let mut front_edges: u64 = front_nodes.iter().map(|&s| degree(s)).sum();
+        let mut open_edges: u64 = 2 * g.edge_count() as u64
+            - front_nodes
+                .iter()
+                .filter(|&&s| visited[s as usize] == full)
+                .map(|&s| degree(s))
+                .sum::<u64>();
+        let mut open_built = false;
+        let mut counter = LaneCounter::new();
 
         let mut level = 1u32;
         while !front_nodes.is_empty() && level <= max_h {
             next_nodes.clear();
-            let mut edge_words = 0u64;
-            for &v in front_nodes.iter() {
-                let f = front[v as usize];
-                for &u in g.neighbors(v) {
-                    if next[u as usize] == 0 {
+            let mut next_edges = 0u64;
+            if front_edges * LANE_ALPHA > open_edges {
+                // Pull: each open node ORs its neighbors' frontier
+                // words until it holds every lane it lacks, then writes
+                // its new lanes once, into `next`.
+                if !open_built {
+                    open.clear();
+                    open.extend((0..n as NodeId).filter(|&u| visited[u as usize] != full));
+                    open_built = true;
+                }
+                let scanned = open.len();
+                let mut probes = 0u64;
+                let mut kept = 0;
+                for i in 0..scanned {
+                    let u = open[i];
+                    let need = full & !visited[u as usize];
+                    if need == 0 {
+                        continue; // completed by a push level
+                    }
+                    let mut got = 0u64;
+                    for &w in g.neighbors(u) {
+                        probes += 1;
+                        got |= front[w as usize];
+                        if got & need == need {
+                            break;
+                        }
+                    }
+                    let new = got & need;
+                    if new != 0 {
+                        visited[u as usize] |= new;
+                        next[u as usize] = new;
                         next_nodes.push(u);
+                        next_edges += degree(u);
+                        counter.add(new);
                     }
-                    next[u as usize] |= f;
-                }
-                edge_words += g.neighbors(v).len() as u64;
-            }
-            for &v in front_nodes.iter() {
-                front[v as usize] = 0;
-            }
-            front_nodes.clear();
-            for &u in next_nodes.iter() {
-                let new = next[u as usize] & !visited[u as usize];
-                next[u as usize] = 0;
-                if new != 0 {
-                    visited[u as usize] |= new;
-                    front[u as usize] = new;
-                    front_nodes.push(u);
-                    let mut bits = new;
-                    while bits != 0 {
-                        let k = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        rings[k][level as usize] += 1;
+                    if new == need {
+                        open_edges -= degree(u);
+                    } else {
+                        open[kept] = u;
+                        kept += 1;
                     }
                 }
+                open.truncate(kept);
+                for &v in front_nodes.iter() {
+                    front[v as usize] = 0;
+                }
+                // The new frontier is in `next`/`next_nodes`: swap it
+                // into place, leaving the zeroed old frontier as `next`.
+                std::mem::swap(front, next);
+                std::mem::swap(front_nodes, next_nodes);
+                stats.words_scanned += scanned as u64 + probes + 2 * front_nodes.len() as u64;
+                stats.pull_passes += 1;
+            } else {
+                // Push: OR each frontier node's lanes into its
+                // neighbors, then keep the lanes they had not seen.
+                let mut edge_words = 0u64;
+                for &v in front_nodes.iter() {
+                    let f = front[v as usize];
+                    for &u in g.neighbors(v) {
+                        if next[u as usize] == 0 {
+                            next_nodes.push(u);
+                        }
+                        next[u as usize] |= f;
+                    }
+                    edge_words += degree(v);
+                }
+                for &v in front_nodes.iter() {
+                    front[v as usize] = 0;
+                }
+                front_nodes.clear();
+                for &u in next_nodes.iter() {
+                    let new = next[u as usize] & !visited[u as usize];
+                    next[u as usize] = 0;
+                    if new != 0 {
+                        visited[u as usize] |= new;
+                        front[u as usize] = new;
+                        front_nodes.push(u);
+                        next_edges += degree(u);
+                        counter.add(new);
+                        if visited[u as usize] == full {
+                            open_edges -= degree(u);
+                        }
+                    }
+                }
+                // `front_nodes` was cleared above and now holds the new
+                // frontier; `next_nodes` is free scratch for the next level.
+                stats.words_scanned += edge_words + 3 * next_nodes.len() as u64;
             }
-            // `front_nodes` was cleared above and now holds the new
-            // frontier; `next_nodes` is free scratch for the next level.
-            stats.words_scanned += edge_words + 3 * next_nodes.len() as u64;
+            counter.drain_into(&mut rings, level);
             stats.frontier_passes += 1;
+            front_edges = next_edges;
             level += 1;
         }
         // A radius-bounded pass can stop with a live frontier: zero it so
@@ -505,7 +620,48 @@ impl LaneScratch {
             front[v as usize] = 0;
         }
         front_nodes.clear();
+        next_nodes.clear();
         rings
+    }
+}
+
+/// One level's per-lane node counts as a bit-sliced binary counter:
+/// bit `k` of `planes[i]` is bit `i` of lane `k`'s count. Adding a
+/// node's new-lane mask is a ripple-carry add over whole words, so a
+/// node that gains many lanes at once costs a few word operations, not
+/// one increment per lane.
+struct LaneCounter {
+    planes: [u64; 64],
+}
+
+impl LaneCounter {
+    fn new() -> Self {
+        LaneCounter { planes: [0; 64] }
+    }
+
+    /// Count one node for every lane set in `mask`.
+    fn add(&mut self, mask: u64) {
+        let mut carry = mask;
+        for plane in &mut self.planes {
+            if carry == 0 {
+                break;
+            }
+            let next = *plane & carry;
+            *plane ^= carry;
+            carry = next;
+        }
+    }
+
+    /// Add each lane's count to its ring at `level` and reset to zero.
+    fn drain_into(&mut self, rings: &mut [Vec<usize>], level: u32) {
+        for (i, plane) in self.planes.iter_mut().enumerate() {
+            let mut bits = std::mem::take(plane);
+            while bits != 0 {
+                let k = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                rings[k][level as usize] += 1 << i;
+            }
+        }
     }
 }
 
@@ -554,7 +710,7 @@ mod tests {
         let mut stats = BfsStats::default();
         for src in [0u32, 7, 8, 11] {
             for max_h in [1, 2, u32::MAX] {
-                s.run_bounded(&g, src, max_h, &mut stats);
+                s.run_bounded(&g, src, max_h, usize::MAX, &mut stats);
                 if max_h != u32::MAX {
                     assert_eq!(s.ring_sizes(max_h), bfs::ring_sizes(&g, src, max_h));
                     // Sorting the radius-1 prefix serves every ball up
@@ -576,6 +732,71 @@ mod tests {
                     }
                 }
                 assert_eq!(s.ball_nodes_sorted(), bfs::ball_nodes(&g, src, max_h));
+            }
+        }
+    }
+
+    #[test]
+    fn node_limit_stops_after_the_first_level_over_it() {
+        for g in [path5(), mixed(), small_world(120)] {
+            let n = g.node_count();
+            let mut s = BitsetScratch::new();
+            let mut stats = BfsStats::default();
+            for src in [0, n as NodeId / 2, n as NodeId - 1] {
+                let want = bfs::distances(&g, src);
+                for limit in (0..=n).chain([usize::MAX]) {
+                    s.run_bounded(&g, src, u32::MAX, limit, &mut stats);
+                    // The oracle's stop level: the first whose reached
+                    // set exceeds the limit, else the last level.
+                    let mut stop = 0;
+                    while (stop as usize) < n {
+                        let reached = want.iter().filter(|&&d| d <= stop).count();
+                        let grows = want.iter().any(|&d| d == stop + 1);
+                        if reached > limit || !grows {
+                            break;
+                        }
+                        stop += 1;
+                    }
+                    for v in g.nodes() {
+                        let d = want[v as usize];
+                        let expect = if d <= stop { d } else { UNREACHED };
+                        assert_eq!(s.dist(v), expect, "src {src} limit {limit} v {v}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A ring lattice (each node tied to its two nearest neighbors on
+    /// either side) plus one long chord per node: small-world enough
+    /// that the union of many frontiers covers most nodes for a few
+    /// levels.
+    fn small_world(n: u32) -> Graph {
+        let mut edges = Vec::new();
+        for i in 0..n {
+            edges.push((i, (i + 1) % n));
+            edges.push((i, (i + 2) % n));
+            edges.push((i, (i * 37 + 11) % n));
+        }
+        Graph::from_edges(n as usize, edges.into_iter().filter(|(a, b)| a != b))
+    }
+
+    #[test]
+    fn lane_passes_pull_dense_levels_and_match_scalar() {
+        let g = small_world(240);
+        let mut lanes = LaneScratch::new();
+        for count in [1usize, 7, 64] {
+            let sources: Vec<NodeId> = (0..count).map(|k| (k * 53 % 240) as NodeId).collect();
+            for max_h in [2, 4, 64] {
+                let mut stats = BfsStats::default();
+                let rings = lanes.ring_counts(&g, &sources, max_h, &mut stats);
+                for (k, &s) in sources.iter().enumerate() {
+                    assert_eq!(rings[k], bfs::ring_sizes(&g, s, max_h), "lane {k}");
+                }
+                if count == 64 && max_h == 64 {
+                    assert!(stats.pull_passes > 0, "no level ran bottom-up");
+                    assert!(stats.pull_passes < stats.frontier_passes, "no push level");
+                }
             }
         }
     }
@@ -671,12 +892,15 @@ mod tests {
         let mut a = BfsStats {
             words_scanned: 3,
             frontier_passes: 1,
+            pull_passes: 1,
         };
         a.merge(&BfsStats {
             words_scanned: 4,
             frontier_passes: 2,
+            pull_passes: 0,
         });
         assert_eq!(a.words_scanned, 7);
         assert_eq!(a.frontier_passes, 3);
+        assert_eq!(a.pull_passes, 1);
     }
 }

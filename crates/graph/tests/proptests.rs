@@ -2,7 +2,7 @@
 //! algorithm in the workspace silently relies on, over arbitrary graphs.
 
 use proptest::prelude::*;
-use topogen_check::gen::{arb_connected, arb_graph};
+use topogen_check::gen::{arb_bfs_graph, arb_connected, arb_graph};
 use topogen_graph::apsp::all_pairs_distances;
 use topogen_graph::bfs::{distances, distances_bounded, shortest_path_dag, DistScratch};
 use topogen_graph::bfs_bitset::{self, BfsStats, BitsetScratch};
@@ -172,7 +172,7 @@ proptest! {
         for s in seeds {
             let src = (s as usize % n) as NodeId;
             let max_h = (s / 7) % 9;
-            bit.run_bounded(&g, src, max_h, &mut stats);
+            bit.run_bounded(&g, src, max_h, usize::MAX, &mut stats);
             sca.run_bounded(&g, src, max_h);
             for v in 0..n as NodeId {
                 prop_assert_eq!(bit.dist(v), sca.dist(v), "src {} h {} v {}", src, max_h, v);
@@ -184,11 +184,16 @@ proptest! {
 
     #[test]
     fn multi_source_rings_match_scalar_oracle(
-        g in arb_connected(),
-        picks in proptest::collection::vec(any::<u32>(), 1..64),
-        max_h in 0u32..8,
+        g in arb_bfs_graph(),
+        picks in proptest::collection::vec(any::<u32>(), 1..65),
+        raw_h in 0u32..9,
     ) {
+        // Sparse, dense, small-world and disconnected graphs of up to
+        // 300 nodes, 1–64 sources (duplicates allowed), and radii that
+        // stop mid-traversal or (8) not at all: lane passes run both
+        // push and pull levels.
         let n = g.node_count();
+        let max_h = if raw_h == 8 { n as u32 } else { raw_h };
         let sources: Vec<NodeId> = picks.iter().map(|&p| (p as usize % n) as NodeId).collect();
         let mut stats = BfsStats::default();
         let rings = bfs_bitset::multi_source_ring_counts(&g, &sources, max_h, &mut stats);
@@ -196,6 +201,7 @@ proptest! {
             let want = topogen_graph::bfs::ring_sizes(&g, s, max_h);
             prop_assert_eq!(&rings[k], &want, "lane {} source {}", k, s);
         }
+        prop_assert!(stats.pull_passes <= stats.frontier_passes);
     }
 
     #[test]
@@ -217,4 +223,19 @@ proptest! {
             prop_assert_eq!(max_flow_unit(&g, 0, n - 1), max_flow_unit(&g, n - 1, 0));
         }
     }
+}
+
+#[test]
+fn lane_passes_take_both_directions_across_bfs_graphs() {
+    // The generator behind the lane property above must reach both
+    // directions: some pass runs bottom-up, some level top-down.
+    let mut stats = BfsStats::default();
+    for seed in 0..32u64 {
+        let g = topogen_check::gen::bfs_graph(seed);
+        let n = g.node_count() as NodeId;
+        let sources: Vec<NodeId> = (0..64).map(|k| (k * 7919) % n).collect();
+        bfs_bitset::multi_source_ring_counts(&g, &sources, n, &mut stats);
+    }
+    assert!(stats.pull_passes > 0);
+    assert!(stats.pull_passes < stats.frontier_passes);
 }

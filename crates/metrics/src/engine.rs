@@ -72,6 +72,13 @@ pub trait BallMetric: Sync {
 /// rows for ball centers, expansion cumulative counts for expansion
 /// centers.
 ///
+/// Rows are indexed by radius. A NaN value is a declined ball, and a
+/// radius with no row counts as declined too: on the bitset path, under
+/// [`BallPlan::ball_size_cap`], the rows end after the first radius
+/// whose ball exceeds the cap, while the scalar path keeps one
+/// `(size, NaN…)` row per radius. [`BallPlan::aggregate`] (and the
+/// suite's bootstrap) skip both alike, so the curves are the same bits.
+///
 /// A job's output depends only on the plan's seed, radius budget and the
 /// job's own `(center, is_ball, is_expansion)` triple — never on which
 /// other jobs ran alongside it (per-center seeds come from
@@ -314,9 +321,10 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     }
 
     /// Skip *constructing* ball subgraphs larger than `cap` nodes on the
-    /// bitset path, synthesizing the skipped-ball rows (size + NaN per
-    /// metric) the scalar path would produce after every metric declines
-    /// the oversized ball.
+    /// bitset path. The first oversized ball gets the row the scalar
+    /// path produces after every metric declines it (size + NaN per
+    /// metric); the rows end there, and a ball-only center stops its BFS
+    /// at that radius (see [`JobOut`]).
     ///
     /// Only set this when **every** registered metric returns `None` for
     /// balls larger than `cap` (the suite metrics all skip above their
@@ -677,7 +685,10 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     /// [`topogen_graph::subgraph::ball`] membership and order, without
     /// one BFS per radius. Balls larger than [`Self::ball_size_cap`]
     /// skip construction (every metric would decline them), so only the
-    /// prefix up to the largest built ball is sorted.
+    /// prefix up to the largest built ball is sorted, and the rows end
+    /// after the first over-cap radius. A ball-only center therefore
+    /// stops its BFS at that radius; an expansion center runs it to the
+    /// radius budget, because it needs every ring size.
     fn run_ball_bitset(
         &self,
         g: &Graph,
@@ -689,18 +700,25 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     ) -> JobOut {
         let _center_span = topogen_par::trace::span("center");
         let ball_phase = phase(Some(instrument), "balls");
+        let cap = self.ball_size_cap.unwrap_or(usize::MAX);
+        let limit = if is_exp { usize::MAX } else { cap };
         let mut stats = BfsStats::default();
-        scratch.run_bounded(g, c, self.max_radius, &mut stats);
+        scratch.run_bounded(g, c, self.max_radius, limit, &mut stats);
         instrument.add_words_scanned(stats.words_scanned);
         instrument.add_frontier_passes(stats.frontier_passes);
-        // Cumulative ball sizes per radius = prefix sums of rings.
+        // Cumulative ball sizes per radius = prefix sums of rings. Past
+        // the first over-cap radius they are exact only when the BFS
+        // ran on (expansion centers), and no row reads them.
         let mut cum = scratch.ring_sizes(self.max_radius);
         for h in 1..radii {
             cum[h] += cum[h - 1];
         }
+        let rows_len = cum
+            .iter()
+            .position(|&size| size > cap)
+            .map_or(radii, |h| h + 1);
         // Only balls within the cap are built, so only the largest of
         // them needs the `(distance, id)` order.
-        let cap = self.ball_size_cap.unwrap_or(usize::MAX);
         let largest_built = cum.iter().copied().take_while(|&size| size <= cap).last();
         scratch.sort_prefix(largest_built.unwrap_or(0));
         instrument.add_bfs_runs(1);
@@ -708,14 +726,15 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
 
         let center_seed = mix_seed(self.seed, c as u64);
         let mut built = 0u64;
-        let rows: Vec<(f64, Vec<f64>)> = cum
+        let rows: Vec<(f64, Vec<f64>)> = cum[..rows_len]
             .iter()
             .enumerate()
             .map(|(h, &size)| {
                 if size > cap {
-                    // Sizes are monotone in h: every metric skips this
-                    // and all larger balls, so the scalar path would
-                    // produce exactly (size, NaN…) here.
+                    // The last row: every metric declines this ball, as
+                    // the scalar path's (size, NaN…) row records. Sizes
+                    // are monotone in h, so the larger balls it would
+                    // also decline get no row at all.
                     return (size as f64, vec![f64::NAN; self.metrics.len()]);
                 }
                 let (ball, _) = {
@@ -1051,6 +1070,67 @@ mod tests {
             fingerprint(&out)
         };
         assert_eq!(run(Some(20)), run(None));
+    }
+
+    #[test]
+    fn capped_rows_end_at_the_first_over_cap_radius() {
+        // Corner 0 of the 8×8 mesh has balls of 1, 3, 6, 10, 15, …
+        // nodes; under a cap of 12 its rows end at radius 4, the first
+        // over the cap. Center 27 is also an expansion source, so its
+        // BFS runs to the radius budget and returns every ring size.
+        let g = mesh(8);
+        let src = PlainBalls { graph: &g };
+        let res = ResilienceMetric {
+            restarts: 1,
+            max_ball_nodes: 12,
+        };
+        let plan = |policy| {
+            BallPlan::new(&src, 10, 5)
+                .ball_centers(vec![0, 27])
+                .expansion_centers(vec![27, 40])
+                .kernel(policy)
+                .ball_size_cap(Some(12))
+                .metric(&res)
+        };
+        let bitset = plan(KernelPolicy::Bitset);
+        let jobs = bitset.jobs();
+        assert_eq!(
+            jobs,
+            [(0, true, false), (27, true, true), (40, false, true)]
+        );
+
+        let (outs, _) = bitset.run_collect(&jobs);
+        let rows = outs[0].0.as_ref().expect("ball rows");
+        let sizes: Vec<f64> = rows.iter().map(|(s, _)| *s).collect();
+        assert_eq!(sizes, [1.0, 3.0, 6.0, 10.0, 15.0]);
+        assert!(rows[4].1[0].is_nan(), "the over-cap ball is declined");
+        assert!(outs[0].1.is_none());
+        // Levels 1..=4 only, not the 10 of the radius budget.
+        let (_, alone) = bitset.run_collect(&jobs[..1]);
+        assert_eq!(alone.frontier_passes, 4);
+
+        for (job, (_, cum)) in jobs.iter().zip(&outs).skip(1) {
+            let want: Vec<usize> = topogen_graph::bfs::ring_sizes(&g, job.0, 10)
+                .iter()
+                .scan(0, |acc, &r| {
+                    *acc += r;
+                    Some(*acc)
+                })
+                .collect();
+            assert_eq!(cum.as_deref(), Some(&want[..]), "center {}", job.0);
+        }
+        let rows27 = outs[1].0.as_ref().expect("ball rows");
+        assert!(rows27.len() < 11 && rows27.last().unwrap().0 > 12.0);
+
+        // The scalar path keeps a (size, NaN) row per radius; both
+        // aggregate to the same bits.
+        let scalar = plan(KernelPolicy::Scalar);
+        let (scalar_outs, _) = scalar.run_collect(&jobs);
+        assert_eq!(scalar_outs[0].0.as_ref().map(Vec::len), Some(11));
+        assert_eq!(
+            fingerprint(&bitset.aggregate(&outs, TimingReport::default())),
+            fingerprint(&scalar.aggregate(&scalar_outs, TimingReport::default()))
+        );
     }
 
     #[test]
