@@ -69,6 +69,28 @@ fn bench_generators(c: &mut Criterion) {
             )
         })
     });
+    // The pair loop splits across workers from 2²² pairs on: the row
+    // above (7·10⁵ pairs) runs one chunk, the paper's Figure 1 instance
+    // (1.25·10⁷ pairs) and the sampled tier's (2·10⁸ pairs) split.
+    g.bench_function(BenchmarkId::new("waxman", 5000), |b| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(1);
+            waxman(&WaxmanParams::paper_default(), &mut rng)
+        })
+    });
+    g.bench_function(BenchmarkId::new("waxman", 20_000), |b| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(1);
+            waxman(
+                &WaxmanParams {
+                    n: 20_000,
+                    alpha: 0.001_25,
+                    beta: 0.3,
+                },
+                &mut rng,
+            )
+        })
+    });
     g.bench_function("transit_stub/1008", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(1);

@@ -10,6 +10,7 @@
 //! plain B-A. Appendix D.1 uses both as alternative connectivity methods
 //! for power-law graphs.
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use topogen_graph::{Graph, GraphBuilder, NodeId};
 
@@ -65,7 +66,7 @@ pub fn barabasi_albert<R: Rng>(params: &BaParams, rng: &mut R) -> Graph {
 }
 
 impl crate::generate::Generate for BaParams {
-    fn generate<R: Rng>(&self, rng: &mut R) -> Graph {
+    fn generate(&self, rng: &mut StdRng) -> Graph {
         barabasi_albert(self, rng)
     }
 
@@ -187,7 +188,7 @@ pub fn albert_barabasi<R: Rng>(params: &AlbertBarabasiParams, rng: &mut R) -> Gr
 }
 
 impl crate::generate::Generate for AlbertBarabasiParams {
-    fn generate<R: Rng>(&self, rng: &mut R) -> Graph {
+    fn generate(&self, rng: &mut StdRng) -> Graph {
         // Rewiring can strand nodes; analyze the largest component.
         topogen_graph::components::largest_component(&albert_barabasi(self, rng)).0
     }

@@ -7,6 +7,7 @@
 //! "a heavy-tailed option when generating a network in our study" without
 //! the geographic-bias feature; both options are exposed here.
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use topogen_graph::geometry::Point;
 use topogen_graph::{Graph, GraphBuilder, NodeId};
@@ -118,7 +119,7 @@ pub fn brite<R: Rng>(params: &BriteParams, rng: &mut R) -> Graph {
 }
 
 impl crate::generate::Generate for BriteParams {
-    fn generate<R: Rng>(&self, rng: &mut R) -> Graph {
+    fn generate(&self, rng: &mut StdRng) -> Graph {
         // Incremental growth keeps the graph connected by construction.
         brite(self, rng)
     }

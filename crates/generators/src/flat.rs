@@ -17,6 +17,7 @@
 //! * **Locality** — `P(u,v) = α` if `d ≤ r`, else `β` (two-tier
 //!   distance classes).
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use topogen_graph::geometry::Point;
 use topogen_graph::{Graph, GraphBuilder, NodeId};
@@ -67,7 +68,7 @@ pub struct FlatParams {
 }
 
 impl crate::generate::Generate for FlatParams {
-    fn generate<R: Rng>(&self, rng: &mut R) -> Graph {
+    fn generate(&self, rng: &mut StdRng) -> Graph {
         // Like Waxman, flat random graphs are routinely disconnected;
         // the paper analyzes the largest component.
         topogen_graph::components::largest_component(&flat_random(self.n, self.method, rng)).0

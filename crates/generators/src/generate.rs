@@ -32,12 +32,13 @@
 //! assert_eq!(g1.edges(), g2.edges());
 //! ```
 //!
-//! The trait is deliberately *not* object-safe (`generate` is generic
-//! over the RNG, mirroring every free function in this crate): callers
-//! that need dynamic dispatch over topology kinds should use
+//! `generate` takes the workspace's one generator, [`StdRng`], rather
+//! than any `Rng`: Waxman's pair loop splits across workers by jumping
+//! that generator ahead ([`StdRng::advance`]), which a generic RNG
+//! cannot do. Callers that need dispatch over topology kinds should use
 //! `topogen_core::zoo::TopologySpec`, which builds on this trait.
 
-use rand::Rng;
+use rand::rngs::StdRng;
 use topogen_graph::Graph;
 
 /// A parameter struct that can generate its topology's analysis graph.
@@ -48,7 +49,7 @@ use topogen_graph::Graph;
 /// model output may be disconnected).
 pub trait Generate {
     /// Generate the analysis graph deterministically from `rng`.
-    fn generate<R: Rng>(&self, rng: &mut R) -> Graph;
+    fn generate(&self, rng: &mut StdRng) -> Graph;
 
     /// A canonical, deterministic rendering of this parameter set —
     /// `name=value` pairs in declaration order, floats in `{:?}`

@@ -7,6 +7,7 @@
 //! clustering behaviour of the measured AS graph), and with probability
 //! `p` each step adds links between existing nodes instead of growing.
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use topogen_graph::{Graph, GraphBuilder, NodeId};
 
@@ -122,7 +123,7 @@ pub fn glp<R: Rng>(params: &GlpParams, rng: &mut R) -> Graph {
 }
 
 impl crate::generate::Generate for GlpParams {
-    fn generate<R: Rng>(&self, rng: &mut R) -> Graph {
+    fn generate(&self, rng: &mut StdRng) -> Graph {
         // Link-addition events can leave stragglers behind; analyze the
         // largest component.
         topogen_graph::components::largest_component(&glp(self, rng)).0

@@ -8,6 +8,7 @@
 //! degree order. The result is connected by construction.
 
 use crate::degseq::{evenize, natural_cutoff, power_law_degrees};
+use rand::rngs::StdRng;
 use rand::Rng;
 use topogen_graph::{Graph, GraphBuilder, NodeId};
 
@@ -164,7 +165,7 @@ fn pick_proportional<R: Rng>(items: &[NodeId], degrees: &[usize], rng: &mut R) -
 }
 
 impl crate::generate::Generate for InetParams {
-    fn generate<R: Rng>(&self, rng: &mut R) -> Graph {
+    fn generate(&self, rng: &mut StdRng) -> Graph {
         topogen_graph::components::largest_component(&inet(self, rng)).0
     }
 

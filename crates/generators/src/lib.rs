@@ -28,8 +28,10 @@
 //!   unsatisfied-proportional), or deterministically — plus graph
 //!   re-wiring ("Modified B-A" / "Modified Brite", Figure 13).
 //!
-//! Every generator takes an explicit `&mut impl Rng` so runs are exactly
-//! reproducible from a seed, and returns a simple undirected
+//! Every generator takes an explicit `&mut impl Rng` (Waxman and the
+//! [`Generate`] trait take the workspace's `StdRng`, whose exact jump
+//! ahead lets Waxman's pair loop split across workers) so runs are
+//! exactly reproducible from a seed, and returns a simple undirected
 //! [`topogen_graph::Graph`] (self-loops and duplicate links are dropped,
 //! per the paper's footnote 6). Generators that may produce disconnected
 //! graphs document it; the paper's methodology is to analyze the largest

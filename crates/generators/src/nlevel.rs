@@ -14,6 +14,7 @@
 //! behaves like TS (low resilience — each level's sparse edge cut
 //! throttles alternate paths).
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use topogen_graph::unionfind::UnionFind;
 use topogen_graph::{Graph, GraphBuilder, NodeId};
@@ -65,7 +66,7 @@ pub fn n_level<R: Rng>(params: &NLevelParams, rng: &mut R) -> Graph {
 }
 
 impl crate::generate::Generate for NLevelParams {
-    fn generate<R: Rng>(&self, rng: &mut R) -> Graph {
+    fn generate(&self, rng: &mut StdRng) -> Graph {
         // Every level-graph is patched connected, so the whole is too.
         n_level(self, rng)
     }

@@ -10,6 +10,7 @@
 
 use crate::connectivity::match_plrg;
 use crate::degseq::{evenize, natural_cutoff, power_law_degrees};
+use rand::rngs::StdRng;
 use rand::Rng;
 use topogen_graph::Graph;
 
@@ -115,7 +116,7 @@ pub fn plrg_from_degrees<R: Rng>(degrees: &[usize], rng: &mut R) -> Graph {
 }
 
 impl crate::generate::Generate for PlrgParams {
-    fn generate<R: Rng>(&self, rng: &mut R) -> Graph {
+    fn generate(&self, rng: &mut StdRng) -> Graph {
         // Random matching leaves a fringe of small components; the paper
         // analyzes the giant component.
         topogen_graph::components::largest_component(&plrg(self, rng)).0

@@ -17,6 +17,7 @@
 //! WAN, LANs per MAN, nodes per tier, intra-network redundancies,
 //! inter-network redundancies).
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use topogen_graph::geometry::{euclidean_mst, pairs_by_distance, Point};
 use topogen_graph::{Graph, GraphBuilder, NodeId};
@@ -112,7 +113,7 @@ pub struct TiersTopology {
 }
 
 impl crate::generate::Generate for TiersParams {
-    fn generate<R: Rng>(&self, rng: &mut R) -> Graph {
+    fn generate(&self, rng: &mut StdRng) -> Graph {
         // Tiers is connected by construction (every network is an MST or
         // a star, every MAN/LAN uplinks at least once), so the full graph
         // is its own largest component — the paper's analysis graph.
@@ -149,8 +150,7 @@ impl crate::generate::Generate for TiersParams {
 /// # Panics
 /// Panics if `wans != 1` (matching the original tool), or any count is 0.
 pub fn tiers<R: Rng>(params: &TiersParams, rng: &mut R) -> Graph {
-    use crate::generate::Generate as _;
-    params.generate(rng)
+    tiers_full(params, rng).graph
 }
 
 /// Generate a full Tiers topology: the graph *and* the tier role of

@@ -16,6 +16,7 @@
 //! we patch components together instead (equivalent for the metrics, and
 //! deterministic in the number of retries).
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use topogen_graph::unionfind::UnionFind;
 use topogen_graph::{Graph, GraphBuilder, NodeId};
@@ -94,7 +95,7 @@ pub struct TransitStubTopology {
 }
 
 impl crate::generate::Generate for TransitStubParams {
-    fn generate<R: Rng>(&self, rng: &mut R) -> Graph {
+    fn generate(&self, rng: &mut StdRng) -> Graph {
         // The sub-blocks are patched connected, so the projection is the
         // whole (connected) graph; roles stay available via
         // [`transit_stub`].

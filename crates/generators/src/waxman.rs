@@ -11,9 +11,24 @@
 //! sweeps both parameters. Waxman graphs are frequently disconnected —
 //! analyze the largest component.
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
+use std::ops::Range;
 use topogen_graph::geometry::Point;
 use topogen_graph::{Graph, GraphBuilder, NodeId};
+
+/// Pair counts below this run the pair loop as one chunk. The first
+/// split in a process builds the jump table (about 3.5 ms); on 2 workers
+/// that first split breaks even with the serial loop at about 2²² pairs
+/// (2,900 nodes) and later splits there take two thirds of its time, so
+/// the small tier's graphs (≤ 1,200 nodes) stay serial while the paper's
+/// 5,000-node and the sampled tier's 20,000-node graphs split.
+const SPLIT_MIN_PAIRS: u64 = 1 << 22;
+
+/// Row chunks per worker when the pair loop splits. `par_map_threads`
+/// runs fewer than four items on the calling thread, and several chunks
+/// per worker let a worker that finishes early take more.
+const CHUNKS_PER_WORKER: usize = 4;
 
 /// Parameters for the Waxman generator.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -42,38 +57,134 @@ impl WaxmanParams {
 ///
 /// # Panics
 /// Panics unless `0 < alpha <= 1` and `beta > 0`.
-pub fn waxman_with_points<R: Rng>(params: &WaxmanParams, rng: &mut R) -> (Graph, Vec<Point>) {
+pub fn waxman_with_points(params: &WaxmanParams, rng: &mut StdRng) -> (Graph, Vec<Point>) {
+    waxman_with_points_threads(params, rng, None)
+}
+
+/// [`waxman_with_points`] with an explicit number of pair-loop chunks.
+///
+/// The loop draws one uniform per pair `(i, j)`, `i < j`, in row-major
+/// order, so the draw of a pair is the stream's draw at that pair's
+/// index. Chunks of whole rows start from the post-points state advanced
+/// ([`StdRng::advance`]) by the pairs before their first row, their edge
+/// lists are concatenated in row order, and `rng` takes the last chunk's
+/// end state, which is the post-points state advanced by every pair:
+/// points, edges and every later draw are exactly those of one serial
+/// loop, at any split.
+///
+/// `None` runs one chunk below `SPLIT_MIN_PAIRS` pairs or on one worker,
+/// and four chunks per worker otherwise. `Some(k)` forces up to `k`
+/// chunks of about equal pair count (no more than the rows), whatever
+/// the pair count, on `worker_count(Some(k), c)` threads for the `c`
+/// chunks made: fewer than four run one after another on the calling
+/// thread.
+///
+/// # Panics
+/// Panics unless `0 < alpha <= 1` and `beta > 0`.
+pub fn waxman_with_points_threads(
+    params: &WaxmanParams,
+    rng: &mut StdRng,
+    chunks: Option<usize>,
+) -> (Graph, Vec<Point>) {
     let WaxmanParams { n, alpha, beta } = *params;
     assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
     assert!(beta > 0.0, "beta must be positive");
     let points: Vec<Point> = (0..n)
         .map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>()))
         .collect();
-    let l = 2f64.sqrt(); // max distance in the unit square
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            // One uniform draw per pair, as always. The link probability
-            // `α·exp(−d/βL)` is at most α: the exponent is ≤ 0, so `exp`
-            // returns at most 1, and rounding the product is monotone. A
-            // draw ≥ α therefore rejects the pair without its distance or
-            // its `exp`, and every decision is the one the full test makes.
-            let x = rng.gen::<f64>();
-            if x < alpha && x < alpha * (-points[i].dist(&points[j]) / (beta * l)).exp() {
-                b.add_edge(i as NodeId, j as NodeId);
-            }
+    let k = chunks.unwrap_or_else(|| {
+        let workers = topogen_par::worker_count(None, usize::MAX);
+        if pairs_before(n, n) < SPLIT_MIN_PAIRS || workers < 2 {
+            1
+        } else {
+            CHUNKS_PER_WORKER * workers
         }
+    });
+    let start = rng.clone();
+    let done = topogen_par::par_map_threads(&row_chunks(n, k), chunks, |rows| {
+        let mut r = start.clone();
+        r.advance(pairs_before(n, rows.start));
+        (link_rows(&points, rows.clone(), alpha, beta, &mut r), r)
+    });
+    let mut b = GraphBuilder::new(n);
+    for (links, end) in done {
+        for (i, j) in links {
+            b.add_edge(i, j);
+        }
+        *rng = end;
     }
     (b.build(), points)
 }
 
+/// The number of pairs `(i, j)`, `i < j < n`, in the rows before `row`
+/// (row `i` holds the `n − 1 − i` pairs that start at `i`).
+fn pairs_before(n: usize, row: usize) -> u64 {
+    let (n, row) = (n as u64, row as u64);
+    row * n - row * (row + 1) / 2
+}
+
+/// Split rows `0..n` into at most `k` contiguous, non-empty ranges of
+/// about equal pair count (fewer when rows are too long to split finer).
+fn row_chunks(n: usize, k: usize) -> Vec<Range<usize>> {
+    let k = k.clamp(1, n.saturating_sub(1).max(1)) as u64;
+    let total = pairs_before(n, n);
+    let mut starts = vec![0];
+    let mut row = 0;
+    for c in 1..k {
+        let target = (total as u128 * c as u128 / k as u128) as u64;
+        while pairs_before(n, row) < target {
+            row += 1;
+        }
+        if row > *starts.last().expect("starts holds row 0") {
+            starts.push(row);
+        }
+    }
+    let ends = starts.iter().skip(1).copied().chain([n]);
+    starts.iter().zip(ends).map(|(&lo, hi)| lo..hi).collect()
+}
+
+/// The pair loop over `rows`, drawing from `rng` as if it stood at the
+/// first pair of `rows.start`: the links found, in row-major order.
+fn link_rows(
+    points: &[Point],
+    rows: Range<usize>,
+    alpha: f64,
+    beta: f64,
+    rng: &mut StdRng,
+) -> Vec<(NodeId, NodeId)> {
+    let n = points.len();
+    let l = 2f64.sqrt(); // max distance in the unit square
+
+    // One uniform draw per pair, `x = m·2⁻⁵³` with `m = next_u64 >> 11`
+    // (the `gen::<f64>()` draw). `m` and `α·2⁵³` are exact, so `x < α`
+    // exactly when the integer `m` is below `⌈α·2⁵³⌉`. The link
+    // probability `α·exp(−d/βL)` is at most α (the exponent is ≤ 0, so
+    // `exp` returns at most 1, and rounding the product is monotone), so
+    // a draw ≥ α rejects the pair before any float conversion, distance
+    // or `exp`, and every decision is the one the full test makes.
+    let unit = 1.0 / (1u64 << 53) as f64;
+    let alpha_cut = (alpha * (1u64 << 53) as f64).ceil() as u64;
+    let mut links = Vec::new();
+    for i in rows {
+        for j in (i + 1)..n {
+            let m = rng.next_u64() >> 11;
+            if m < alpha_cut
+                && (m as f64 * unit) < alpha * (-points[i].dist(&points[j]) / (beta * l)).exp()
+            {
+                links.push((i as NodeId, j as NodeId));
+            }
+        }
+    }
+    links
+}
+
 /// Generate a Waxman graph (coordinates discarded). May be disconnected.
-pub fn waxman<R: Rng>(params: &WaxmanParams, rng: &mut R) -> Graph {
+pub fn waxman(params: &WaxmanParams, rng: &mut StdRng) -> Graph {
     waxman_with_points(params, rng).0
 }
 
 impl crate::generate::Generate for WaxmanParams {
-    fn generate<R: Rng>(&self, rng: &mut R) -> Graph {
+    fn generate(&self, rng: &mut StdRng) -> Graph {
         // Sparse Waxman graphs are routinely disconnected; the paper
         // analyzes the largest component.
         topogen_graph::components::largest_component(&waxman(self, rng)).0
@@ -218,6 +329,30 @@ mod tests {
                 let want = waxman_every_pair_priced(&p, &mut StdRng::seed_from_u64(seed));
                 assert_eq!(got.edges(), want.edges(), "{p:?} seed {seed}");
                 assert!(got.edge_count() > 0, "{p:?} seed {seed}: vacuous case");
+            }
+        }
+    }
+
+    #[test]
+    fn row_chunks_tile_the_rows_with_about_equal_pairs() {
+        for n in [0usize, 1, 2, 3, 10, 301, 2000] {
+            for k in [1usize, 2, 3, 8, 64, 10_000] {
+                let rows = row_chunks(n, k);
+                assert!(!rows.is_empty() && rows.len() <= k, "n {n} k {k}");
+                assert_eq!(rows[0].start, 0);
+                assert_eq!(rows.last().unwrap().end, n);
+                assert!(rows.windows(2).all(|w| w[0].end == w[1].start));
+                assert!(rows.iter().all(|r| r.start < r.end || n == 0));
+                if n == 2000 && k <= 64 {
+                    // Whole rows of ≤ 1,999 pairs: each chunk lands
+                    // within a row of its 1/k share.
+                    let share = pairs_before(n, n) / k as u64;
+                    assert_eq!(rows.len(), k);
+                    for r in &rows {
+                        let got = pairs_before(n, r.end) - pairs_before(n, r.start);
+                        assert!(got.abs_diff(share) < n as u64, "n {n} k {k} {r:?}");
+                    }
+                }
             }
         }
     }
