@@ -90,8 +90,16 @@
 //!   ablation-ts          footnote 17: TS redundancy trade-off
 //!   ablation-extremes    §4.4: extreme parameter regimes
 //!   ablation-distortion  spanning-tree local-search quality
-//!   load-measured PATH   load a measured graph (text edge list or
-//!                        binary .tgr, sniffed by magic), print its stats
+//!   load-measured PATH   load a graph file (text `u v` edge list or
+//!                        binary .tgr, sniffed by magic), cut it to its
+//!                        giant component, and print its size and degree
+//!                        statistics, its L/H signature and its §5
+//!                        hierarchy — the batch experiments' suite
+//!                        parameters, so --seed/--thorough/--scale/
+//!                        --cache/--deadline apply as for any experiment
+//!   gen FILE|-           build the topology of a measure request (the
+//!                        document `measure` reads) and print its
+//!                        analysis graph as a `u v` edge list
 //!   store ls             list the artifact store's entries
 //!   store verify         checksum-walk every entry, report corruption
 //!   store gc --max-bytes N  evict least-recently-used entries over N
@@ -126,8 +134,8 @@
 //!                        deadlock, no worker loss, no corruption
 //!   measure FILE|-       answer one measure request on stdout (the
 //!                        daemon's byte-identical batch twin)
-//!   all                  everything above (except load-measured/store/
-//!                        trace/serve/measure)
+//!   all                  everything above (except load-measured/gen/
+//!                        store/trace/check/perf-gate/serve/measure)
 //! ```
 
 use std::io::Write as _;
@@ -136,8 +144,10 @@ use topogen_bench::experiments as exp;
 use topogen_bench::runner::{self, RunnerOptions, Unit, UnitError};
 use topogen_bench::serve;
 use topogen_bench::{tracefmt, ExitCode, ExpCtx};
+use topogen_core::hier::{hierarchy_report_timed_in, HierOptions};
 use topogen_core::report::{render_figure, FigureData, TableData, TimingReport};
-use topogen_core::zoo::Scale;
+use topogen_core::suite::run_suite_in;
+use topogen_core::zoo::{BuiltTopology, Scale};
 use topogen_core::RunCtx;
 use topogen_metrics::tolerance::Removal;
 use topogen_par::trace;
@@ -292,6 +302,11 @@ fn usage() -> ! {
          [--self-test] [--chaos-soak [--requests N]]"
     );
     eprintln!("       repro measure FILE|-");
+    eprintln!("       repro gen FILE|-");
+    eprintln!(
+        "       repro load-measured PATH [--seed N] [--thorough] [--scale S] [--cache[=DIR]] \
+         [--deadline SECS]"
+    );
     eprintln!("run `repro list` for the experiment index");
     ExitCode::Usage.exit();
 }
@@ -307,6 +322,7 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("serve") => run_serve_cmd(&args[1..]).exit(),
         Some("measure") => run_measure_cmd(&args[1..]).exit(),
+        Some("gen") => run_gen_cmd(&args[1..]).exit(),
         Some("check") => run_check_cmd(&args[1..]).exit(),
         Some("perf-gate") => topogen_bench::perfgate::run_cli(&args[1..]).exit(),
         _ => {}
@@ -496,7 +512,7 @@ fn main() {
         println!("fig12 fig13 fig14 fig15 tab-signature tab-hierarchy");
         println!("bgp-vs-policy robustness-snapshots robustness-incompleteness");
         println!("ablation-ts ablation-extremes ablation-distortion");
-        println!("load-measured store trace check perf-gate all");
+        println!("load-measured gen measure serve store trace check perf-gate all");
         return;
     }
     if cmd == "load-measured" && arg.is_none() {
@@ -1024,42 +1040,116 @@ fn run_check_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repro measure FILE|-`: execute one measure request inline and print
-/// the exact response body the daemon would serve for it.
-fn run_measure_cmd(args: &[String]) -> ExitCode {
+/// Read and decode the measure request document that `measure` and
+/// `gen` take: a file path, or `-` for stdin.
+fn read_request(cmd: &str, args: &[String]) -> Result<serve::MeasureRequest, ExitCode> {
     let [path] = args else {
-        eprintln!("measure needs exactly one argument: FILE or `-` for stdin");
-        return ExitCode::Usage;
+        eprintln!("{cmd} needs exactly one argument: FILE or `-` for stdin");
+        return Err(ExitCode::Usage);
     };
     let text = if path == "-" {
         let mut buf = String::new();
-        match std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf) {
-            Ok(_) => buf,
-            Err(e) => {
-                eprintln!("cannot read stdin: {e}");
-                return ExitCode::LoadError;
-            }
-        }
+        std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf).map_err(|e| {
+            eprintln!("cannot read stdin: {e}");
+            ExitCode::LoadError
+        })?;
+        buf
     } else {
-        match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::LoadError;
-            }
-        }
+        std::fs::read_to_string(path).map_err(|e| {
+            eprintln!("cannot read {path}: {e}");
+            ExitCode::LoadError
+        })?
     };
-    let req = match serve::MeasureRequest::from_json(&text) {
+    serve::MeasureRequest::from_json(&text).map_err(|e| {
+        eprintln!("bad request: {e}");
+        ExitCode::Usage
+    })
+}
+
+/// `repro measure FILE|-`: execute one measure request inline and print
+/// the exact response body the daemon would serve for it.
+fn run_measure_cmd(args: &[String]) -> ExitCode {
+    let req = match read_request("measure", args) {
         Ok(req) => req,
-        Err(e) => {
-            eprintln!("bad request: {e}");
-            return ExitCode::Usage;
-        }
+        Err(code) => return code,
     };
     runner::quiet_expected_panics();
-    let body = serve::run_measure(&topogen_core::ctx::RunCtx::new(), &req).body();
+    let body = serve::run_measure(&RunCtx::new(), &req).body();
     print!("{body}");
     ExitCode::Clean
+}
+
+/// `repro gen FILE|-`: print the analysis graph that a measure request
+/// builds as a `u v` edge list, ready for `load-measured`.
+fn run_gen_cmd(args: &[String]) -> ExitCode {
+    let req = match read_request("gen", args) {
+        Ok(req) => req,
+        Err(code) => return code,
+    };
+    let t = topogen_core::zoo::build_in(&RunCtx::new(), &req.spec, req.scale, req.seed);
+    let text = topogen_graph::io::to_edge_list(&t.graph);
+    match std::io::stdout().lock().write_all(text.as_bytes()) {
+        Ok(()) => ExitCode::Clean,
+        Err(e) => {
+            eprintln!("cannot write the edge list: {e}");
+            ExitCode::Failures
+        }
+    }
+}
+
+/// The `load-measured` table: the file's size and degree statistics,
+/// then its signature and §5 hierarchy under the batch experiments'
+/// suite parameters and the default hierarchy options.
+fn load_measured_table(ctx: &ExpCtx, run: &RunCtx, path: &str) -> Result<TableData, UnitError> {
+    let m = topogen_measured::load_measured(path).map_err(|e| UnitError::Load(e.to_string()))?;
+    let g = &m.graph;
+    let or_dash = |v: Option<String>| v.unwrap_or_else(|| "-".to_string());
+    let mut stats = vec![
+        ("raw nodes", m.raw_nodes.to_string()),
+        ("raw edges", m.raw_edges.to_string()),
+        ("giant component nodes", g.node_count().to_string()),
+        ("giant component edges", g.edge_count().to_string()),
+        ("avg degree", format!("{:.2}", m.avg_degree())),
+        ("max degree", g.max_degree().to_string()),
+        (
+            "power-law alpha (MLE, x_min = 2)",
+            or_dash(
+                topogen_generators::degseq::fit_power_law_exponent(&g.degrees(), 2)
+                    .map(|a| format!("{a:.3}")),
+            ),
+        ),
+        (
+            "clustering",
+            or_dash(topogen_metrics::clustering::graph_clustering(g).map(|c| format!("{c:.4}"))),
+        ),
+    ];
+    let t = BuiltTopology::plain(m.name, m.graph);
+    let suite = run_suite_in(run, &t, &ctx.suite_params());
+    stats.push(("signature", suite.signature.to_string()));
+    let mut rows: Vec<Vec<String>> = stats
+        .into_iter()
+        .map(|(q, v)| vec![t.name.clone(), q.to_string(), v])
+        .collect();
+    // The hierarchy rows name the graph §5 analyzed: "<name> (core)"
+    // when a large graph was cut to its degree>1 core.
+    let (h, _) = hierarchy_report_timed_in(run, &t, &HierOptions::default());
+    for (q, v) in [
+        ("links analyzed", h.values.len().to_string()),
+        ("max link value", format!("{:.4}", h.max)),
+        ("median link value", format!("{:.4}", h.median)),
+        ("hierarchy class", h.class.clone()),
+        (
+            "degree correlation",
+            or_dash(h.degree_correlation.map(|c| format!("{c:.3}"))),
+        ),
+    ] {
+        rows.push(vec![h.name.clone(), q.to_string(), v]);
+    }
+    Ok(TableData::new(
+        "load-measured",
+        vec!["Graph".into(), "Quantity".into(), "Value".into()],
+        rows,
+    ))
 }
 
 fn run_cmd(
@@ -1149,32 +1239,7 @@ fn run_cmd(
         "ablation-distortion" => out.table(&exp::ablations::run_distortion_polish(ctx, run)),
         "load-measured" => {
             let path = arg.expect("validated in main");
-            let m = topogen_measured::load_measured(path)
-                .map_err(|e| UnitError::Load(e.to_string()))?;
-            let table = TableData::new(
-                "load-measured",
-                vec!["Graph".into(), "Quantity".into(), "Value".into()],
-                vec![
-                    vec![m.name.clone(), "raw nodes".into(), m.raw_nodes.to_string()],
-                    vec![m.name.clone(), "raw edges".into(), m.raw_edges.to_string()],
-                    vec![
-                        m.name.clone(),
-                        "giant component nodes".into(),
-                        m.graph.node_count().to_string(),
-                    ],
-                    vec![
-                        m.name.clone(),
-                        "giant component edges".into(),
-                        m.graph.edge_count().to_string(),
-                    ],
-                    vec![
-                        m.name.clone(),
-                        "avg degree".into(),
-                        format!("{:.2}", m.avg_degree()),
-                    ],
-                ],
-            );
-            out.table(&table);
+            out.table(&load_measured_table(ctx, run, path)?);
         }
         other => {
             // Unknown ids are rejected in main; reaching this is a bug.

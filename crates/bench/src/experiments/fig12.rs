@@ -136,14 +136,8 @@ pub fn run_modified(ctx: &ExpCtx, rctx: &RunCtx) -> TableData {
         ctx.seed,
     );
     let degrees = base.graph.degrees();
-    let wrap = |name: &str, g: topogen_graph::Graph| BuiltTopology {
-        name: name.into(),
-        graph: largest_component(&g).0,
-        annotations: None,
-        router_as: None,
-        as_overlay: None,
-        spec: TopologySpec::MeasuredAs, // placeholder spec, unused
-    };
+    let wrap =
+        |name: &str, g: topogen_graph::Graph| BuiltTopology::plain(name, largest_component(&g).0);
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0xD1);
     let variants: Vec<(&str, topogen_graph::Graph)> = vec![
         (

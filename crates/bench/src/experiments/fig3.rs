@@ -74,15 +74,7 @@ pub fn run(ctx: &ExpCtx, rctx: &RunCtx) -> FigureData {
         let r = hierarchy_report_timed_in(rctx, &t, &HierOptions::default()).0;
         series.push(rank_series(&r.name, &r.values));
         if t.annotations.is_some() {
-            let rp = hierarchy_report_timed_in(
-                rctx,
-                &t,
-                &HierOptions {
-                    policy: true,
-                    core_threshold: 3000,
-                },
-            )
-            .0;
+            let rp = hierarchy_report_timed_in(rctx, &t, &HierOptions { policy: true }).0;
             series.push(rank_series(&format!("{}(Policy)", t.name), &rp.values));
         }
     }

@@ -29,15 +29,7 @@ pub fn correlations(ctx: &ExpCtx, rctx: &RunCtx) -> Vec<CorrRow> {
             correlation: r.degree_correlation.unwrap_or(f64::NAN),
         });
         if t.annotations.is_some() {
-            let rp = hierarchy_report_timed_in(
-                rctx,
-                &t,
-                &HierOptions {
-                    policy: true,
-                    core_threshold: 3000,
-                },
-            )
-            .0;
+            let rp = hierarchy_report_timed_in(rctx, &t, &HierOptions { policy: true }).0;
             rows.push(CorrRow {
                 name: format!("{}(Policy)", t.name),
                 correlation: rp.degree_correlation.unwrap_or(f64::NAN),

@@ -27,14 +27,7 @@ use topogen_measured::as_graph::{internet_as, InternetAsParams};
 use topogen_measured::observe::{observed_from_top_vantages, random_edge_loss};
 
 fn classify_graph(ctx: &ExpCtx, rctx: &RunCtx, name: &str, g: topogen_graph::Graph) -> Vec<String> {
-    let t = BuiltTopology {
-        name: name.into(),
-        graph: g,
-        annotations: None,
-        router_as: None,
-        as_overlay: None,
-        spec: TopologySpec::MeasuredAs,
-    };
+    let t = BuiltTopology::plain(name, g);
     let sig = run_suite_in(rctx, &t, &ctx.suite_params())
         .signature
         .to_string();

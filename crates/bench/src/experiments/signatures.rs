@@ -217,14 +217,7 @@ pub fn run_hierarchy_table_timed(ctx: &ExpCtx, rctx: &RunCtx) -> (TableData, Tim
             ok.to_string(),
         ]);
         if t.annotations.is_some() {
-            let (rp, rpt) = hierarchy_report_timed_in(
-                rctx,
-                &t,
-                &HierOptions {
-                    policy: true,
-                    core_threshold: 3000,
-                },
-            );
+            let (rp, rpt) = hierarchy_report_timed_in(rctx, &t, &HierOptions { policy: true });
             timings.merge(&rpt);
             let pname = format!("{}(Policy)", t.name);
             let pexpect = paper_hierarchy(&pname).unwrap_or("-");

@@ -648,10 +648,8 @@ fn handle_measure(
         stream_measure(state, stream, ctx, &req, &key, &mut entry);
     } else {
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| measure_body(&ctx, &req)));
-        match outcome {
-            Ok((body, hit)) => {
-                state.clear_panics(&key);
-                entry.cache = if hit { "hit" } else { "miss" };
+        match settle(state, &key, outcome, &mut entry) {
+            Ok(body) => {
                 let _ = write_response(
                     stream,
                     200,
@@ -661,34 +659,18 @@ fn handle_measure(
                     body.as_bytes(),
                 );
             }
-            Err(payload) => {
-                let cancelled = is_cancelled_payload(&*payload);
-                let (http, reason, error) = if cancelled {
-                    (504, "Gateway Timeout", "deadline exceeded".to_string())
-                } else {
-                    state.note_panic(&key);
-                    (500, "Internal Server Error", panic_message(&*payload))
-                };
-                entry.status = ExitCode::Failures;
-                entry.http = http;
-                // The durable ledger never records the panic payload —
-                // it can carry arbitrary internal state. The HTTP body
-                // still tells the requester what happened.
-                entry.error = Some(if cancelled {
-                    error.clone()
-                } else {
-                    "panicked (payload redacted)".to_string()
-                });
-                let body = error_body(&error, ExitCode::Failures);
+            Err(failure) => {
+                entry.http = failure.http;
+                let body = error_body(&failure.error, ExitCode::Failures);
                 let _ = write_response(
                     stream,
-                    http,
-                    reason,
+                    failure.http,
+                    failure.reason,
                     &status_headers(ExitCode::Failures, "-"),
                     "application/json",
                     body.as_bytes(),
                 );
-                if http == 504 {
+                if failure.http == 504 {
                     // The deadline path must not leave a half-open
                     // socket behind: shut both directions so the peer
                     // sees FIN, not a dangling connection.
@@ -699,6 +681,52 @@ fn handle_measure(
     }
     entry.duration_secs = started.elapsed().as_secs_f64();
     record(state, entry);
+}
+
+/// A measurement that unwound, as its requester is told about it.
+struct Failure {
+    http: u16,
+    reason: &'static str,
+    error: String,
+}
+
+/// Settle one measurement's outcome for either transport. A success
+/// clears the key's panic count and notes whether the store served it;
+/// a cancellation is a `504` "deadline exceeded"; any other unwind
+/// counts toward the key's quarantine and is a `500`. The ledger entry
+/// gets the logical outcome, but never a panic's payload — it can carry
+/// arbitrary internal state — while the returned failure still tells
+/// the requester what happened.
+fn settle(
+    state: &DaemonState,
+    key: &str,
+    outcome: std::thread::Result<(String, bool)>,
+    entry: &mut LedgerEntry,
+) -> Result<String, Failure> {
+    let payload = match outcome {
+        Ok((body, hit)) => {
+            state.clear_panics(key);
+            entry.cache = if hit { "hit" } else { "miss" };
+            return Ok(body);
+        }
+        Err(payload) => payload,
+    };
+    entry.status = ExitCode::Failures;
+    if is_cancelled_payload(&*payload) {
+        entry.error = Some("deadline exceeded".to_string());
+        return Err(Failure {
+            http: 504,
+            reason: "Gateway Timeout",
+            error: "deadline exceeded".to_string(),
+        });
+    }
+    state.note_panic(key);
+    entry.error = Some("panicked (payload redacted)".to_string());
+    Err(Failure {
+        http: 500,
+        reason: "Internal Server Error",
+        error: panic_message(&*payload),
+    })
 }
 
 /// Streaming flavor: HTTP status is committed up front (`200`, NDJSON,
@@ -759,33 +787,14 @@ fn stream_measure(
         line.push('\n');
         let _ = stream.write_all(line.as_bytes());
     }
-    let final_line = match outcome {
-        Ok((body, hit)) => {
-            state.clear_panics(key);
-            entry.cache = if hit { "hit" } else { "miss" };
-            // The cached/pretty body is multi-line; the stream's result
-            // line is its compact re-rendering.
-            compact_json_line(&body)
-        }
-        Err(payload) => {
-            let cancelled = is_cancelled_payload(&*payload);
-            let error = if cancelled {
-                "deadline exceeded".to_string()
-            } else {
-                state.note_panic(key);
-                panic_message(&*payload)
-            };
-            // The HTTP status was already committed as 200; the ledger
-            // records the logical outcome (panic payload redacted, as
-            // on the plain path), the tail line carries it to the
-            // client.
-            entry.status = ExitCode::Failures;
-            entry.error = Some(if cancelled {
-                error.clone()
-            } else {
-                "panicked (payload redacted)".to_string()
-            });
-            let mut line = error_line(&error);
+    // The HTTP status was already committed as 200, so the ledger keeps
+    // it and the tail line carries the outcome to the client.
+    let final_line = match settle(state, key, outcome, entry) {
+        // The cached/pretty body is multi-line; the stream's result
+        // line is its compact re-rendering.
+        Ok(body) => compact_json_line(&body),
+        Err(failure) => {
+            let mut line = error_line(&failure.error);
             line.push('\n');
             line
         }

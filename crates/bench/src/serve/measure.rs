@@ -11,11 +11,11 @@
 use topogen_core::cache::{scale_tag, spec_canonical};
 use topogen_core::ctx::RunCtx;
 use topogen_core::hier::HierOptions;
-use topogen_core::suite::SuiteParams;
 use topogen_store::codec::{self, bytes_payload, ContainerWriter};
 use topogen_store::key::KeyBuilder;
 
 use super::wire::{HierarchyBlock, MeasureRequest, MeasureResponse};
+use crate::ExpCtx;
 
 /// Section tag for a cached response body (UTF-8 JSON bytes).
 const SEC_RESPONSE_BODY: [u8; 4] = *b"SRVB";
@@ -32,10 +32,13 @@ pub fn response_key(req: &MeasureRequest) -> String {
 }
 
 /// Execute `req` under `ctx`: build the topology, run the requested
-/// metric set, and assemble the response. Mirrors the batch CLI
-/// exactly — same suite-seed derivation (`seed ^ 0x5EED`), same
-/// quick/thorough budgets, same §5 options — so the daemon's answer
-/// for given params is bit-identical to the batch artifact.
+/// metric set, and assemble the response — the daemon's and `repro
+/// measure`'s one path. The suite runs with the parameters a batch
+/// experiment gets from [`ExpCtx::suite_params`] at the request's scale,
+/// seed and budget (the sampled tiers' centers, checkpoint batches and
+/// bootstrap included), and §5 with the default [`HierOptions`], so an
+/// answer's curves, signature and hierarchy are the batch run's and
+/// share its store entries.
 pub fn run_measure(ctx: &RunCtx, req: &MeasureRequest) -> MeasureResponse {
     let t = topogen_core::zoo::build_in(ctx, &req.spec, req.scale, req.seed);
     let mut resp = MeasureResponse {
@@ -56,12 +59,12 @@ pub fn run_measure(ctx: &RunCtx, req: &MeasureRequest) -> MeasureResponse {
         .iter()
         .any(|m| req.wants(m));
     if wants_suite {
-        let mut params = if req.thorough {
-            SuiteParams::thorough()
-        } else {
-            SuiteParams::quick()
-        };
-        params.seed = req.seed ^ 0x5EED;
+        let params = ExpCtx {
+            scale: req.scale,
+            seed: req.seed,
+            quick: !req.thorough,
+        }
+        .suite_params();
         let suite = topogen_core::suite::run_suite_in(ctx, &t, &params);
         if req.wants("signature") {
             resp.signature = Some(suite.signature.to_string());
@@ -160,6 +163,37 @@ mod tests {
         let fresh = run_measure(&RunCtx::new(), &req).body();
         assert_eq!(cold, fresh);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sampled_tier_request_answers_with_the_batch_suite_params() {
+        let req = MeasureRequest::from_json(
+            r#"{"schema_version":1,"topology":{"kind":"mesh","side":12},"seed":11,"scale":"large"}"#,
+        )
+        .unwrap();
+        let resp = run_measure(&RunCtx::new(), &req);
+        let t = topogen_core::zoo::build_in(&RunCtx::new(), &req.spec, Scale::Large, 11);
+        let params = ExpCtx {
+            scale: Scale::Large,
+            seed: 11,
+            quick: true,
+        }
+        .suite_params();
+        let batch = topogen_core::suite::run_suite_in(&RunCtx::new(), &t, &params);
+        // Bit patterns, so the radius-0 NaN values compare equal.
+        let bits = |c: &[topogen_metrics::CurvePoint]| -> Vec<(u32, u64, u64)> {
+            c.iter()
+                .map(|p| (p.radius, p.avg_size.to_bits(), p.value.to_bits()))
+                .collect()
+        };
+        let expansion_bits = |e: &[f64]| -> Vec<u64> { e.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(
+            expansion_bits(&resp.expansion.unwrap()),
+            expansion_bits(&batch.expansion)
+        );
+        assert_eq!(bits(&resp.resilience.unwrap()), bits(&batch.resilience));
+        assert_eq!(bits(&resp.distortion.unwrap()), bits(&batch.distortion));
+        assert_eq!(resp.signature, Some(batch.signature.to_string()));
     }
 
     #[test]

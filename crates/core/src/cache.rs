@@ -208,7 +208,6 @@ pub fn decode_topology(bytes: &[u8], spec: &TopologySpec) -> Option<BuiltTopolog
         annotations,
         router_as,
         as_overlay,
-        spec: spec.clone(),
     })
 }
 
@@ -463,13 +462,9 @@ mod tests {
 
     #[test]
     fn plain_topology_roundtrip() {
-        let t = build_in(
-            &RunCtx::new(),
-            &TopologySpec::Mesh { side: 8 },
-            Scale::Small,
-            1,
-        );
-        let back = decode_topology(&encode_topology(&t), &t.spec).unwrap();
+        let spec = TopologySpec::Mesh { side: 8 };
+        let t = build_in(&RunCtx::new(), &spec, Scale::Small, 1);
+        let back = decode_topology(&encode_topology(&t), &spec).unwrap();
         assert_eq!(back.graph.edges(), t.graph.edges());
         assert_eq!(back.name, t.name);
         assert!(back.annotations.is_none());
@@ -479,8 +474,9 @@ mod tests {
 
     #[test]
     fn annotated_topology_roundtrip() {
-        let t = build_in(&RunCtx::new(), &TopologySpec::MeasuredAs, Scale::Small, 7);
-        let back = decode_topology(&encode_topology(&t), &t.spec).unwrap();
+        let spec = TopologySpec::MeasuredAs;
+        let t = build_in(&RunCtx::new(), &spec, Scale::Small, 7);
+        let back = decode_topology(&encode_topology(&t), &spec).unwrap();
         assert_eq!(back.graph.edges(), t.graph.edges());
         let (a, b) = (
             back.annotations.as_ref().unwrap(),
@@ -497,8 +493,9 @@ mod tests {
 
     #[test]
     fn rl_topology_roundtrip_with_overlay() {
-        let t = build_in(&RunCtx::new(), &TopologySpec::MeasuredRl, Scale::Small, 7);
-        let back = decode_topology(&encode_topology(&t), &t.spec).unwrap();
+        let spec = TopologySpec::MeasuredRl;
+        let t = build_in(&RunCtx::new(), &spec, Scale::Small, 7);
+        let back = decode_topology(&encode_topology(&t), &spec).unwrap();
         assert_eq!(back.graph.edges(), t.graph.edges());
         assert_eq!(back.router_as, t.router_as);
         let (a, b) = (

@@ -30,24 +30,15 @@ pub struct HierarchyReport {
 }
 
 /// Options for the hierarchy analysis.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct HierOptions {
     /// Use valley-free paths (requires annotations).
     pub policy: bool,
-    /// Reduce to the degree>1 core first — the paper's treatment of the
-    /// RL graph (footnote 29), applied when graphs exceed
-    /// `core_threshold` nodes.
-    pub core_threshold: usize,
 }
 
-impl Default for HierOptions {
-    fn default() -> Self {
-        HierOptions {
-            policy: false,
-            core_threshold: 3_000,
-        }
-    }
-}
+/// Shortest-path analyses of graphs above this many nodes run on the
+/// degree>1 core — the paper's treatment of the RL graph (footnote 29).
+const CORE_THRESHOLD: usize = 3_000;
 
 /// Run the §5 analysis under `ctx`, plus the link-value engine's
 /// instrumentation for this call (per-stage wall times, DAG states
@@ -70,7 +61,7 @@ pub fn hierarchy_report_timed_in(
     // graph loses the annotation alignment, so policy analysis skips the
     // pruning (the annotated AS graphs are small enough anyway).
     let (work, pruned): (std::borrow::Cow<'_, topogen_graph::Graph>, bool) =
-        if !opts.policy && t.graph.node_count() > opts.core_threshold {
+        if !opts.policy && t.graph.node_count() > CORE_THRESHOLD {
             (std::borrow::Cow::Owned(core_prune(&t.graph).0), true)
         } else {
             (std::borrow::Cow::Borrowed(&t.graph), false)
@@ -223,15 +214,11 @@ mod tests {
     fn core_pruning_applies_to_big_graphs() {
         let t = build_in(
             &RunCtx::new(),
-            &TopologySpec::Tree { k: 3, depth: 6 },
+            &TopologySpec::Tree { k: 3, depth: 7 },
             Scale::Small,
             1,
         );
-        let opts = HierOptions {
-            policy: false,
-            core_threshold: 100,
-        };
-        let r = hierarchy_report_timed_in(&RunCtx::new(), &t, &opts).0;
+        let r = hierarchy_report_timed_in(&RunCtx::new(), &t, &HierOptions::default()).0;
         // A tree's core is empty → no link values.
         assert!(r.name.contains("core"));
         assert!(r.values.is_empty());
@@ -246,13 +233,6 @@ mod tests {
             Scale::Small,
             1,
         );
-        let _ = hierarchy_report_timed_in(
-            &RunCtx::new(),
-            &t,
-            &HierOptions {
-                policy: true,
-                core_threshold: 3000,
-            },
-        );
+        let _ = hierarchy_report_timed_in(&RunCtx::new(), &t, &HierOptions { policy: true });
     }
 }

@@ -279,8 +279,20 @@ pub struct BuiltTopology {
     /// For MeasuredRl: the AS graph + annotations it was expanded from
     /// (enables the RL(Policy) experiments).
     pub as_overlay: Option<AsOverlayData>,
-    /// The spec that produced it.
-    pub spec: TopologySpec,
+}
+
+impl BuiltTopology {
+    /// A topology that is just `graph`, with no annotations and no
+    /// router overlay: a loaded file, or a graph an experiment derived.
+    pub fn plain(name: impl Into<String>, graph: Graph) -> BuiltTopology {
+        BuiltTopology {
+            name: name.into(),
+            graph,
+            annotations: None,
+            router_as: None,
+            as_overlay: None,
+        }
+    }
 }
 
 /// Build a topology deterministically from `seed` under `ctx`.
@@ -433,7 +445,6 @@ fn build_uncached(
                     as_graph: m.graph,
                     annotations: m.annotations,
                 }),
-                spec: spec.clone(),
             };
         }
     };
@@ -443,7 +454,6 @@ fn build_uncached(
         annotations,
         router_as,
         as_overlay: None,
-        spec: spec.clone(),
     }
 }
 
