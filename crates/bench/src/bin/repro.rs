@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro <experiment> [--scale small|paper|large|xl] [--seed N] [--thorough] [--json DIR]
-//!                    [--timings] [--kernel auto|scalar|bitset] [--mem-budget BYTES]
+//!                    [--timings] [--mem-budget BYTES]
 //!                    [--keep-going] [--resume] [--deadline SECS] [--retries N]
 //!                    [--strict-checks] [--cache[=DIR]] [--trace[=DIR]]
 //!
@@ -21,11 +21,6 @@
 //! At the sampled tiers suite jobs also run in store-checkpointed
 //! batches, so a killed run restarted with --resume and --cache serves
 //! completed batches from the store.
-//!
-//! --kernel forces the BFS kernel for metric plans: `scalar` is the
-//! per-center queue BFS, `bitset` the batched word-parallel kernels,
-//! `auto` (default) picks per plan from graph size and job count.
-//! Outputs are bit-identical across kernels; only the counters differ.
 //!
 //! --timings prints the parallel engines' instrumentation — shared-ball
 //! counters (traversals, cache hits) for the metric suite, hierarchy
@@ -62,7 +57,8 @@
 //!   --strict-checks     fig2 [FAIL] qualitative checks fail the unit
 //!
 //! Exit codes: 0 everything completed, 1 failures or timeouts,
-//! 2 usage error, 3 a measured-graph load error.
+//! 2 usage error (an unknown flag, or a flag's value missing or
+//! unreadable), 3 a measured-graph load error.
 //!
 //! Fault injection (tests/CI): TOPOGEN_FAULTS=site[@scope]:kind:rate:seed
 //! with sites build/metric/hier, kinds panic/delay[MS].
@@ -147,7 +143,7 @@ use topogen_bench::{tracefmt, ExitCode, ExpCtx};
 use topogen_core::hier::{hierarchy_report_timed_in, HierOptions};
 use topogen_core::report::{render_figure, FigureData, TableData, TimingReport};
 use topogen_core::suite::run_suite_in;
-use topogen_core::zoo::{BuiltTopology, Scale};
+use topogen_core::zoo::BuiltTopology;
 use topogen_core::RunCtx;
 use topogen_metrics::tolerance::Removal;
 use topogen_par::trace;
@@ -288,7 +284,7 @@ fn parse_byte_count(s: &str) -> Option<u64> {
 fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment> [--scale small|paper|large|xl] [--seed N] [--thorough] \
-         [--json DIR] [--timings] [--kernel auto|scalar|bitset] [--mem-budget BYTES] \
+         [--json DIR] [--timings] [--mem-budget BYTES] \
          [--keep-going] [--resume] [--deadline SECS] [--retries N] [--strict-checks] \
          [--cache[=DIR]] [--trace[=DIR]]"
     );
@@ -309,6 +305,44 @@ fn usage() -> ! {
     );
     eprintln!("run `repro list` for the experiment index");
     ExitCode::Usage.exit();
+}
+
+/// The value given after `flag`, read by `parse`. A missing or
+/// unreadable value is a usage error: name the flag and what it wants,
+/// print the usage and exit 2.
+fn flag_value<T>(
+    flag: &str,
+    want: &str,
+    value: Option<impl AsRef<str>>,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    let value = value.as_ref().map(AsRef::as_ref);
+    if let Some(v) = value.and_then(parse) {
+        return v;
+    }
+    match value {
+        Some(v) => eprintln!("bad {flag} value {v:?} (want {want})"),
+        None => eprintln!("{flag} needs {want}"),
+    }
+    usage()
+}
+
+/// A flag value parsed with [`str::parse`].
+fn parsed<T: std::str::FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+/// The non-empty directory of a `--flag=DIR` argument.
+fn dir_value(arg: &str) -> String {
+    let (flag, dir) = arg.split_once('=').expect("a --flag=DIR argument");
+    flag_value(flag, "a directory", Some(dir), |d| {
+        (!d.is_empty()).then(|| d.to_string())
+    })
+}
+
+/// A duration in seconds: a finite, non-negative number.
+fn seconds(v: &str) -> Option<Duration> {
+    Duration::try_from_secs_f64(v.parse().ok()?).ok()
 }
 
 fn main() {
@@ -342,92 +376,45 @@ fn main() {
         match a.as_str() {
             "--timings" => timings = true,
             "--cache" => cache_dir = Some("out/store".to_string()),
-            other if other.starts_with("--cache=") => {
-                let dir = &other["--cache=".len()..];
-                if dir.is_empty() {
-                    eprintln!("--cache= needs a directory");
-                    usage();
-                }
-                cache_dir = Some(dir.to_string());
-            }
+            other if other.starts_with("--cache=") => cache_dir = Some(dir_value(other)),
             "--trace" => trace_dir = Some("out/trace".to_string()),
-            other if other.starts_with("--trace=") => {
-                let dir = &other["--trace=".len()..];
-                if dir.is_empty() {
-                    eprintln!("--trace= needs a directory");
-                    usage();
-                }
-                trace_dir = Some(dir.to_string());
-            }
+            other if other.starts_with("--trace=") => trace_dir = Some(dir_value(other)),
             "--max-bytes" => {
-                max_bytes = Some(
-                    it.next()
-                        .expect("--max-bytes needs a byte count")
-                        .parse()
-                        .expect("max-bytes must be u64"),
-                );
+                max_bytes = Some(flag_value("--max-bytes", "a byte count", it.next(), parsed));
             }
             "--keep-going" => opts.keep_going = true,
             "--resume" => opts.resume = true,
             "--strict-checks" => strict_checks = true,
             "--deadline" => {
-                let secs: f64 = it
-                    .next()
-                    .expect("--deadline needs seconds")
-                    .parse()
-                    .expect("deadline must be a number of seconds");
-                opts.deadline = Some(Duration::from_secs_f64(secs));
+                opts.deadline = Some(flag_value(
+                    "--deadline",
+                    "a number of seconds",
+                    it.next(),
+                    seconds,
+                ));
             }
-            "--retries" => {
-                opts.retries = it
-                    .next()
-                    .expect("--retries needs a count")
-                    .parse()
-                    .expect("retries must be an integer");
-            }
+            "--retries" => opts.retries = flag_value("--retries", "a count", it.next(), parsed),
             "--scale" => {
-                let v = it.next().expect("--scale needs a value");
-                ctx.scale = match v.as_str() {
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    "large" => Scale::Large,
-                    "xl" => Scale::Xl,
-                    other => panic!("unknown scale {other:?}"),
-                };
-            }
-            "--kernel" => {
-                let v = it.next().expect("--kernel needs auto|scalar|bitset");
-                match topogen_graph::bfs_bitset::KernelPolicy::parse(&v) {
-                    Some(p) => run_ctx.kernel = p,
-                    None => {
-                        eprintln!("unknown kernel {v:?} (want auto|scalar|bitset)");
-                        usage();
-                    }
-                }
+                ctx.scale = flag_value("--scale", "small|paper|large|xl", it.next(), |v| {
+                    serve::wire::parse_scale(v).ok()
+                });
             }
             "--mem-budget" => {
-                let v = it
-                    .next()
-                    .expect("--mem-budget needs BYTES (K/M/G suffixes ok)");
-                match parse_byte_count(&v) {
-                    Some(b) if b > 0 => run_ctx.mem_budget = Some(b),
-                    _ => {
-                        eprintln!("bad --mem-budget {v:?} (want BYTES, e.g. 64M)");
-                        usage();
-                    }
-                }
+                run_ctx.mem_budget = Some(flag_value(
+                    "--mem-budget",
+                    "BYTES, e.g. 64M",
+                    it.next(),
+                    |v| parse_byte_count(v).filter(|&b| b > 0),
+                ));
             }
-            "--seed" => {
-                ctx.seed = it
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("seed must be u64");
-            }
+            "--seed" => ctx.seed = flag_value("--seed", "a u64", it.next(), parsed),
             "--thorough" => ctx.quick = false,
             "--json" => {
-                let dir = it.next().expect("--json needs a directory");
-                std::fs::create_dir_all(&dir).expect("create json dir");
+                let dir: String = flag_value("--json", "a directory", it.next(), parsed);
+                if let Err(e) = std::fs::create_dir_all(&dir) {
+                    eprintln!("cannot create --json directory {dir:?}: {e}");
+                    usage();
+                }
                 json_dir = Some(dir);
             }
             other if other.starts_with("--") => {
@@ -536,12 +523,7 @@ fn main() {
     // cancellations, injected faults); genuine panics still print.
     runner::quiet_expected_panics();
 
-    let scale_label = match ctx.scale {
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-        Scale::Large => "large",
-        Scale::Xl => "xl",
-    };
+    let scale_label = topogen_core::cache::scale_tag(ctx.scale);
     let unit_for = |id: &str| -> Unit {
         let id_owned = id.to_string();
         let out = out.clone();
@@ -810,68 +792,39 @@ fn run_serve_cmd(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => {
-                config.addr = it.next().expect("--addr needs HOST:PORT").clone();
-            }
+            "--addr" => config.addr = flag_value("--addr", "HOST:PORT", it.next(), parsed),
             "--workers" => {
-                config.workers = it
-                    .next()
-                    .expect("--workers needs a count")
-                    .parse()
-                    .expect("workers must be a positive integer");
-                if config.workers == 0 {
-                    eprintln!("--workers must be at least 1");
-                    return ExitCode::Usage;
-                }
+                config.workers = flag_value("--workers", "a positive count", it.next(), |v| {
+                    parsed(v).filter(|&w| w > 0)
+                });
             }
-            "--queue" => {
-                config.queue = it
-                    .next()
-                    .expect("--queue needs a count")
-                    .parse()
-                    .expect("queue must be an integer");
-            }
+            "--queue" => config.queue = flag_value("--queue", "a count", it.next(), parsed),
             "--ledger" => {
-                config.ledger_path = it.next().expect("--ledger needs a path").into();
+                config.ledger_path = flag_value("--ledger", "a path", it.next(), parsed);
                 ledger_given = true;
             }
             "--deadline" => {
-                let secs: f64 = it
-                    .next()
-                    .expect("--deadline needs seconds")
-                    .parse()
-                    .expect("deadline must be a number of seconds");
-                config.default_deadline = Some(Duration::from_secs_f64(secs));
+                config.default_deadline = Some(flag_value(
+                    "--deadline",
+                    "a number of seconds",
+                    it.next(),
+                    seconds,
+                ));
             }
             "--drain-deadline" => {
-                let secs: f64 = it
-                    .next()
-                    .expect("--drain-deadline needs seconds")
-                    .parse()
-                    .expect("drain deadline must be a number of seconds");
-                if secs <= 0.0 || secs.is_nan() {
-                    eprintln!("--drain-deadline must be positive");
-                    return ExitCode::Usage;
-                }
-                drain_deadline = Duration::from_secs_f64(secs);
+                drain_deadline = flag_value(
+                    "--drain-deadline",
+                    "a positive number of seconds",
+                    it.next(),
+                    |v| seconds(v).filter(|d| !d.is_zero()),
+                );
             }
             "--requests" => {
-                soak_requests = it
-                    .next()
-                    .expect("--requests needs a count")
-                    .parse()
-                    .expect("requests must be an integer");
+                soak_requests = flag_value("--requests", "a count", it.next(), parsed);
             }
             "--chaos-soak" => chaos_soak = true,
             "--cache" => cache_dir = Some("out/store".to_string()),
-            other if other.starts_with("--cache=") => {
-                let dir = &other["--cache=".len()..];
-                if dir.is_empty() {
-                    eprintln!("--cache= needs a directory");
-                    return ExitCode::Usage;
-                }
-                cache_dir = Some(dir.to_string());
-            }
+            other if other.starts_with("--cache=") => cache_dir = Some(dir_value(other)),
             "--self-test" => self_test = true,
             other => {
                 eprintln!("unknown serve flag {other:?}");
@@ -947,27 +900,15 @@ fn run_check_cmd(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--suite" => match it.next() {
-                Some(name) => opts.suite = Some(name.clone()),
-                None => {
-                    eprintln!("--suite needs a suite name");
-                    return ExitCode::Usage;
-                }
-            },
-            "--cases" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.cases = n,
-                _ => {
-                    eprintln!("--cases needs a positive integer");
-                    return ExitCode::Usage;
-                }
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => opts.seed = s,
-                None => {
-                    eprintln!("--seed needs a u64");
-                    return ExitCode::Usage;
-                }
-            },
+            "--suite" => {
+                opts.suite = Some(flag_value("--suite", "a suite name", it.next(), parsed))
+            }
+            "--cases" => {
+                opts.cases = flag_value("--cases", "a positive integer", it.next(), |v| {
+                    parsed(v).filter(|&n| n > 0)
+                });
+            }
+            "--seed" => opts.seed = flag_value("--seed", "a u64", it.next(), parsed),
             "--json" => json = true,
             other => {
                 eprintln!("unknown check flag {other:?}");

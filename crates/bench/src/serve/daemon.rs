@@ -725,7 +725,10 @@ fn settle(
     Err(Failure {
         http: 500,
         reason: "Internal Server Error",
-        error: panic_message(&*payload),
+        error: format!(
+            "measurement panicked: {}",
+            topogen_par::panic_message(&*payload)
+        ),
     })
 }
 
@@ -835,15 +838,6 @@ fn error_line(error: &str) -> String {
         ("code".to_string(), serde::Content::U64(exit.code() as u64)),
     ]);
     serde_json::to_string(&doc).expect("error serializes")
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .map(|m| format!("measurement panicked: {m}"))
-        .unwrap_or_else(|| "measurement panicked".to_string())
 }
 
 /// `repro serve --self-test`: boot a daemon on an ephemeral port,

@@ -193,7 +193,9 @@ fn check_version(c: &Content) -> Result<(), WireError> {
     }
 }
 
-fn parse_scale(s: &str) -> Result<Scale, WireError> {
+/// The scale a wire tag names (`small`, `paper`, `large` or `xl`) — the
+/// same table `repro --scale` reads.
+pub fn parse_scale(s: &str) -> Result<Scale, WireError> {
     match s {
         "small" => Ok(Scale::Small),
         "paper" => Ok(Scale::Paper),

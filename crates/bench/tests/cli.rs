@@ -1,7 +1,8 @@
 //! End-to-end tests for `repro`'s ways into the metrics from outside:
 //! `gen` writes a request's topology as an edge list, `load-measured`
 //! reads it back and measures it exactly as `measure` measures the
-//! request itself.
+//! request itself. A flag with a missing or unreadable value is a usage
+//! error.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -141,4 +142,23 @@ fn gen_rejects_an_unknown_topology_as_a_usage_error() {
         "{}",
         stderr(&out)
     );
+}
+
+#[test]
+fn bad_flag_values_are_usage_errors_that_name_the_flag() {
+    let cases: [&[&str]; 5] = [
+        &["tab1", "--scale", "bogus"],
+        &["tab1", "--seed"],
+        &["tab1", "--deadline", "-1"],
+        &["serve", "--workers", "x"],
+        &["serve", "--drain-deadline", "inf"],
+    ];
+    for args in cases {
+        let out = repro(args, None);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert!(err.contains(flag), "{args:?}: {err}");
+        assert!(err.contains("usage: repro"), "{args:?}: {err}");
+    }
 }

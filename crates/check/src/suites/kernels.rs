@@ -6,18 +6,24 @@
 
 use crate::gen;
 use crate::invariant::{Check, Suite};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use topogen_core::ctx::RunCtx;
 use topogen_core::suite::{run_suite_in, SuiteParams, SuiteResult};
 use topogen_core::zoo::{build_in, Scale, TopologySpec};
-use topogen_graph::bfs;
 use topogen_graph::bfs_bitset::{self, BfsStats, BitsetScratch, MAX_LANES};
-use topogen_graph::{Graph, NodeId, UNREACHED};
-use topogen_metrics::balls::{BallSource, PlainBalls};
+use topogen_graph::{bfs, subgraph, Graph, NodeId, UNREACHED};
+use topogen_measured::as_graph::AsTier;
+use topogen_measured::{expand_to_routers, InternetAs, RouterExpansionParams};
+use topogen_metrics::balls::{BallSource, OverlayBalls, PlainBalls, PolicyBalls};
 use topogen_metrics::engine::{
     BallMetric, BallPlan, BiconMetric, ClusteringMetric, CoverMetric, DistortionMetric,
     KernelPolicy, MeasureCtx, ResilienceMetric,
 };
 use topogen_metrics::{CurvePoint, Instrument};
+use topogen_policy::balls::policy_ball;
+use topogen_policy::overlay::RouterOverlay;
+use topogen_policy::valley::policy_shortest_path_dag;
 
 /// The `kernels` suite.
 pub fn suite() -> Suite {
@@ -51,12 +57,15 @@ pub fn suite() -> Suite {
                 name: "ballplan-matches-reference",
                 property: "a BallPlan of the Appendix-B consumers (cover, bicon, clustering) \
                            plus an edge count, with expansion centers and the consumers' \
-                           size cap, matches a serial reference bit-for-bit on arbitrary \
-                           graphs under forced scalar and forced bitset kernels",
-                oracle: "a serial loop: balls_up_to per center, finite values averaged \
-                         per radius, distances for expansion",
+                           size cap, matches a serial reference bit-for-bit over plain \
+                           balls of arbitrary graphs, policy balls of annotated AS graphs \
+                           and router balls of RL router maps over them, under forced \
+                           scalar and forced bitset kernels",
+                oracle: "a serial loop: every radius's ball built from scratch \
+                         (subgraph::ball, policy_ball, policy_router_ball), finite values \
+                         averaged per radius, one distance field per expansion center",
                 shrink_hint: "shrink the node count, then drop metrics one at a time, \
-                              then lower the radius",
+                              then lower the radius, then try the plain source",
                 max_cases: u32::MAX,
                 run: ballplan_matches_reference,
             }),
@@ -237,14 +246,23 @@ impl BallMetric for CappedEdges {
     }
 }
 
+/// How the serial reference builds one center's ball of radius `h` and
+/// one center's distance field, each from scratch under the source's
+/// path notion.
+struct Reference<'r> {
+    ball: &'r dyn Fn(NodeId, u32) -> Graph,
+    distances: &'r dyn Fn(NodeId) -> Vec<u32>,
+}
+
 /// The ball-growing methodology as one serial loop, independent of the
-/// engine's job merging, kernels, scratch reuse and size cap: per ball
-/// center (in order) every ball from `balls_up_to`, each metric's finite
-/// values averaged per radius together with their ball sizes; E(h) from
-/// one `distances` call per expansion center. The metrics must ignore
-/// the per-ball seed (the Appendix-B consumers do).
-fn reference_plan<S: BallSource>(
-    src: &S,
+/// engine's job merging, growth, kernels, scratch reuse and size cap:
+/// per ball center (in order) every ball built from scratch, each
+/// metric's finite values averaged per radius together with their ball
+/// sizes; E(h) from one distance field per expansion center. The
+/// metrics must ignore the per-ball seed (the Appendix-B consumers do).
+fn reference_plan(
+    reference: &Reference<'_>,
+    n: usize,
     ball_centers: &[NodeId],
     exp_centers: &[NodeId],
     max_h: u32,
@@ -256,19 +274,18 @@ fn reference_plan<S: BallSource>(
     let rows: Vec<Vec<(f64, Vec<f64>)>> = ball_centers
         .iter()
         .map(|&c| {
-            src.balls_up_to(c, max_h)
-                .iter()
-                .enumerate()
-                .map(|(h, (ball, _))| {
+            (0..=max_h)
+                .map(|h| {
+                    let ball = (reference.ball)(c, h);
                     let ctx = MeasureCtx {
                         center: c,
-                        radius: h as u32,
+                        radius: h,
                         seed: 0,
                         instrument: &instrument,
                     };
                     let vals = metrics
                         .iter()
-                        .map(|m| m.measure(ball, &ctx).unwrap_or(f64::NAN))
+                        .map(|m| m.measure(&ball, &ctx).unwrap_or(f64::NAN))
                         .collect();
                     (ball.node_count() as f64, vals)
                 })
@@ -301,7 +318,7 @@ fn reference_plan<S: BallSource>(
     if !exp_centers.is_empty() {
         let mut total = vec![0usize; radii];
         for &c in exp_centers {
-            for d in src.distances(c) {
+            for d in (reference.distances)(c) {
                 if d != UNREACHED && d <= max_h {
                     for t in &mut total[d as usize..] {
                         *t += 1;
@@ -309,7 +326,7 @@ fn reference_plan<S: BallSource>(
                 }
             }
         }
-        let denom = exp_centers.len() as f64 * src.node_count() as f64;
+        let denom = exp_centers.len() as f64 * n as f64;
         expansion = total.iter().map(|&t| t as f64 / denom).collect();
     }
     (curves, expansion)
@@ -318,12 +335,76 @@ fn reference_plan<S: BallSource>(
 fn ballplan_matches_reference(seed: u64) -> Result<(), String> {
     let mut rng = gen::Lcg::new(seed);
     let n = 2 + rng.below(120);
-    let g = gen::sparse_graph(n, rng.below(3 * n + 1), rng.next() as u64);
     let max_h = 1 + rng.below(8) as u32;
+    let graph_seed = rng.next() as u64;
+    match rng.below(3) {
+        0 => {
+            let g = gen::sparse_graph(n, rng.below(3 * n + 1), graph_seed);
+            let reference = Reference {
+                ball: &|c, h| subgraph::ball(&g, c, h).0,
+                distances: &|c| bfs::distances(&g, c),
+            };
+            let src = PlainBalls { graph: &g };
+            plan_matches_reference(&src, "plain", &reference, max_h, &mut rng, seed)
+        }
+        1 => {
+            let (g, ann) = gen::annotated_graph(n, rng.below(2 * n), graph_seed);
+            let reference = Reference {
+                ball: &|c, h| policy_ball(&g, &ann, c, h).0,
+                distances: &|c| policy_shortest_path_dag(&g, &ann, c).node_dist,
+            };
+            let src = PolicyBalls {
+                graph: &g,
+                annotations: &ann,
+            };
+            plan_matches_reference(&src, "policy", &reference, max_h, &mut rng, seed)
+        }
+        _ => {
+            // The RL generator's router map (core rings, access routers,
+            // border links) over an annotated AS graph, 1–4 routers per AS.
+            let (graph, annotations) =
+                gen::annotated_graph(1 + n / 4, rng.below(n / 4 + 1), graph_seed);
+            let tiers = vec![AsTier::Stub; graph.node_count()];
+            let m = InternetAs {
+                graph,
+                annotations,
+                tiers,
+            };
+            let per_as = RouterExpansionParams {
+                routers_per_degree: 1.0,
+                min_routers: 1,
+                max_routers: 4,
+            };
+            let rl = expand_to_routers(&m, &per_as, &mut StdRng::seed_from_u64(rng.next() as u64));
+            let src = OverlayBalls {
+                overlay: RouterOverlay::new(&rl.graph, &rl.router_as, &m.graph, &m.annotations),
+            };
+            let reference = Reference {
+                ball: &|c, h| src.overlay.policy_router_ball(c, h).0,
+                distances: &|c| src.overlay.policy_router_distances(c),
+            };
+            plan_matches_reference(&src, "overlay", &reference, max_h, &mut rng, seed)
+        }
+    }
+}
+
+/// One `ballplan-matches-reference` case over a drawn source: the
+/// Appendix-B consumers plus a capped edge count, with ball centers,
+/// expansion centers and the size cap drawn from `rng`, under forced
+/// scalar and forced bitset kernels (policy sources grow the same way
+/// under both).
+fn plan_matches_reference<S: BallSource>(
+    src: &S,
+    kind: &str,
+    reference: &Reference<'_>,
+    max_h: u32,
+    rng: &mut gen::Lcg,
+    seed: u64,
+) -> Result<(), String> {
+    let n = src.node_count();
     let cap = 1 + rng.below(n);
-    let src = PlainBalls { graph: &g };
-    let ball_centers: Vec<NodeId> = g.nodes().filter(|_| rng.below(3) == 0).collect();
-    let exp_centers: Vec<NodeId> = g.nodes().filter(|_| rng.below(2) == 0).collect();
+    let ball_centers: Vec<NodeId> = (0..n as NodeId).filter(|_| rng.below(3) == 0).collect();
+    let exp_centers: Vec<NodeId> = (0..n as NodeId).filter(|_| rng.below(2) == 0).collect();
     let cover = CoverMetric {
         max_ball_nodes: cap,
     };
@@ -338,16 +419,15 @@ fn ballplan_matches_reference(seed: u64) -> Result<(), String> {
     };
     let metrics: [&dyn BallMetric; 4] = [&cover, &bicon, &clustering, &edges];
     let (want_curves, want_expansion) =
-        reference_plan(&src, &ball_centers, &exp_centers, max_h, &metrics);
+        reference_plan(reference, n, &ball_centers, &exp_centers, max_h, &metrics);
     let case = format!(
-        "n={n} m={} h={max_h} cap={cap} ball centers={} expansion centers={}",
-        g.edge_count(),
+        "{kind} n={n} h={max_h} cap={cap} ball centers={} expansion centers={}",
         ball_centers.len(),
         exp_centers.len()
     );
     for policy in [KernelPolicy::Scalar, KernelPolicy::Bitset] {
         let plan = metrics.iter().fold(
-            BallPlan::new(&src, max_h, seed)
+            BallPlan::new(src, max_h, seed)
                 .ball_centers(ball_centers.clone())
                 .expansion_centers(exp_centers.clone())
                 .kernel(policy)

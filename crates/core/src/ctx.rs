@@ -43,8 +43,10 @@ pub struct RunCtx {
     /// `TimingReport` always comes from a private instrument.
     pub instrument: Option<Arc<Instrument>>,
     /// BFS kernel policy for metric plans run under this context
-    /// (scalar per-center BFS vs batched bitset kernels; `Auto` decides
-    /// per plan). `repro --kernel` sets it.
+    /// (scalar per-center BFS vs batched bitset kernels; `Auto`, the
+    /// default, decides per plan). No flag sets it: the two kernels give
+    /// bit-identical outputs, and only tests, `repro check` and
+    /// benchmarks force one.
     pub kernel: KernelPolicy,
     /// Edge-buffer memory budget (bytes) for topology builds. `Some`
     /// routes the streaming-capable generators through

@@ -9,7 +9,9 @@ use crate::zoo::BuiltTopology;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topogen_metrics::balls::{sample_centers, BallSource, PlainBalls, PolicyBalls};
-use topogen_metrics::engine::{BallPlan, DistortionMetric, ResilienceMetric};
+use topogen_metrics::engine::{
+    aggregate_counts, aggregate_rows, BallPlan, DistortionMetric, JobOut, ResilienceMetric,
+};
 use topogen_metrics::CurvePoint;
 
 /// Sampling and budget knobs for one suite run.
@@ -380,12 +382,12 @@ fn run_with_source<S: BallSource>(
 /// Bootstrap the three classification summaries over centers: resample
 /// expansion sources (for the growth rate) and ball centers (for the
 /// resilience peak and distortion headline) with replacement,
-/// recompute each statistic per resample through the same aggregation
-/// the real curves use, and take the 2.5th/97.5th percentiles. Fully
-/// seeded — the CIs are as deterministic as the curves themselves.
+/// recompute each statistic per resample through the engine's own
+/// aggregation, and take the 2.5th/97.5th percentiles. Fully seeded —
+/// the CIs are as deterministic as the curves themselves.
 fn bootstrap_cis(
     jobs: &[(topogen_graph::NodeId, bool, bool)],
-    outputs: &[topogen_metrics::engine::JobOut],
+    outputs: &[JobOut],
     n: usize,
     radii: usize,
     resamples: u32,
@@ -395,66 +397,24 @@ fn bootstrap_cis(
     let exp_idx: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].2).collect();
     let ball_idx: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].1).collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xB007_57A9);
+    let mut resample = |idx: &[usize]| -> Vec<usize> {
+        (0..idx.len())
+            .map(|_| idx[rng.gen_range(0..idx.len())])
+            .collect()
+    };
     let mut rate = Vec::with_capacity(resamples as usize);
     let mut peak = Vec::with_capacity(resamples as usize);
     let mut last = Vec::with_capacity(resamples as usize);
     for _ in 0..resamples {
         if !exp_idx.is_empty() {
-            let denom = exp_idx.len() as f64 * n as f64;
-            let mut curve = vec![0.0f64; radii];
-            for _ in 0..exp_idx.len() {
-                let j = exp_idx[rng.gen_range(0..exp_idx.len())];
-                if let (_, Some(cum)) = &outputs[j] {
-                    for (h, &c) in cum.iter().enumerate().take(radii) {
-                        curve[h] += c as f64;
-                    }
-                }
-            }
-            for v in &mut curve {
-                *v /= denom;
-            }
+            let picks = resample(&exp_idx);
+            let curve = aggregate_counts(picks.iter().map(|&j| &outputs[j]), picks.len(), n, radii);
             rate.push(topogen_metrics::expansion::expansion_growth_rate(&curve));
         }
         if !ball_idx.is_empty() {
-            // Re-aggregate both per-ball metrics (resilience = column
-            // 0, distortion = column 1) over the resampled centers,
-            // mirroring BallPlan::aggregate's finite-only averaging.
-            let picks: Vec<usize> = (0..ball_idx.len())
-                .map(|_| ball_idx[rng.gen_range(0..ball_idx.len())])
-                .collect();
-            let curve_for = |mi: usize| -> Vec<CurvePoint> {
-                (0..radii as u32)
-                    .map(|h| {
-                        let mut size_sum = 0.0;
-                        let mut val_sum = 0.0;
-                        let mut val_n = 0usize;
-                        for &j in &picks {
-                            if let (Some(rows), _) = &outputs[j] {
-                                if let Some((s, vals)) = rows.get(h as usize) {
-                                    if vals[mi].is_finite() {
-                                        size_sum += *s;
-                                        val_sum += vals[mi];
-                                        val_n += 1;
-                                    }
-                                }
-                            }
-                        }
-                        CurvePoint {
-                            radius: h,
-                            avg_size: if val_n > 0 {
-                                size_sum / val_n as f64
-                            } else {
-                                0.0
-                            },
-                            value: if val_n > 0 {
-                                val_sum / val_n as f64
-                            } else {
-                                f64::NAN
-                            },
-                        }
-                    })
-                    .collect()
-            };
+            // Resilience is metric 0 of the plan, distortion metric 1.
+            let picks = resample(&ball_idx);
+            let curve_for = |mi| aggregate_rows(picks.iter().map(|&j| &outputs[j]), mi, radii);
             peak.push(crate::classify::resilience_peak(&curve_for(0)).1);
             last.push(
                 crate::classify::distortion_headline(&curve_for(1))

@@ -63,17 +63,7 @@ pub enum KernelPolicy {
 }
 
 impl KernelPolicy {
-    /// Parse a CLI tag (`auto` / `scalar` / `bitset`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "auto" => Some(KernelPolicy::Auto),
-            "scalar" => Some(KernelPolicy::Scalar),
-            "bitset" => Some(KernelPolicy::Bitset),
-            _ => None,
-        }
-    }
-
-    /// The CLI/trace tag for this policy.
+    /// The trace/report tag for this policy.
     pub fn tag(self) -> &'static str {
         match self {
             KernelPolicy::Auto => "auto",
@@ -878,11 +868,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_parse_and_default() {
-        assert_eq!(KernelPolicy::parse("auto"), Some(KernelPolicy::Auto));
-        assert_eq!(KernelPolicy::parse("scalar"), Some(KernelPolicy::Scalar));
-        assert_eq!(KernelPolicy::parse("bitset"), Some(KernelPolicy::Bitset));
-        assert_eq!(KernelPolicy::parse("simd"), None);
+    fn policy_tag_and_default() {
         assert_eq!(KernelPolicy::Bitset.tag(), "bitset");
         assert_eq!(KernelPolicy::default(), KernelPolicy::Auto);
     }

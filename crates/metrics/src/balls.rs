@@ -4,35 +4,112 @@
 //! "ball of radius h around a center". The paper uses two: plain
 //! shortest-path balls, and — for the measured AS/RL graphs —
 //! *policy-induced* balls (Appendix E). [`BallSource`] abstracts over
-//! both so metric code is written once.
+//! both so metric code is written once: a source grows a center once
+//! ([`BallSource::grow`]), and the [`Growth`] knows the size of the
+//! ball at every radius and builds any of them on demand.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
+use topogen_graph::bfs_bitset::BitsetScratch;
 use topogen_graph::subgraph::{induced_subgraph, SubgraphMap};
-use topogen_graph::{bfs, Graph, NodeId};
+use topogen_graph::{bfs, Graph, NodeId, UNREACHED};
 use topogen_policy::balls::policy_ball_from_dag;
+use topogen_policy::overlay::RouterOverlay;
 use topogen_policy::rel::AsAnnotations;
-use topogen_policy::valley::policy_shortest_path_dag;
+use topogen_policy::valley::{policy_shortest_path_dag, PolicyDag};
 
 /// A source of ball subgraphs over some underlying topology.
 pub trait BallSource: Sync {
     /// The underlying node count (for sampling centers).
     fn node_count(&self) -> usize;
 
-    /// All balls of radii `0..=max_h` around `center`, cheapest computed
-    /// together (one BFS serves every radius).
-    fn balls_up_to(&self, center: NodeId, max_h: u32) -> Vec<(Graph, SubgraphMap)>;
-
-    /// Distance field from `center` under this source's path notion.
-    fn distances(&self, center: NodeId) -> Vec<u32>;
+    /// Grow `center` once, under this source's path notion, out to
+    /// radius `max_h`. The growth holds the size of every radius's ball
+    /// and builds any ball of at most `max_ball` nodes; pass 0 when only
+    /// the sizes are wanted.
+    fn grow(&self, center: NodeId, max_h: u32, max_ball: usize) -> Growth<'_>;
 
     /// The underlying plain graph, when this source's balls are plain
     /// shortest-path balls over it — the precondition for the batched
     /// bitset kernels. Policy/overlay sources return `None` (their path
-    /// notion is not plain BFS) and always take the scalar path.
+    /// notion is not plain BFS) and always grow through [`Self::grow`].
     fn plain_graph(&self) -> Option<&Graph> {
         None
     }
+}
+
+/// One center grown once: the size of its ball at every radius, and
+/// what the source builds those balls from.
+pub struct Growth<'a> {
+    /// `sizes[h]` is the node count of the ball of radius `h`, for every
+    /// `h` in `0..=max_h`. A bitset BFS stopped at its node limit counts
+    /// only through the first radius whose ball exceeds it.
+    pub sizes: Vec<usize>,
+    pub(crate) balls: Balls<'a>,
+}
+
+/// What a [`Growth`] builds its balls from.
+pub(crate) enum Balls<'a> {
+    /// Scalar BFS: the reached nodes in `(distance, id)` order through
+    /// the largest ball within the growth's `max_ball`; every ball is a
+    /// prefix of them.
+    Plain(&'a Graph, Vec<NodeId>),
+    /// Bitset BFS, its reached set sorted the same way
+    /// ([`BitsetScratch::sort_prefix`]).
+    Bitset(&'a Graph, &'a BitsetScratch),
+    /// The valley-free DAG from the center.
+    Policy(&'a Graph, PolicyDag),
+    /// The router distance field from the center.
+    Overlay(&'a RouterOverlay<'a>, Vec<u32>),
+}
+
+impl Growth<'_> {
+    /// The ball of radius `h`: the subgraph and node order that
+    /// [`topogen_graph::subgraph::ball`], `policy_ball` or
+    /// `policy_router_ball` build for it.
+    ///
+    /// # Panics
+    /// Panics on a plain ball larger than the `max_ball` the center was
+    /// grown for.
+    pub fn ball(&self, h: u32) -> (Graph, SubgraphMap) {
+        match &self.balls {
+            Balls::Plain(g, order) => induced_subgraph(g, &order[..self.sizes[h as usize]]),
+            Balls::Bitset(g, scratch) => scratch.ball(g, &self.sizes, h as usize),
+            Balls::Policy(g, dag) => policy_ball_from_dag(g, dag, h),
+            Balls::Overlay(overlay, dist) => overlay.policy_router_ball_from_dist(dist, h),
+        }
+    }
+}
+
+/// Cumulative ball sizes from ring sizes (the node counts at exactly
+/// each distance).
+pub(crate) fn cumulative(mut rings: Vec<usize>) -> Vec<usize> {
+    for h in 1..rings.len() {
+        rings[h] += rings[h - 1];
+    }
+    rings
+}
+
+/// Cumulative ball sizes for radii `0..=max_h` from a distance field.
+fn sizes_within(dist: &[u32], max_h: u32) -> Vec<usize> {
+    let mut rings = vec![0usize; max_h as usize + 1];
+    for &d in dist {
+        if d != UNREACHED && d <= max_h {
+            rings[d as usize] += 1;
+        }
+    }
+    cumulative(rings)
+}
+
+/// The node count of the largest ball in `sizes` with at most `cap`
+/// nodes (0 when even the center's exceeds it).
+pub(crate) fn largest_ball_within(sizes: &[usize], cap: usize) -> usize {
+    sizes
+        .iter()
+        .copied()
+        .take_while(|&size| size <= cap)
+        .last()
+        .unwrap_or(0)
 }
 
 /// Plain shortest-path balls over a graph.
@@ -46,26 +123,24 @@ impl<'a> BallSource for PlainBalls<'a> {
         self.graph.node_count()
     }
 
-    fn balls_up_to(&self, center: NodeId, max_h: u32) -> Vec<(Graph, SubgraphMap)> {
+    fn grow(&self, center: NodeId, max_h: u32, max_ball: usize) -> Growth<'_> {
         // One bounded BFS serves every radius: ball `h` is the prefix of
         // the `(distance, id)`-sorted reached set up to the cumulative
         // ring size — the membership and order `subgraph::ball` builds.
-        let (sorted, rings) = bfs::with_scratch(|s| {
+        // The prefix is copied out of this thread's scratch, which a
+        // metric may borrow again while it measures.
+        let (sizes, order) = bfs::with_scratch(|s| {
             s.run_bounded(self.graph, center, max_h);
-            (s.ball_nodes_sorted(), s.ring_sizes(max_h))
+            let sizes = cumulative(s.ring_sizes(max_h));
+            // Reached nodes come in non-decreasing distance order.
+            let mut order = s.touched()[..largest_ball_within(&sizes, max_ball)].to_vec();
+            order.sort_unstable_by_key(|&v| (s.dist(v), v));
+            (sizes, order)
         });
-        let mut size = 0;
-        rings
-            .iter()
-            .map(|&ring| {
-                size += ring;
-                induced_subgraph(self.graph, &sorted[..size])
-            })
-            .collect()
-    }
-
-    fn distances(&self, center: NodeId) -> Vec<u32> {
-        bfs::distances(self.graph, center)
+        Growth {
+            sizes,
+            balls: Balls::Plain(self.graph, order),
+        }
     }
 
     fn plain_graph(&self) -> Option<&Graph> {
@@ -86,16 +161,12 @@ impl<'a> BallSource for PolicyBalls<'a> {
         self.graph.node_count()
     }
 
-    fn balls_up_to(&self, center: NodeId, max_h: u32) -> Vec<(Graph, SubgraphMap)> {
+    fn grow(&self, center: NodeId, max_h: u32, _max_ball: usize) -> Growth<'_> {
         let dag = policy_shortest_path_dag(self.graph, self.annotations, center);
-        (0..=max_h)
-            .map(|h| policy_ball_from_dag(self.graph, &dag, h))
-            .collect()
-    }
-
-    fn distances(&self, center: NodeId) -> Vec<u32> {
-        let dag = policy_shortest_path_dag(self.graph, self.annotations, center);
-        dag.node_dist
+        Growth {
+            sizes: sizes_within(&dag.node_dist, max_h),
+            balls: Balls::Policy(self.graph, dag),
+        }
     }
 }
 
@@ -103,7 +174,7 @@ impl<'a> BallSource for PolicyBalls<'a> {
 /// paper's RL(Policy) series (Appendix E's two-step construction).
 pub struct OverlayBalls<'a> {
     /// The router-level overlay (router graph + AS graph + annotations).
-    pub overlay: topogen_policy::overlay::RouterOverlay<'a>,
+    pub overlay: RouterOverlay<'a>,
 }
 
 impl<'a> BallSource for OverlayBalls<'a> {
@@ -111,15 +182,12 @@ impl<'a> BallSource for OverlayBalls<'a> {
         self.overlay.routers.node_count()
     }
 
-    fn balls_up_to(&self, center: NodeId, max_h: u32) -> Vec<(Graph, SubgraphMap)> {
+    fn grow(&self, center: NodeId, max_h: u32, _max_ball: usize) -> Growth<'_> {
         let dist = self.overlay.policy_router_distances(center);
-        (0..=max_h)
-            .map(|h| self.overlay.policy_router_ball_from_dist(&dist, h))
-            .collect()
-    }
-
-    fn distances(&self, center: NodeId) -> Vec<u32> {
-        self.overlay.policy_router_distances(center)
+        Growth {
+            sizes: sizes_within(&dist, max_h),
+            balls: Balls::Overlay(&self.overlay, dist),
+        }
     }
 }
 
@@ -180,7 +248,10 @@ mod tests {
     fn plain_balls_radii() {
         let g = path5();
         let src = PlainBalls { graph: &g };
-        let balls = src.balls_up_to(2, 2);
+        let growth = src.grow(2, 2, usize::MAX);
+        let balls: Vec<_> = (0..growth.sizes.len() as u32)
+            .map(|h| growth.ball(h))
+            .collect();
         assert_eq!(balls.len(), 3);
         assert_eq!(balls[0].0.node_count(), 1);
         assert_eq!(balls[1].0.node_count(), 3);
@@ -196,8 +267,8 @@ mod tests {
             graph: &g,
             annotations: &ann,
         };
-        let balls = src.balls_up_to(0, 5);
-        assert_eq!(balls.last().unwrap().0.node_count(), 2);
+        let growth = src.grow(0, 5, usize::MAX);
+        assert_eq!(growth.ball(5).0.node_count(), 2);
     }
 
     #[test]

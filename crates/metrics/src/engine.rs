@@ -1,11 +1,13 @@
 //! The shared-ball metrics engine: the one path every ball-growing
 //! curve (§3.2.1, and Appendix B's Figures 8 and 10) is computed on.
 //!
-//! Per sampled center, [`BallPlan`] computes the radius-indexed ball
-//! subgraphs (and, for expansion, the distance field) **once**, and
-//! hands each ball to every registered [`BallMetric`] consumer, so k
-//! metrics over the same centers cost one BFS + ball construction per
-//! center, not k. An [`Instrument`] sink counts traversals,
+//! Per sampled center, [`BallPlan`] grows the center **once** (a
+//! [`Growth`]: the ball size at every radius), and one row loop then
+//! builds each radius's ball in turn and hands it to every registered
+//! [`BallMetric`] consumer, so k metrics over the same centers cost one
+//! traversal + ball construction per center, not k. The loop stops at
+//! the first ball over [`BallPlan::ball_size_cap`], on every kernel and
+//! for every [`BallSource`]. An [`Instrument`] sink counts traversals,
 //! balls built, cache hits and partitioner restarts so the sharing is
 //! observable in timing reports.
 //!
@@ -24,9 +26,11 @@
 //! `kernel-select` trace span plus nonzero `words_scanned` /
 //! `frontier_passes` counters on the bitset path), and both paths
 //! produce bit-identical distances, ring sizes, ball memberships, and
-//! downstream curve aggregates.
+//! downstream curve aggregates. Only the growth differs by kernel; the
+//! row loop and the aggregation ([`aggregate_rows`],
+//! [`aggregate_counts`]) are shared.
 
-use crate::balls::BallSource;
+use crate::balls::{cumulative, largest_ball_within, BallSource, Balls, Growth};
 use crate::instrument::{phase, Instrument, TimingReport};
 use crate::partition::min_balanced_cut;
 use crate::CurvePoint;
@@ -34,7 +38,7 @@ use std::sync::Mutex;
 use topogen_graph::bfs_bitset::{
     select_kernel, BfsStats, BitsetScratch, KernelChoice, LaneScratch, MAX_LANES,
 };
-use topogen_graph::{Graph, NodeId, UNREACHED};
+use topogen_graph::{Graph, NodeId};
 use topogen_par::{par_map_threads, worker_count};
 
 pub use topogen_graph::bfs_bitset::KernelPolicy;
@@ -72,12 +76,11 @@ pub trait BallMetric: Sync {
 /// rows for ball centers, expansion cumulative counts for expansion
 /// centers.
 ///
-/// Rows are indexed by radius. A NaN value is a declined ball, and a
-/// radius with no row counts as declined too: on the bitset path, under
-/// [`BallPlan::ball_size_cap`], the rows end after the first radius
-/// whose ball exceeds the cap, while the scalar path keeps one
-/// `(size, NaN…)` row per radius. [`BallPlan::aggregate`] (and the
-/// suite's bootstrap) skip both alike, so the curves are the same bits.
+/// Rows are indexed by radius. A NaN value is a declined ball. Under
+/// [`BallPlan::ball_size_cap`] the rows end at the first radius whose
+/// ball exceeds the cap, with a `(size, NaN…)` row, on every kernel and
+/// source; a radius with no row counts as declined too.
+/// [`aggregate_rows`] skips both alike.
 ///
 /// A job's output depends only on the plan's seed, radius budget and the
 /// job's own `(center, is_ball, is_expansion)` triple — never on which
@@ -315,21 +318,21 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     /// Kernel policy for this plan (default [`KernelPolicy::Auto`],
     /// which consults [`select_kernel`]); forcing `Scalar`/`Bitset`
     /// pins the path. Suite runs pass their run context's policy.
+    /// Either kernel feeds the same row loop.
     pub fn kernel(mut self, policy: KernelPolicy) -> Self {
         self.kernel = policy;
         self
     }
 
-    /// Skip *constructing* ball subgraphs larger than `cap` nodes on the
-    /// bitset path. The first oversized ball gets the row the scalar
-    /// path produces after every metric declines it (size + NaN per
-    /// metric); the rows end there, and a ball-only center stops its BFS
-    /// at that radius (see [`JobOut`]).
+    /// Skip *constructing* ball subgraphs larger than `cap` nodes. The
+    /// first oversized ball gets the row every metric's decline would
+    /// give it (size + NaN per metric) and the rows end there (see
+    /// [`JobOut`]); on the bitset kernel a ball-only center also stops
+    /// its BFS at that radius.
     ///
     /// Only set this when **every** registered metric returns `None` for
     /// balls larger than `cap` (the suite metrics all skip above their
-    /// shared `max_ball_nodes`); otherwise the two paths would diverge.
-    /// The scalar path ignores the cap entirely.
+    /// shared `max_ball_nodes`); otherwise the curves would change.
     pub fn ball_size_cap(mut self, cap: Option<usize>) -> Self {
         self.ball_size_cap = cap;
         self
@@ -371,8 +374,8 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         self
     }
 
-    /// Run the plan: one `balls_up_to` per ball center (shared by all
-    /// metrics), one `distances` per expansion-only center.
+    /// Run the plan: one growth per center, its balls shared by all
+    /// metrics and its sizes by the expansion average.
     pub fn run(&self) -> PlanResult {
         let (outputs, report) = self.run_collect(&self.jobs());
         self.aggregate(&outputs, report)
@@ -418,7 +421,7 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
 
         // Kernel selection: the batched bitset path needs plain
         // shortest-path balls over an exposed graph; everything else
-        // (policy/overlay sources) is scalar by construction.
+        // (policy/overlay sources) grows through the source itself.
         let choice = match self.source.plain_graph() {
             Some(g) => select_kernel(self.kernel, g.node_count(), g.edge_count(), jobs.len()),
             None => KernelChoice::Scalar,
@@ -431,7 +434,9 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         match (choice, self.source.plain_graph()) {
             (KernelChoice::Bitset, Some(g)) => self.run_jobs_bitset(g, jobs, instrument, radii),
             _ => par_map_threads(jobs, self.threads, |&job| {
-                self.run_job_scalar(job, instrument, radii)
+                self.run_job(job, instrument, |max_ball| {
+                    self.source.grow(job.0, self.max_radius, max_ball)
+                })
             }),
         }
     }
@@ -443,66 +448,19 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     /// once after the last batch lands.
     pub fn aggregate(&self, outputs: &[JobOut], report: TimingReport) -> PlanResult {
         let radii = self.max_radius as usize + 1;
-        // Aggregate in fixed job order: bit-identical for any thread
-        // count. Only finite values contribute to the size/value
-        // averages (see [`BallMetric`]).
         let curves = (0..self.metrics.len())
-            .map(|mi| {
-                (0..radii as u32)
-                    .map(|h| {
-                        let mut size_sum = 0.0;
-                        let mut val_sum = 0.0;
-                        let mut val_n = 0usize;
-                        for (rows, _) in outputs {
-                            if let Some(rows) = rows {
-                                if let Some((s, vals)) = rows.get(h as usize) {
-                                    let v = vals[mi];
-                                    if v.is_finite() {
-                                        size_sum += *s;
-                                        val_sum += v;
-                                        val_n += 1;
-                                    }
-                                }
-                            }
-                        }
-                        CurvePoint {
-                            radius: h,
-                            avg_size: if val_n > 0 {
-                                size_sum / val_n as f64
-                            } else {
-                                0.0
-                            },
-                            value: if val_n > 0 {
-                                val_sum / val_n as f64
-                            } else {
-                                f64::NAN
-                            },
-                        }
-                    })
-                    .collect()
-            })
+            .map(|mi| aggregate_rows(outputs, mi, radii))
             .collect();
-
         let expansion = if self.expansion_centers.is_empty() {
             Vec::new()
         } else {
-            let n = self.source.node_count();
-            let denom = self.expansion_centers.len() as f64 * n as f64;
-            (0..radii)
-                .map(|h| {
-                    if denom == 0.0 {
-                        return 0.0;
-                    }
-                    let total: usize = outputs
-                        .iter()
-                        .filter_map(|(_, cum)| cum.as_ref())
-                        .map(|c| c[h])
-                        .sum();
-                    total as f64 / denom
-                })
-                .collect()
+            aggregate_counts(
+                outputs,
+                self.expansion_centers.len(),
+                self.source.node_count(),
+                radii,
+            )
         };
-
         PlanResult {
             names: self.metrics.iter().map(|m| m.name()).collect(),
             curves,
@@ -511,74 +469,76 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         }
     }
 
-    /// One scalar job: the PR-1 per-center path, verbatim — one
-    /// `balls_up_to` per ball center, one `distances` per
-    /// expansion-only center.
-    fn run_job_scalar(
+    /// The size cap the row loop applies (`usize::MAX` when none is set).
+    fn cap(&self) -> usize {
+        self.ball_size_cap.unwrap_or(usize::MAX)
+    }
+
+    /// One job, on either kernel and for every source: grow the center
+    /// once with `grow`, which is given the largest ball the job builds
+    /// (the cap, or 0 for an expansion-only center), then run the row
+    /// loop of a ball center: build each radius's ball in turn, hand it
+    /// to every metric and drop it. The first ball over the cap is not
+    /// built — every metric would decline it and the larger ones after
+    /// it — so its row is `(size, NaN…)` and the rows end there. An
+    /// expansion center's E(h) counts are its ball sizes.
+    fn run_job<'g>(
         &self,
         (c, is_ball, is_exp): (NodeId, bool, bool),
         instrument: &Instrument,
-        radii: usize,
+        grow: impl FnOnce(usize) -> Growth<'g>,
     ) -> JobOut {
         let _center_span = topogen_par::trace::span("center");
-        let mut ball_rows = None;
-        let mut cum = None;
-        if is_ball {
-            let ball_phase = phase(Some(instrument), "balls");
-            let balls = self.source.balls_up_to(c, self.max_radius);
-            drop(ball_phase);
-            instrument.add_bfs_runs(1);
-            instrument.add_balls_built(balls.len() as u64);
-            if self.metrics.len() > 1 {
-                // Every consumer after the first reuses each ball.
-                instrument
-                    .add_ball_cache_hits(balls.len() as u64 * (self.metrics.len() as u64 - 1));
+        let grow_phase = phase(
+            Some(instrument),
+            if is_ball { "balls" } else { "distances" },
+        );
+        let cap = self.cap();
+        let growth = grow(if is_ball { cap } else { 0 });
+        instrument.add_bfs_runs(1);
+        drop(grow_phase);
+        if !is_ball {
+            return (None, Some(growth.sizes));
+        }
+        let center_seed = mix_seed(self.seed, c as u64);
+        let mut rows = Vec::new();
+        for (h, &size) in growth.sizes.iter().enumerate() {
+            if size > cap {
+                rows.push((size as f64, vec![f64::NAN; self.metrics.len()]));
+                break;
             }
-            let center_seed = mix_seed(self.seed, c as u64);
-            let rows = balls
+            let (ball, _) = {
+                let _build_phase = phase(Some(instrument), "balls");
+                growth.ball(h as u32)
+            };
+            let ctx = MeasureCtx {
+                center: c,
+                radius: h as u32,
+                seed: mix_seed(center_seed, h as u64),
+                instrument,
+            };
+            let vals = self
+                .metrics
                 .iter()
-                .enumerate()
-                .map(|(h, (g, _))| {
-                    let ctx = MeasureCtx {
-                        center: c,
-                        radius: h as u32,
-                        seed: mix_seed(center_seed, h as u64),
-                        instrument,
-                    };
-                    let vals = self
-                        .metrics
-                        .iter()
-                        .map(|m| {
-                            let _m_phase = phase(Some(instrument), m.name());
-                            m.measure(g, &ctx).unwrap_or(f64::NAN)
-                        })
-                        .collect();
-                    (g.node_count() as f64, vals)
+                .map(|m| {
+                    let _m_phase = phase(Some(instrument), m.name());
+                    m.measure(&ball, &ctx).unwrap_or(f64::NAN)
                 })
                 .collect();
-            if is_exp {
-                // The ball of radius h contains exactly the nodes
-                // within h hops: expansion comes free from sizes.
-                instrument.add_ball_cache_hits(1);
-                cum = Some(balls.iter().map(|(g, _)| g.node_count()).collect());
-            }
-            ball_rows = Some(rows);
-        } else if is_exp {
-            let _dist_phase = phase(Some(instrument), "distances");
-            let dist = self.source.distances(c);
-            instrument.add_bfs_runs(1);
-            let mut counts = vec![0usize; radii];
-            for &d in &dist {
-                if d != UNREACHED && d <= self.max_radius {
-                    counts[d as usize] += 1;
-                }
-            }
-            for h in 1..radii {
-                counts[h] += counts[h - 1];
-            }
-            cum = Some(counts);
+            rows.push((ball.node_count() as f64, vals));
         }
-        (ball_rows, cum)
+        let built = growth.sizes.iter().take_while(|&&size| size <= cap).count() as u64;
+        instrument.add_balls_built(built);
+        if self.metrics.len() > 1 {
+            // Every consumer after the first reuses each ball.
+            instrument.add_ball_cache_hits(built * (self.metrics.len() as u64 - 1));
+        }
+        if is_exp {
+            // The ball of radius h holds exactly the nodes within h
+            // hops: expansion comes free from the ball sizes.
+            instrument.add_ball_cache_hits(1);
+        }
+        (Some(rows), is_exp.then_some(growth.sizes))
     }
 
     /// The batched bitset path over a plain graph, as one parallel map:
@@ -634,8 +594,9 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
                 // One scratch per worker: the pool only runs dry if the
                 // map used more workers than `worker_count` said.
                 let mut scratch = lock().pop().unwrap_or_else(|| BitsetScratch::with_nodes(n));
-                let (c, _, is_exp) = jobs[i];
-                let out = self.run_ball_bitset(g, c, is_exp, &mut scratch, instrument, radii);
+                let out = self.run_job(jobs[i], instrument, |cap| {
+                    self.grow_bitset(g, jobs[i], cap, &mut scratch, instrument)
+                });
                 lock().push(scratch);
                 vec![(i, out)]
             }
@@ -679,96 +640,36 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         outs
     }
 
-    /// One ball center on the bitset path: a single bounded BFS yields
-    /// the distance field; each radius's ball is the `(distance, id)`-
-    /// sorted prefix of the reached set — exactly the scalar
-    /// [`topogen_graph::subgraph::ball`] membership and order, without
-    /// one BFS per radius. Balls larger than [`Self::ball_size_cap`]
-    /// skip construction (every metric would decline them), so only the
-    /// prefix up to the largest built ball is sorted, and the rows end
-    /// after the first over-cap radius. A ball-only center therefore
-    /// stops its BFS at that radius; an expansion center runs it to the
-    /// radius budget, because it needs every ring size.
-    fn run_ball_bitset(
+    /// A ball center's growth on the bitset path: a single bounded BFS
+    /// yields the distance field; each radius's ball is the
+    /// `(distance, id)`-sorted prefix of the reached set — exactly the
+    /// scalar [`topogen_graph::subgraph::ball`] membership and order,
+    /// without one BFS per radius. Only the prefix up to the largest
+    /// ball within `cap` is sorted. A ball-only center stops its BFS at
+    /// the first radius over the cap, where its rows end; an expansion
+    /// center runs it to the radius budget, because it needs every ring
+    /// size.
+    fn grow_bitset<'g>(
         &self,
-        g: &Graph,
-        c: NodeId,
-        is_exp: bool,
-        scratch: &mut BitsetScratch,
+        g: &'g Graph,
+        (c, _, is_exp): (NodeId, bool, bool),
+        cap: usize,
+        scratch: &'g mut BitsetScratch,
         instrument: &Instrument,
-        radii: usize,
-    ) -> JobOut {
-        let _center_span = topogen_par::trace::span("center");
-        let ball_phase = phase(Some(instrument), "balls");
-        let cap = self.ball_size_cap.unwrap_or(usize::MAX);
+    ) -> Growth<'g> {
         let limit = if is_exp { usize::MAX } else { cap };
         let mut stats = BfsStats::default();
         scratch.run_bounded(g, c, self.max_radius, limit, &mut stats);
         instrument.add_words_scanned(stats.words_scanned);
         instrument.add_frontier_passes(stats.frontier_passes);
-        // Cumulative ball sizes per radius = prefix sums of rings. Past
-        // the first over-cap radius they are exact only when the BFS
-        // ran on (expansion centers), and no row reads them.
-        let mut cum = scratch.ring_sizes(self.max_radius);
-        for h in 1..radii {
-            cum[h] += cum[h - 1];
+        // Past the first over-cap radius the ball sizes are exact only
+        // when the BFS ran on (expansion centers), and no row reads them.
+        let sizes = cumulative(scratch.ring_sizes(self.max_radius));
+        scratch.sort_prefix(largest_ball_within(&sizes, cap));
+        Growth {
+            sizes,
+            balls: Balls::Bitset(g, scratch),
         }
-        let rows_len = cum
-            .iter()
-            .position(|&size| size > cap)
-            .map_or(radii, |h| h + 1);
-        // Only balls within the cap are built, so only the largest of
-        // them needs the `(distance, id)` order.
-        let largest_built = cum.iter().copied().take_while(|&size| size <= cap).last();
-        scratch.sort_prefix(largest_built.unwrap_or(0));
-        instrument.add_bfs_runs(1);
-        drop(ball_phase);
-
-        let center_seed = mix_seed(self.seed, c as u64);
-        let mut built = 0u64;
-        let rows: Vec<(f64, Vec<f64>)> = cum[..rows_len]
-            .iter()
-            .enumerate()
-            .map(|(h, &size)| {
-                if size > cap {
-                    // The last row: every metric declines this ball, as
-                    // the scalar path's (size, NaN…) row records. Sizes
-                    // are monotone in h, so the larger balls it would
-                    // also decline get no row at all.
-                    return (size as f64, vec![f64::NAN; self.metrics.len()]);
-                }
-                let (ball, _) = {
-                    let _build_phase = phase(Some(instrument), "balls");
-                    scratch.ball(g, &cum, h)
-                };
-                built += 1;
-                let ctx = MeasureCtx {
-                    center: c,
-                    radius: h as u32,
-                    seed: mix_seed(center_seed, h as u64),
-                    instrument,
-                };
-                let vals = self
-                    .metrics
-                    .iter()
-                    .map(|m| {
-                        let _m_phase = phase(Some(instrument), m.name());
-                        m.measure(&ball, &ctx).unwrap_or(f64::NAN)
-                    })
-                    .collect();
-                (ball.node_count() as f64, vals)
-            })
-            .collect();
-        instrument.add_balls_built(built);
-        if self.metrics.len() > 1 {
-            instrument.add_ball_cache_hits(built * (self.metrics.len() as u64 - 1));
-        }
-        if !is_exp {
-            cum.clear();
-        } else {
-            instrument.add_ball_cache_hits(1);
-        }
-        (Some(rows), if cum.is_empty() { None } else { Some(cum) })
     }
 
     /// Merge the two sorted center lists into one deduplicated job list
@@ -802,6 +703,60 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         }
         jobs
     }
+}
+
+/// One metric's curve from the ball-center rows in `outputs` (metric
+/// index `metric`, radii `0..radii`): per radius, the average size and
+/// value over the balls the metric measured, in output order. Declined
+/// balls (NaN) and radii past a center's last row contribute nothing.
+/// This and [`aggregate_counts`] are the only readers of [`JobOut`]
+/// rows, for [`BallPlan::aggregate`] and the suite's bootstrap
+/// resamples alike.
+pub fn aggregate_rows<'o>(
+    outputs: impl IntoIterator<Item = &'o JobOut>,
+    metric: usize,
+    radii: usize,
+) -> Vec<CurvePoint> {
+    // (size sum, value sum, balls measured) per radius.
+    let mut sums = vec![(0.0, 0.0, 0usize); radii];
+    for rows in outputs.into_iter().filter_map(|(rows, _)| rows.as_ref()) {
+        for ((size, vals), sum) in rows.iter().zip(&mut sums) {
+            if vals[metric].is_finite() {
+                sum.0 += size;
+                sum.1 += vals[metric];
+                sum.2 += 1;
+            }
+        }
+    }
+    sums.into_iter()
+        .enumerate()
+        .map(|(h, (size_sum, val_sum, n))| CurvePoint {
+            radius: h as u32,
+            avg_size: if n > 0 { size_sum / n as f64 } else { 0.0 },
+            value: if n > 0 { val_sum / n as f64 } else { f64::NAN },
+        })
+        .collect()
+}
+
+/// E(h) for radii `0..radii` from the expansion counts in `outputs`:
+/// the summed cumulative counts over `centers × n`.
+pub fn aggregate_counts<'o>(
+    outputs: impl IntoIterator<Item = &'o JobOut>,
+    centers: usize,
+    n: usize,
+    radii: usize,
+) -> Vec<f64> {
+    let denom = centers as f64 * n as f64;
+    let mut total = vec![0usize; radii];
+    for counts in outputs
+        .into_iter()
+        .filter_map(|(_, counts)| counts.as_ref())
+    {
+        for (t, &c) in total.iter_mut().zip(counts) {
+            *t += c;
+        }
+    }
+    total.into_iter().map(|t| t as f64 / denom).collect()
 }
 
 /// One metric's curve over plain shortest-path balls around `centers`
@@ -1052,10 +1007,11 @@ mod tests {
     #[test]
     fn bitset_cap_matches_uncapped_when_metrics_skip() {
         // The cap only skips constructing balls every metric declines:
-        // capped and uncapped bitset runs must agree bit-for-bit.
+        // capped and uncapped runs must agree bit-for-bit, on either
+        // kernel.
         let g = mesh(8);
         let src = PlainBalls { graph: &g };
-        let run = |cap| {
+        let run = |policy, cap| {
             let res = ResilienceMetric {
                 restarts: 1,
                 max_ball_nodes: 20,
@@ -1063,13 +1019,15 @@ mod tests {
             let out = BallPlan::new(&src, 10, 3)
                 .ball_centers(vec![0, 27, 63])
                 .expansion_centers(vec![0, 9, 33])
-                .kernel(KernelPolicy::Bitset)
+                .kernel(policy)
                 .ball_size_cap(cap)
                 .metric(&res)
                 .run();
             fingerprint(&out)
         };
-        assert_eq!(run(Some(20)), run(None));
+        for policy in [KernelPolicy::Scalar, KernelPolicy::Bitset] {
+            assert_eq!(run(policy, Some(20)), run(policy, None), "{policy:?}");
+        }
     }
 
     #[test]
@@ -1122,15 +1080,84 @@ mod tests {
         let rows27 = outs[1].0.as_ref().expect("ball rows");
         assert!(rows27.len() < 11 && rows27.last().unwrap().0 > 12.0);
 
-        // The scalar path keeps a (size, NaN) row per radius; both
-        // aggregate to the same bits.
+        // The scalar kernel's rows end at the same radius, with the same
+        // counts, and aggregate to the same bits.
         let scalar = plan(KernelPolicy::Scalar);
         let (scalar_outs, _) = scalar.run_collect(&jobs);
-        assert_eq!(scalar_outs[0].0.as_ref().map(Vec::len), Some(11));
+        let scalar_sizes: Vec<f64> = scalar_outs[0]
+            .0
+            .as_ref()
+            .expect("ball rows")
+            .iter()
+            .map(|(s, _)| *s)
+            .collect();
+        assert_eq!(scalar_sizes, [1.0, 3.0, 6.0, 10.0, 15.0]);
+        for (a, b) in scalar_outs.iter().zip(&outs) {
+            assert_eq!(a.0.as_ref().map(Vec::len), b.0.as_ref().map(Vec::len));
+            assert_eq!(a.1, b.1);
+        }
         assert_eq!(
             fingerprint(&bitset.aggregate(&outs, TimingReport::default())),
             fingerprint(&scalar.aggregate(&scalar_outs, TimingReport::default()))
         );
+    }
+
+    /// Rows of a capped plan over `src`: the sizes each ball center's
+    /// rows record, and the plan's `balls_built`.
+    fn capped_rows<S: BallSource>(
+        src: &S,
+        centers: Vec<NodeId>,
+        cap: usize,
+    ) -> (Vec<Vec<f64>>, u64) {
+        let em = EdgeCount;
+        let plan = BallPlan::new(src, 10, 5)
+            .ball_centers(centers)
+            .ball_size_cap(Some(cap))
+            .metric(&em);
+        let (outs, report) = plan.run_collect(&plan.jobs());
+        let sizes = outs
+            .iter()
+            .map(|(rows, _)| {
+                rows.as_ref()
+                    .expect("ball rows")
+                    .iter()
+                    .map(|(s, _)| *s)
+                    .collect()
+            })
+            .collect();
+        (sizes, report.balls_built)
+    }
+
+    #[test]
+    fn policy_and_overlay_rows_end_at_the_first_over_cap_radius() {
+        // A path 0-1-2-3-4-5 of ASes, each the provider of the next, so
+        // from AS 0 every hop descends: policy balls around 0 grow like
+        // plain ones, one node per radius. Under a cap of 3 the rows end
+        // at radius 3, the first over the cap, and only the three balls
+        // within it are built.
+        let g = Graph::from_edges(6, (0..5).map(|i| (i, i + 1)));
+        let providers: Vec<(NodeId, NodeId)> = (0..5).map(|i| (i, i + 1)).collect();
+        let ann = topogen_policy::rel::annotations_from_pairs(&g, &providers, &[], &[]);
+        let policy = crate::balls::PolicyBalls {
+            graph: &g,
+            annotations: &ann,
+        };
+        let (sizes, built) = capped_rows(&policy, vec![0], 3);
+        assert_eq!(sizes, [[1.0, 2.0, 3.0, 4.0]]);
+        assert_eq!(built, 3);
+
+        // The same AS chain with two routers per AS: router 2a and 2a+1
+        // belong to AS a, and each AS's second router links to the next
+        // AS's first. Router balls around router 0 grow by one router
+        // per radius; under a cap of 4 the rows end at radius 4.
+        let routers = Graph::from_edges(12, (0..11).map(|i| (i, i + 1)));
+        let router_as: Vec<NodeId> = (0..12).map(|r| r / 2).collect();
+        let overlay = crate::balls::OverlayBalls {
+            overlay: topogen_policy::overlay::RouterOverlay::new(&routers, &router_as, &g, &ann),
+        };
+        let (sizes, built) = capped_rows(&overlay, vec![0], 4);
+        assert_eq!(sizes, [[1.0, 2.0, 3.0, 4.0, 5.0]]);
+        assert_eq!(built, 4);
     }
 
     #[test]

@@ -149,9 +149,10 @@ counters! {
     bfs_runs: add_bfs_runs, Sum, Always, gated;
     /// Ball subgraphs constructed.
     balls_built: add_balls_built, Sum, Always, gated;
-    /// Reuses of an already-built ball or distance field by an
-    /// additional consumer (what the shared plan saves over per-metric
-    /// `balls_up_to` calls).
+    /// Reuses of an already-built ball or center growth by an
+    /// additional consumer: each built ball's metrics after the first,
+    /// and an expansion center's counts read from its ball sizes (what
+    /// the shared plan saves over growing each center per metric).
     ball_cache_hits: add_ball_cache_hits, Sum, Always, ungated;
     /// Partitioner restarts performed by resilience consumers.
     partitioner_restarts: add_partitioner_restarts, Sum, Always, gated;
