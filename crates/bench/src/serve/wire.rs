@@ -7,6 +7,7 @@
 //! stored response bytes never change shape retroactively.
 
 use serde::{Content, DeError, Deserialize, Serialize};
+use std::time::Duration;
 use topogen_core::zoo::{Scale, TopologySpec};
 use topogen_generators::plrg::PlrgParams;
 use topogen_metrics::CurvePoint;
@@ -130,10 +131,13 @@ impl MeasureRequest {
         let deadline_secs = match c.get("deadline_secs") {
             None | Some(Content::Null) => None,
             Some(v) => {
+                // Above zero, and the CLI's `--deadline` rule: seconds a
+                // `Duration` can hold, so the daemon's conversion of them
+                // cannot panic.
                 let secs = f64::from_content(v)?;
-                if !secs.is_finite() || secs <= 0.0 {
+                if secs <= 0.0 || Duration::try_from_secs_f64(secs).is_err() {
                     return Err(WireError(format!(
-                        "deadline_secs must be a positive number, got {secs}"
+                        "deadline_secs must be a positive number of seconds, got {secs}"
                     )));
                 }
                 Some(secs)
@@ -507,6 +511,10 @@ mod tests {
             ),
             (
                 r#"{"schema_version":1,"topology":"Mesh","seed":1,"deadline_secs":-1}"#,
+                "deadline_secs",
+            ),
+            (
+                r#"{"schema_version":1,"topology":"Mesh","seed":1,"deadline_secs":1e300}"#,
                 "deadline_secs",
             ),
             (

@@ -249,6 +249,37 @@ fn unknown_schema_version_is_rejected_cleanly() {
 }
 
 #[test]
+fn deadline_too_long_for_a_duration_is_a_usage_error() {
+    let dir = temp_dir("huge-deadline");
+    let mut config = config("huge-deadline", &dir);
+    config.workers = 2;
+    let mut handle = serve::serve(config).unwrap();
+    let live = handle.pool_stats().live;
+    let resp = http_post(
+        handle.addr(),
+        "/measure",
+        r#"{"schema_version":1,"topology":"Mesh","seed":1,"deadline_secs":1e300}"#,
+    )
+    .expect("the daemon answers instead of dropping the connection");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("deadline_secs"), "{}", resp.text());
+    assert_eq!(handle.pool_stats().live, live, "worker lost to the request");
+
+    // The drain waits for the request to finish, so its line is written.
+    handle.drain(Duration::from_secs(5));
+    let ledger = std::fs::read_to_string(handle.ledger_path()).unwrap();
+    assert!(
+        ledger
+            .lines()
+            .any(|l| l.contains("\"http\":400") && l.contains("deadline_secs")),
+        "no ledger line for the request:\n{ledger}"
+    );
+
+    drop(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn drain_under_load_cancels_stragglers_and_flushes_the_ledger() {
     let dir = temp_dir("drain");
     let mut config = config("drain", &dir);

@@ -12,7 +12,7 @@
 //! | suite       | claim                                                | oracle |
 //! |-------------|------------------------------------------------------|--------|
 //! | `threads`   | engine outputs bit-identical at 1/2/8 threads        | the 1-thread run |
-//! | `kernels`   | bitset BFS kernels ≡ scalar path, BFS to full suite; BallPlan ≡ serial ball-growing loop | scalar per-center kernels; a serial reference |
+//! | `kernels`   | node-limited and 64-lane BFS ≡ their oracles; lane passes ≡ scalar path, BFS to full suite; BallPlan ≡ serial ball-growing loop | queue BFS and per-source ring sizes; a serial reference |
 //! | `codec`     | `.tgr` round-trip exact; every corruption rejected   | original bytes / checksum |
 //! | `degseq`    | Erdős–Gallai test ≡ constructive realizability       | independent Havel–Hakimi |
 //! | `store`     | ledger ↔ entries consistent; gc keeps LRU frontier   | re-derived frontier from pre-gc state |

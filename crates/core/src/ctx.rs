@@ -43,7 +43,7 @@ pub struct RunCtx {
     /// `TimingReport` always comes from a private instrument.
     pub instrument: Option<Arc<Instrument>>,
     /// BFS kernel policy for metric plans run under this context
-    /// (scalar per-center BFS vs batched bitset kernels; `Auto`, the
+    /// (whether expansion-only centers share 64-lane passes; `Auto`, the
     /// default, decides per plan). No flag sets it: the two kernels give
     /// bit-identical outputs, and only tests, `repro check` and
     /// benchmarks force one.

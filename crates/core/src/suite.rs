@@ -307,8 +307,8 @@ fn run_with_source<S: BallSource>(
     };
     // Kernel policy rides in on the context (shared by serve + batch);
     // the cap mirrors `max_ball_nodes`, above which both suite metrics
-    // decline a ball — so the bitset path can skip constructing
-    // oversized balls without changing any output bit.
+    // decline a ball — so the engine can skip constructing oversized
+    // balls without changing any output bit.
     let plan = BallPlan::new(src, params.max_radius, params.seed)
         .ball_centers(centers)
         .expansion_centers(exp_sources)
@@ -588,11 +588,10 @@ mod tests {
 
     #[test]
     fn sampled_suite_cis_match_across_kernels() {
-        // Sampled settings on a graph larger than the ball cap: the
-        // bitset path's ball-only centers stop their BFS at the first
-        // over-cap radius and return shorter rows, and the curves,
-        // expansion and bootstrap CIs must still equal the scalar run's
-        // bit for bit.
+        // Sampled settings on a graph larger than the ball cap: ball-only
+        // centers stop their BFS at the first over-cap radius and return
+        // shorter rows, and with lane passes the curves, expansion and
+        // bootstrap CIs must still equal the scalar run's bit for bit.
         let t = build_in(
             &RunCtx::new(),
             &TopologySpec::Mesh { side: 24 },

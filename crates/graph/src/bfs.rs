@@ -5,7 +5,14 @@
 //! radius (the expansion metric), and — for the hierarchy analysis of §5 —
 //! shortest-path counts σ and the shortest-path DAG used to distribute
 //! equal-cost traversal weights over links (footnote 27).
+//!
+//! [`DistScratch`] is the one single-source BFS every ball center grows
+//! on: reusable across runs, optionally stopped by a reached-node limit,
+//! and able to build the balls of its run. The allocating
+//! [`distances_bounded`] is its test oracle, and the 64-lane passes that
+//! serve many expansion sources at once live in [`crate::bfs_bitset`].
 
+use crate::subgraph::{induced_subgraph_by, SubgraphMap};
 use crate::{Graph, NodeId, UNREACHED};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -37,24 +44,35 @@ pub fn distances_bounded(g: &Graph, src: NodeId, max_h: u32) -> Vec<u32> {
     dist
 }
 
-/// Reusable per-worker BFS scratch: an epoch-stamped distance field plus
-/// the list of nodes it touched.
+/// Reusable single-source BFS scratch: a visited bitmap, the reached
+/// nodes level by level, each reached node's position among them, and
+/// where each hop level ends.
 ///
 /// `distances_bounded` allocates (and later scans) a full `n`-sized
-/// vector per call, which churns the allocator when large-scale sampled
-/// runs grow thousands of radius-bounded balls that each touch only a
-/// tiny fraction of the graph. The scratch keeps one distance field per
-/// worker alive across calls — same pattern as the hierarchy arena — and
-/// invalidates it in O(1) by bumping an epoch, so a bounded BFS costs
-/// O(ball) work and zero steady-state allocation.
+/// vector per call, which churns the allocator when sampled runs grow
+/// thousands of balls that each touch only a tiny fraction of the
+/// graph. The scratch keeps its buffers alive across runs and clears
+/// only the bits the previous run set, so a run costs O(reached) work
+/// and zero steady-state allocation. Each level's frontier is the
+/// `touched` slice the previous level appended, so no queue is kept.
+///
+/// The same scratch builds the run's balls ([`ball`](Self::ball)): the
+/// ball of radius `h` is the reached nodes of levels `0..=h`, each level
+/// sorted by id on first use, and a neighbor's index in the ball is its
+/// position — an O(1) lookup with no `n`-sized map per ball.
 #[derive(Debug, Default)]
 pub struct DistScratch {
-    /// `dist[v]` is valid iff `stamp[v] == epoch`.
-    stamp: Vec<u32>,
-    epoch: u32,
-    dist: Vec<u32>,
+    /// Visited bitmap; `pos[v]` is valid iff bit `v` is set.
+    visited: Vec<u64>,
+    /// `touched[pos[v]] == v` for every reached node `v`.
+    pos: Vec<u32>,
+    /// Reached nodes in non-decreasing distance order.
     touched: Vec<NodeId>,
-    queue: VecDeque<NodeId>,
+    /// `levels[d]` is where hop level `d` ends in `touched`: the number
+    /// of nodes within `d` hops. Only levels the run reached are listed.
+    levels: Vec<usize>,
+    /// How many leading levels are sorted by id.
+    sorted: usize,
 }
 
 impl DistScratch {
@@ -63,73 +81,131 @@ impl DistScratch {
         Self::default()
     }
 
-    /// Run a bounded BFS from `src`, replacing any previous contents.
-    /// Nodes farther than `max_h` hops are left untouched.
-    pub fn run_bounded(&mut self, g: &Graph, src: NodeId, max_h: u32) {
-        let n = g.node_count();
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.dist.resize(n, 0);
+    /// A scratch sized for graphs of up to `n` nodes, allocated up front
+    /// so that runs on other threads never grow it.
+    pub fn with_nodes(n: usize) -> Self {
+        DistScratch {
+            visited: vec![0; n.div_ceil(64)],
+            pos: vec![0; n],
+            touched: Vec::with_capacity(n),
+            levels: Vec::new(),
+            sorted: 0,
         }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Wrapped: stale stamps could alias the new epoch.
-            self.stamp.fill(0);
-            self.epoch = 1;
+    }
+
+    /// Run a bounded BFS from `src`, replacing any previous contents.
+    /// Nodes farther than `max_h` hops are left unvisited, and a level
+    /// starts only while at most `max_nodes` nodes are reached: the run
+    /// stops after the first level whose reached set exceeds
+    /// `max_nodes`, and levels past it read as empty. Pass `usize::MAX`
+    /// for no limit.
+    pub fn run_bounded(&mut self, g: &Graph, src: NodeId, max_h: u32, max_nodes: usize) {
+        let n = g.node_count();
+        for &v in &self.touched {
+            self.visited[v as usize / 64] &= !(1u64 << (v % 64));
+        }
+        if self.pos.len() < n {
+            self.visited.resize(n.div_ceil(64), 0);
+            self.pos.resize(n, 0);
         }
         self.touched.clear();
-        self.queue.clear();
-        self.stamp[src as usize] = self.epoch;
-        self.dist[src as usize] = 0;
-        self.touched.push(src);
-        self.queue.push_back(src);
-        while let Some(u) = self.queue.pop_front() {
-            let du = self.dist[u as usize];
-            if du >= max_h {
-                continue;
+        self.levels.clear();
+        self.sorted = 0;
+        self.visit(src);
+        self.levels.push(1);
+        let mut lo = 0;
+        loop {
+            let hi = self.touched.len();
+            if lo == hi || self.levels.len() > max_h as usize || hi > max_nodes {
+                break;
             }
-            for &v in g.neighbors(u) {
-                if self.stamp[v as usize] != self.epoch {
-                    self.stamp[v as usize] = self.epoch;
-                    self.dist[v as usize] = du + 1;
-                    self.touched.push(v);
-                    self.queue.push_back(v);
+            for i in lo..hi {
+                for &v in g.neighbors(self.touched[i]) {
+                    if !self.reached(v) {
+                        self.visit(v);
+                    }
                 }
             }
+            lo = hi;
+            if self.touched.len() > hi {
+                self.levels.push(self.touched.len());
+            }
         }
     }
 
-    /// Distance of `v` in the most recent run (`UNREACHED` if untouched).
+    /// Mark `v` reached, at the next position.
+    fn visit(&mut self, v: NodeId) {
+        self.visited[v as usize / 64] |= 1u64 << (v % 64);
+        self.pos[v as usize] = self.touched.len() as u32;
+        self.touched.push(v);
+    }
+
+    /// Whether the most recent run reached `v`.
+    fn reached(&self, v: NodeId) -> bool {
+        self.visited
+            .get(v as usize / 64)
+            .is_some_and(|word| word & (1u64 << (v % 64)) != 0)
+    }
+
+    /// Distance of `v` in the most recent run (`UNREACHED` if unvisited).
     pub fn dist(&self, v: NodeId) -> u32 {
-        if self.stamp.get(v as usize) == Some(&self.epoch) {
-            self.dist[v as usize]
-        } else {
-            UNREACHED
+        if !self.reached(v) {
+            return UNREACHED;
         }
-    }
-
-    /// Nodes reached by the most recent run, in visitation order
-    /// (non-decreasing distance; order within a level is unspecified).
-    pub fn touched(&self) -> &[NodeId] {
-        &self.touched
-    }
-
-    /// Nodes reached by the most recent run, sorted by `(distance, id)`
-    /// — the deterministic ball order of [`ball_nodes`].
-    pub fn ball_nodes_sorted(&self) -> Vec<NodeId> {
-        let mut out = self.touched.clone();
-        out.sort_by_key(|&v| (self.dist[v as usize], v));
-        out
+        let p = self.pos[v as usize] as usize;
+        self.levels.partition_point(|&end| end <= p) as u32
     }
 
     /// Counts of nodes at *exactly* each hop distance `0..=max_h` for
     /// the most recent run (which must have been bounded by `max_h`).
+    /// After a run cut short by its node limit, rings past the last
+    /// level it ran are zero.
     pub fn ring_sizes(&self, max_h: u32) -> Vec<usize> {
         let mut rings = vec![0usize; max_h as usize + 1];
-        for &v in &self.touched {
-            rings[self.dist[v as usize] as usize] += 1;
+        let mut start = 0;
+        for (ring, &end) in rings.iter_mut().zip(&self.levels) {
+            *ring = end - start;
+            start = end;
         }
         rings
+    }
+
+    /// Sort the first `count` levels by id (once per run), keeping
+    /// `pos` in step.
+    fn sort_levels(&mut self, count: usize) {
+        while self.sorted < count {
+            let start = self.sorted.checked_sub(1).map_or(0, |d| self.levels[d]);
+            let end = self.levels[self.sorted];
+            // Ids are distinct, so the unstable sort is deterministic.
+            self.touched[start..end].sort_unstable();
+            for k in start..end {
+                self.pos[self.touched[k] as usize] = k as u32;
+            }
+            self.sorted += 1;
+        }
+    }
+
+    /// Nodes reached by the most recent run, sorted by `(distance, id)`
+    /// — the deterministic ball order of [`ball_nodes`].
+    pub fn ball_nodes_sorted(&mut self) -> Vec<NodeId> {
+        self.sort_levels(self.levels.len());
+        self.touched.clone()
+    }
+
+    /// The ball of radius `h` of the most recent run: the subgraph and
+    /// node order [`crate::subgraph::ball`] builds. A radius past the
+    /// last level the run reached gives everything it reached, which is
+    /// that ball unless the node limit stopped the run.
+    pub fn ball(&mut self, g: &Graph, h: u32) -> (Graph, SubgraphMap) {
+        let last = self.levels.len() - 1;
+        let h = (h as usize).min(last);
+        self.sort_levels(h + 1);
+        let size = self.levels[h];
+        induced_subgraph_by(g, &self.touched[..size], |w| {
+            self.reached(w)
+                .then(|| self.pos[w as usize])
+                .filter(|&p| (p as usize) < size)
+        })
     }
 }
 
@@ -138,14 +214,14 @@ thread_local! {
 }
 
 /// Run `f` against this worker thread's shared [`DistScratch`].
-pub fn with_scratch<R>(f: impl FnOnce(&mut DistScratch) -> R) -> R {
+fn with_scratch<R>(f: impl FnOnce(&mut DistScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// Nodes within `h` hops of `src` (including `src`), in BFS order.
 pub fn ball_nodes(g: &Graph, src: NodeId, h: u32) -> Vec<NodeId> {
     with_scratch(|s| {
-        s.run_bounded(g, src, h);
+        s.run_bounded(g, src, h, usize::MAX);
         // BFS order by distance, ties by id — deterministic.
         s.ball_nodes_sorted()
     })
@@ -155,7 +231,7 @@ pub fn ball_nodes(g: &Graph, src: NodeId, h: u32) -> Vec<NodeId> {
 /// `0..=max_h` (index 0 counts the source itself).
 pub fn ring_sizes(g: &Graph, src: NodeId, max_h: u32) -> Vec<usize> {
     with_scratch(|s| {
-        s.run_bounded(g, src, max_h);
+        s.run_bounded(g, src, max_h, usize::MAX);
         s.ring_sizes(max_h)
     })
 }
@@ -247,12 +323,40 @@ pub fn average_path_length(g: &Graph, sources: &[NodeId]) -> Option<f64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::subgraph;
 
     /// Path 0-1-2-3-4.
-    fn path5() -> Graph {
+    pub(crate) fn path5() -> Graph {
         Graph::from_edges(5, (0..4).map(|i| (i, i + 1)))
+    }
+
+    /// A small graph mixing a dense clique with a pendant path and an
+    /// isolated node.
+    pub(crate) fn mixed() -> Graph {
+        let mut edges = Vec::new();
+        for a in 0..8u32 {
+            for b in (a + 1)..8 {
+                edges.push((a, b));
+            }
+        }
+        edges.extend([(7, 8), (8, 9), (9, 10)]);
+        Graph::from_edges(12, edges)
+    }
+
+    /// A ring lattice (each node tied to its two nearest neighbors on
+    /// either side) plus one long chord per node: small-world enough
+    /// that the union of many frontiers covers most nodes for a few
+    /// levels.
+    pub(crate) fn small_world(n: u32) -> Graph {
+        let mut edges = Vec::new();
+        for i in 0..n {
+            edges.push((i, (i + 1) % n));
+            edges.push((i, (i + 2) % n));
+            edges.push((i, (i * 37 + 11) % n));
+        }
+        Graph::from_edges(n as usize, edges.into_iter().filter(|(a, b)| a != b))
     }
 
     #[test]
@@ -296,17 +400,26 @@ mod tests {
 
     #[test]
     fn scratch_matches_fresh_allocation_across_reuse() {
-        let g = path5();
         let star = Graph::from_edges(5, (1..5).map(|i| (0, i)));
+        let graphs = [path5(), star, mixed()];
         let mut s = DistScratch::new();
-        // Interleave graphs and bounds to exercise epoch invalidation.
+        // Interleave graphs of both sizes and bounds: no run may see the
+        // previous run's visited bits.
         for round in 0..3 {
             for src in 0..5u32 {
                 for max_h in [0, 1, 2, u32::MAX] {
-                    for g in [&g, &star] {
-                        s.run_bounded(g, src, max_h);
+                    for g in &graphs {
+                        s.run_bounded(g, src, max_h, usize::MAX);
+                        // Balls sort their levels lazily; distances and
+                        // the full order must not depend on how far.
+                        for h in 0..=max_h.min(src % 4) {
+                            let (ball, map) = s.ball(g, h);
+                            let (want, want_map) = subgraph::ball(g, src, h);
+                            assert_eq!(map.originals(), want_map.originals(), "src {src} h {h}");
+                            assert_eq!(ball, want, "src {src} h {h}");
+                        }
                         let oracle = distances_bounded(g, src, max_h);
-                        for v in 0..5u32 {
+                        for v in g.nodes() {
                             assert_eq!(
                                 s.dist(v),
                                 oracle[v as usize],
@@ -328,16 +441,33 @@ mod tests {
     }
 
     #[test]
-    fn scratch_epoch_wrap_resets_stamps() {
-        let g = path5();
-        let mut s = DistScratch::new();
-        s.run_bounded(&g, 0, u32::MAX);
-        // Force the wrap path: the next bump lands on 0 and must clear.
-        s.epoch = u32::MAX;
-        s.run_bounded(&g, 4, 1);
-        assert_eq!(s.dist(4), 0);
-        assert_eq!(s.dist(3), 1);
-        assert_eq!(s.dist(0), UNREACHED);
+    fn node_limit_stops_after_the_first_level_over_it() {
+        for g in [path5(), mixed(), small_world(120)] {
+            let n = g.node_count();
+            let mut s = DistScratch::new();
+            for src in [0, n as NodeId / 2, n as NodeId - 1] {
+                let want = distances(&g, src);
+                for limit in (0..=n).chain([usize::MAX]) {
+                    s.run_bounded(&g, src, u32::MAX, limit);
+                    // The oracle's stop level: the first whose reached
+                    // set exceeds the limit, else the last level.
+                    let mut stop = 0;
+                    while (stop as usize) < n {
+                        let reached = want.iter().filter(|&&d| d <= stop).count();
+                        let grows = want.iter().any(|&d| d == stop + 1);
+                        if reached > limit || !grows {
+                            break;
+                        }
+                        stop += 1;
+                    }
+                    for v in g.nodes() {
+                        let d = want[v as usize];
+                        let expect = if d <= stop { d } else { UNREACHED };
+                        assert_eq!(s.dist(v), expect, "src {src} limit {limit} v {v}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,64 +1,52 @@
-//! Batched bitset BFS kernels for large sampled-center runs.
+//! The batched 64-lane BFS kernel for large sampled-center runs, and
+//! the choice of when expansion sources share it.
 //!
 //! The paper's ball-growing methodology samples centers on large graphs
-//! (§3.2.1: "a sufficiently large number of randomly chosen nodes"), and
-//! at router-level scale (~170k nodes) the per-center adjacency-list BFS
-//! in [`crate::bfs`] becomes the hot path. This module provides two
-//! denser kernels over the same CSR adjacency:
+//! (§3.2.1: "a sufficiently large number of randomly chosen nodes").
+//! The expansion metric E(h) needs only the ring sizes of many sources,
+//! and at router-level scale (~170k nodes) one BFS per source in
+//! [`crate::bfs`] becomes the hot path. [`multi_source_ring_counts`]
+//! advances up to 64 sources per pass instead: each node carries a
+//! `u64` lane mask (bit `k` = "source `k` has reached this node"). It is
+//! direction-optimizing (Beamer et al., SC 2012). A **push** level ORs
+//! whole lane words across the frontier's edges (`next[u] |= front[v]`,
+//! `new = next & !visited`), so 64 traversals cost one sweep. Once the
+//! frontier's adjacency exceeds `1/LANE_ALPHA` (half) of the adjacency
+//! of the *open* nodes — those some lane has not reached yet — the level
+//! runs as a **pull** instead: it walks the open list in node order, ORs
+//! the frontier words of each node's neighbors until every lane the node
+//! lacks is covered, and writes the node's new lanes once. A push level
+//! does a scattered read-modify-write per edge and then a second
+//! scattered pass over the touched nodes; a pull level writes each node
+//! once, in order, and nodes every lane has reached leave the open list
+//! for good. On small-world graphs the union of 64 frontiers holds
+//! nearly every node for several levels, and there a pull level wins
+//! even when no node completes its lanes early. Either way a level's
+//! per-lane ring counts accumulate in a bit-sliced counter, a few word
+//! operations per node rather than one increment per lane.
 //!
-//! * A **single-source** bounded BFS ([`BitsetScratch::run_bounded`])
-//!   whose visited set is a `u64`-word bitset and which switches between
-//!   classic top-down frontier expansion and Beamer-style bottom-up
-//!   pulls (scan unvisited nodes, probe their neighbors against a
-//!   frontier bitset) when the frontier grows past `2m/α` edges — the
-//!   dense small-diameter regime where top-down rescans most of the
-//!   edge set per level. Besides a hop bound it takes a reached-node
-//!   limit: the run stops after the first level whose reached set
-//!   exceeds it, which is all a size-capped ball center needs.
-//! * A **multi-source** kernel ([`multi_source_ring_counts`]) advancing
-//!   up to 64 sources per pass: each node carries a `u64` lane mask (bit
-//!   `k` = "source `k` has reached this node"). It is direction-
-//!   optimizing too (Beamer et al., SC 2012). A **push** level ORs whole
-//!   lane words across the frontier's edges (`next[u] |= front[v]`,
-//!   `new = next & !visited`), so 64 traversals cost one sweep. Once the
-//!   frontier's adjacency exceeds `1/LANE_ALPHA` (half) of the adjacency
-//!   of the *open* nodes — those some lane has not reached yet — the
-//!   level runs as a **pull** instead: it walks the open list in node
-//!   order, ORs the frontier words of each node's neighbors until every
-//!   lane the node lacks is covered, and writes the node's new lanes
-//!   once. A push level does a scattered read-modify-write per edge and
-//!   then a second scattered pass over the touched nodes; a pull level
-//!   writes each node once, in order, and nodes every lane has reached
-//!   leave the open list for good. On small-world graphs the union of
-//!   64 frontiers holds nearly every node for several levels, and there
-//!   a pull level wins even when no node completes its lanes early.
-//!   Either way a level's per-lane ring counts accumulate in a
-//!   bit-sliced counter, a few word operations per node rather than one
-//!   increment per lane.
-//!
-//! Both kernels produce exactly the distances of the scalar oracle
-//! (hop-count BFS levels are unique), so every downstream aggregate —
-//! ring sizes, ball memberships sorted by `(distance, id)`, and the
-//! L/H-signature curves — is bit-identical to the scalar path. Only
-//! visitation *order* within a level is unspecified.
+//! Hop-count BFS levels are unique, so every lane's ring counts equal
+//! the scalar oracle's exactly and E(h) is bit-identical on either path.
+//! Ball centers never take lanes: every single-source run, capped or
+//! not, is [`crate::bfs::DistScratch`].
 //!
 //! [`KernelPolicy`] + [`select_kernel`] hold the engine-facing heuristic
-//! for choosing between the scalar and bitset paths, so the batch CLI
-//! and the serve daemon share one instrumented decision point.
+//! for whether a plan's expansion-only centers share lane passes, so the
+//! batch CLI and the serve daemon share one instrumented decision point.
 
-use crate::subgraph::{induced_subgraph_by, SubgraphMap};
-use crate::{Graph, NodeId, UNREACHED};
+use crate::{Graph, NodeId};
 
-/// Which BFS kernel the metrics engine should use.
+/// Whether the metrics engine runs expansion-only centers in 64-lane
+/// passes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelPolicy {
     /// Decide per plan from graph size, density, and centers requested
     /// (see [`select_kernel`]).
     #[default]
     Auto,
-    /// Always the per-center scalar BFS (the PR-1 engine path).
+    /// Always one scalar BFS per center.
     Scalar,
-    /// Always the batched bitset kernels.
+    /// Always share 64-lane passes among expansion-only centers.
     Bitset,
 }
 
@@ -76,9 +64,10 @@ impl KernelPolicy {
 /// The kernel actually selected for one plan run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelChoice {
-    /// Per-center scalar BFS.
+    /// One scalar BFS per center.
     Scalar,
-    /// Batched bitset kernels.
+    /// Expansion-only centers share 64-lane passes; every other center
+    /// still runs one scalar BFS.
     Bitset,
 }
 
@@ -92,7 +81,7 @@ impl KernelChoice {
     }
 }
 
-/// `Auto` switches to the bitset kernels at this node count.
+/// `Auto` switches to lane passes at this node count.
 pub const AUTO_MIN_NODES: usize = 8192;
 /// …or at this node count when the graph is dense (avg degree ≥ 32),
 /// where per-level edge rescans make the direction switch pay earlier.
@@ -102,12 +91,12 @@ pub const AUTO_MIN_NODES_DENSE: usize = 2048;
 /// (undirected) edges, serving `centers` total sampled centers.
 ///
 /// The `Auto` heuristic is deliberately coarse and fully deterministic:
-/// the bitset path pays off once bitmap sweeps amortize over enough
+/// lane passes pay off once their per-node sweeps amortize over enough
 /// nodes (`n ≥ 8192`, or `n ≥ 2048` on dense graphs where `m/n ≥ 16`)
 /// and at least two centers share the batched setup. Everything at the
 /// calibration scales (`Scale::Small`, ≤ ~1.5k nodes) therefore keeps
 /// the scalar path — and its archived byte-identical outputs — while
-/// paper-RL-sized runs (~170k) get the kernels.
+/// paper-RL-sized runs (~170k) get lane passes.
 pub fn select_kernel(policy: KernelPolicy, n: usize, m: usize, centers: usize) -> KernelChoice {
     match policy {
         KernelPolicy::Scalar => KernelChoice::Scalar,
@@ -127,13 +116,13 @@ pub fn select_kernel(policy: KernelPolicy, n: usize, m: usize, centers: usize) -
     }
 }
 
-/// Deterministic work counters for the bitset kernels: `u64` words
-/// touched by bitmap sweeps/probes and frontier passes executed. Counts
+/// Deterministic work counters for the lane kernel: `u64` lane words
+/// touched by sweeps and probes, and frontier passes executed. Counts
 /// depend only on the graph and the sources, never on thread count or
 /// timing, so they can feed the ratcheting perf gate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BfsStats {
-    /// Bitset and lane words read or written, in both directions.
+    /// Lane words read or written, in both directions.
     pub words_scanned: u64,
     /// Level-synchronous frontier passes executed.
     pub frontier_passes: u64,
@@ -152,10 +141,6 @@ impl BfsStats {
     }
 }
 
-/// Frontier edges must exceed `2m/ALPHA` before a level runs bottom-up
-/// (Beamer's α; the conventional value for direction-optimizing BFS).
-const ALPHA: u64 = 14;
-
 /// A multi-source level runs bottom-up when its frontier's adjacency
 /// exceeds `1/LANE_ALPHA` of the open nodes' adjacency — "more than
 /// half". Chosen by measured time on the sampled large-tier graphs, not
@@ -163,226 +148,6 @@ const ALPHA: u64 = 14;
 /// level it replaces and still run faster, because it writes each node
 /// once, in order.
 const LANE_ALPHA: u64 = 2;
-
-/// Reusable single-source bitset BFS state: one visited bitmap, one
-/// frontier bitmap (materialized only for bottom-up levels), a distance
-/// field valid where the visited bit is set, and the touched-node list.
-/// Each level's frontier is the `touched[lo..hi]` slice the previous
-/// level appended, so no separate frontier lists are kept.
-///
-/// Like [`crate::bfs::DistScratch`] this is reused across centers, so
-/// steady-state cost is O(ball + n/64) per BFS with zero allocation.
-#[derive(Debug, Default)]
-pub struct BitsetScratch {
-    /// Visited bitmap; `dist[v]` is valid iff bit `v` is set.
-    visited: Vec<u64>,
-    /// Frontier bitmap, nonzero only inside a bottom-up level.
-    front_bits: Vec<u64>,
-    dist: Vec<u32>,
-    touched: Vec<NodeId>,
-}
-
-impl BitsetScratch {
-    /// A fresh scratch; buffers grow lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A scratch sized for graphs of up to `n` nodes, allocated up front
-    /// so that runs on other threads never grow it.
-    pub fn with_nodes(n: usize) -> Self {
-        let words = n.div_ceil(64);
-        BitsetScratch {
-            visited: vec![0; words],
-            front_bits: vec![0; words],
-            dist: vec![0; n],
-            touched: Vec::with_capacity(n),
-        }
-    }
-
-    /// Run a bounded direction-optimizing BFS from `src`, replacing any
-    /// previous contents. Nodes farther than `max_h` hops are left
-    /// unvisited, and a level starts only while at most `max_nodes`
-    /// nodes are reached: the run stops after the first level whose
-    /// reached set exceeds `max_nodes`, and levels past it read as
-    /// empty. Pass `usize::MAX` for the whole distance field. Work
-    /// counters accumulate into `stats`.
-    pub fn run_bounded(
-        &mut self,
-        g: &Graph,
-        src: NodeId,
-        max_h: u32,
-        max_nodes: usize,
-        stats: &mut BfsStats,
-    ) {
-        let n = g.node_count();
-        let words = n.div_ceil(64);
-        if self.visited.len() < words {
-            self.visited.resize(words, 0);
-            self.front_bits.resize(words, 0);
-        }
-        self.visited[..words].fill(0);
-        if self.dist.len() < n {
-            self.dist.resize(n, 0);
-        }
-        self.touched.clear();
-
-        self.visited[src as usize / 64] |= 1u64 << (src % 64);
-        self.dist[src as usize] = 0;
-        self.touched.push(src);
-        stats.words_scanned += 1;
-
-        let m2 = 2 * g.edge_count() as u64; // directed edge endpoints
-
-        // The frontier is `touched[lo..hi]`; each level appends the next.
-        let (mut lo, mut hi) = (0, 1);
-        let mut level = 1u32;
-        while lo < hi && level <= max_h && hi <= max_nodes {
-            let frontier_edges: u64 = self.touched[lo..hi]
-                .iter()
-                .map(|&u| g.neighbors(u).len() as u64)
-                .sum();
-            if frontier_edges * ALPHA > m2 {
-                // Bottom-up: scan unvisited nodes, probe their
-                // neighbors against the frontier bitmap, stop at the
-                // first hit.
-                for &u in &self.touched[lo..hi] {
-                    self.front_bits[u as usize / 64] |= 1u64 << (u % 64);
-                }
-                let mut probes = 0u64;
-                for w in 0..words {
-                    let mut unvis = !self.visited[w];
-                    if w == words - 1 && !n.is_multiple_of(64) {
-                        unvis &= (1u64 << (n % 64)) - 1;
-                    }
-                    while unvis != 0 {
-                        let b = unvis.trailing_zeros();
-                        unvis &= unvis - 1;
-                        let v = (w * 64 + b as usize) as NodeId;
-                        for &nb in g.neighbors(v) {
-                            probes += 1;
-                            if self.front_bits[nb as usize / 64] & (1u64 << (nb % 64)) != 0 {
-                                self.visited[w] |= 1u64 << b;
-                                self.dist[v as usize] = level;
-                                self.touched.push(v);
-                                break;
-                            }
-                        }
-                    }
-                }
-                for &u in &self.touched[lo..hi] {
-                    self.front_bits[u as usize / 64] = 0;
-                }
-                stats.words_scanned += words as u64 + probes + 2 * (hi - lo) as u64;
-            } else {
-                // Top-down: expand the frontier list, one visited-word
-                // probe per edge.
-                for i in lo..hi {
-                    let u = self.touched[i];
-                    for &v in g.neighbors(u) {
-                        let w = v as usize / 64;
-                        let bit = 1u64 << (v % 64);
-                        if self.visited[w] & bit == 0 {
-                            self.visited[w] |= bit;
-                            self.dist[v as usize] = level;
-                            self.touched.push(v);
-                        }
-                    }
-                }
-                stats.words_scanned += frontier_edges;
-            }
-            stats.frontier_passes += 1;
-            (lo, hi) = (hi, self.touched.len());
-            level += 1;
-        }
-    }
-
-    /// Distance of `v` in the most recent run (`UNREACHED` if unvisited).
-    pub fn dist(&self, v: NodeId) -> u32 {
-        let w = v as usize / 64;
-        if self
-            .visited
-            .get(w)
-            .is_some_and(|word| word & (1u64 << (v % 64)) != 0)
-        {
-            self.dist[v as usize]
-        } else {
-            UNREACHED
-        }
-    }
-
-    /// Nodes reached by the most recent run, in visitation order
-    /// (non-decreasing distance; order within a level is unspecified).
-    pub fn touched(&self) -> &[NodeId] {
-        &self.touched
-    }
-
-    /// Sort the first `len` reached nodes in place by `(distance, id)`.
-    /// Reached nodes are stored in non-decreasing distance order, so
-    /// when `len` is a cumulative ring size (the prefix sum of
-    /// [`ring_sizes`](Self::ring_sizes) up to radius `h`) the prefix is
-    /// then the ball of radius `h` in the order of
-    /// [`crate::bfs::ball_nodes`], and so is every shorter such prefix.
-    ///
-    /// # Panics
-    /// Panics if `len` exceeds the number of reached nodes.
-    pub fn sort_prefix(&mut self, len: usize) {
-        let dist = &self.dist;
-        // Ids are distinct, so the unstable sort is deterministic.
-        self.touched[..len].sort_unstable_by_key(|&v| (dist[v as usize], v));
-    }
-
-    /// Nodes reached by the most recent run, sorted by `(distance, id)`
-    /// — the deterministic ball order of [`crate::bfs::ball_nodes`].
-    pub fn ball_nodes_sorted(&mut self) -> Vec<NodeId> {
-        self.sort_prefix(self.touched.len());
-        self.touched.clone()
-    }
-
-    /// The ball of radius `h` of the most recent run — the subgraph and
-    /// node order [`crate::subgraph::ball`] builds. `cum` holds the
-    /// cumulative ring sizes, and the prefix up to `cum[h]` must have
-    /// been sorted with [`sort_prefix`](Self::sort_prefix). A neighbor's
-    /// ball index is found by binary search within its distance level,
-    /// so no `n`-sized inverse map is allocated per ball.
-    pub fn ball(&self, g: &Graph, cum: &[usize], h: usize) -> (Graph, SubgraphMap) {
-        induced_subgraph_by(g, &self.touched[..cum[h]], |w| {
-            let d = self.dist(w) as usize; // `UNREACHED` is past every h
-            if d > h {
-                return None;
-            }
-            let start = if d == 0 { 0 } else { cum[d - 1] };
-            let level = &self.touched[start..cum[d]];
-            level.binary_search(&w).ok().map(|k| (start + k) as u32)
-        })
-    }
-
-    /// Counts of nodes at *exactly* each hop distance `0..=max_h` for
-    /// the most recent run (which must have been bounded by `max_h`).
-    /// After a run cut short by its node limit, rings past the last
-    /// level it ran are zero.
-    pub fn ring_sizes(&self, max_h: u32) -> Vec<usize> {
-        let mut rings = vec![0usize; max_h as usize + 1];
-        for &v in &self.touched {
-            rings[self.dist[v as usize] as usize] += 1;
-        }
-        rings
-    }
-}
-
-/// Bounded single-source distances via the bitset kernel, as a full
-/// distance field (`UNREACHED` where unvisited) — the drop-in
-/// equivalent of [`crate::bfs::distances_bounded`] for differential
-/// tests and one-off callers.
-pub fn distances_bounded(g: &Graph, src: NodeId, max_h: u32, stats: &mut BfsStats) -> Vec<u32> {
-    let mut s = BitsetScratch::new();
-    s.run_bounded(g, src, max_h, usize::MAX, stats);
-    let mut out = vec![UNREACHED; g.node_count()];
-    for &v in s.touched() {
-        out[v as usize] = s.dist[v as usize];
-    }
-    out
-}
 
 /// Maximum sources per multi-source pass (one bit-lane each).
 pub const MAX_LANES: usize = 64;
@@ -658,118 +423,8 @@ impl LaneCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bfs, subgraph};
-
-    fn path5() -> Graph {
-        Graph::from_edges(5, (0..4).map(|i| (i, i + 1)))
-    }
-
-    /// A small graph mixing a dense clique (to trip bottom-up) with a
-    /// pendant path and an isolated node.
-    fn mixed() -> Graph {
-        let mut edges = Vec::new();
-        for a in 0..8u32 {
-            for b in (a + 1)..8 {
-                edges.push((a, b));
-            }
-        }
-        edges.extend([(7, 8), (8, 9), (9, 10)]);
-        Graph::from_edges(12, edges)
-    }
-
-    #[test]
-    fn single_source_matches_scalar_oracle() {
-        for g in [path5(), mixed()] {
-            let mut stats = BfsStats::default();
-            for src in 0..g.node_count() as NodeId {
-                for max_h in [0, 1, 2, 3, u32::MAX] {
-                    let got = distances_bounded(&g, src, max_h, &mut stats);
-                    let want = bfs::distances_bounded(&g, src, max_h);
-                    assert_eq!(got, want, "src {src} max_h {max_h}");
-                }
-            }
-            assert!(stats.words_scanned > 0);
-            assert!(stats.frontier_passes > 0);
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_and_ball_order_match_oracle() {
-        let g = mixed();
-        let mut s = BitsetScratch::new();
-        let mut stats = BfsStats::default();
-        for src in [0u32, 7, 8, 11] {
-            for max_h in [1, 2, u32::MAX] {
-                s.run_bounded(&g, src, max_h, usize::MAX, &mut stats);
-                if max_h != u32::MAX {
-                    assert_eq!(s.ring_sizes(max_h), bfs::ring_sizes(&g, src, max_h));
-                    // Sorting the radius-1 prefix serves every ball up
-                    // to radius 1.
-                    let cum: Vec<usize> = s
-                        .ring_sizes(max_h)
-                        .iter()
-                        .scan(0, |acc, &r| {
-                            *acc += r;
-                            Some(*acc)
-                        })
-                        .collect();
-                    s.sort_prefix(cum[1]);
-                    for h in 0..=1 {
-                        let (ball, map) = s.ball(&g, &cum, h);
-                        let (want, want_map) = subgraph::ball(&g, src, h as u32);
-                        assert_eq!(map.originals(), want_map.originals(), "src {src} h {h}");
-                        assert_eq!(ball, want, "src {src} h {h}");
-                    }
-                }
-                assert_eq!(s.ball_nodes_sorted(), bfs::ball_nodes(&g, src, max_h));
-            }
-        }
-    }
-
-    #[test]
-    fn node_limit_stops_after_the_first_level_over_it() {
-        for g in [path5(), mixed(), small_world(120)] {
-            let n = g.node_count();
-            let mut s = BitsetScratch::new();
-            let mut stats = BfsStats::default();
-            for src in [0, n as NodeId / 2, n as NodeId - 1] {
-                let want = bfs::distances(&g, src);
-                for limit in (0..=n).chain([usize::MAX]) {
-                    s.run_bounded(&g, src, u32::MAX, limit, &mut stats);
-                    // The oracle's stop level: the first whose reached
-                    // set exceeds the limit, else the last level.
-                    let mut stop = 0;
-                    while (stop as usize) < n {
-                        let reached = want.iter().filter(|&&d| d <= stop).count();
-                        let grows = want.iter().any(|&d| d == stop + 1);
-                        if reached > limit || !grows {
-                            break;
-                        }
-                        stop += 1;
-                    }
-                    for v in g.nodes() {
-                        let d = want[v as usize];
-                        let expect = if d <= stop { d } else { UNREACHED };
-                        assert_eq!(s.dist(v), expect, "src {src} limit {limit} v {v}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// A ring lattice (each node tied to its two nearest neighbors on
-    /// either side) plus one long chord per node: small-world enough
-    /// that the union of many frontiers covers most nodes for a few
-    /// levels.
-    fn small_world(n: u32) -> Graph {
-        let mut edges = Vec::new();
-        for i in 0..n {
-            edges.push((i, (i + 1) % n));
-            edges.push((i, (i + 2) % n));
-            edges.push((i, (i * 37 + 11) % n));
-        }
-        Graph::from_edges(n as usize, edges.into_iter().filter(|(a, b)| a != b))
-    }
+    use crate::bfs;
+    use crate::bfs::tests::{mixed, path5, small_world};
 
     #[test]
     fn lane_passes_pull_dense_levels_and_match_scalar() {

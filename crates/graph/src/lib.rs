@@ -14,10 +14,10 @@
 //!   graph, built through [`GraphBuilder`] which deduplicates multi-edges
 //!   and drops self-loops.
 //! * [`bfs`] — breadth-first distance fields, hop-bounded balls, shortest
-//!   path counting (σ) and shortest-path DAGs for traversal-set analysis.
-//! * [`bfs_bitset`] — batched bitset BFS kernels (direction-optimizing
-//!   single-source + 64-lane multi-source) for large sampled-center runs,
-//!   bit-identical to the [`bfs`] oracle.
+//!   path counting (σ) and shortest-path DAGs for traversal-set analysis;
+//!   the one single-source BFS scratch ball centers grow on.
+//! * [`bfs_bitset`] — the direction-optimizing 64-lane multi-source BFS
+//!   for large sampled-center runs, bit-identical to the [`bfs`] oracle.
 //! * [`components`] — connected components and largest-component
 //!   extraction (the paper analyzes the largest connected component of
 //!   every generated graph).

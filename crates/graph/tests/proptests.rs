@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use topogen_check::gen::{arb_bfs_graph, arb_connected, arb_graph};
 use topogen_graph::apsp::all_pairs_distances;
 use topogen_graph::bfs::{distances, distances_bounded, shortest_path_dag, DistScratch};
-use topogen_graph::bfs_bitset::{self, BfsStats, BitsetScratch};
+use topogen_graph::bfs_bitset::{self, BfsStats};
 use topogen_graph::bicon::biconnected_components;
 use topogen_graph::components::{components, largest_component};
 use topogen_graph::flow::max_flow_unit;
@@ -148,37 +148,41 @@ proptest! {
     }
 
     #[test]
-    fn bitset_single_source_matches_scalar_oracle(
-        g in arb_connected(),
-        src_pick in any::<u32>(),
-        raw_h in 0u32..9,
+    fn scratch_reuse_and_node_limit_match_scalar_oracle(
+        g in arb_bfs_graph(),
+        seeds in proptest::collection::vec(any::<u32>(), 1..6),
     ) {
-        let max_h = if raw_h == 8 { u32::MAX } else { raw_h };
-        let src = (src_pick as usize % g.node_count()) as NodeId;
-        let mut stats = BfsStats::default();
-        let got = bfs_bitset::distances_bounded(&g, src, max_h, &mut stats);
-        let want = distances_bounded(&g, src, max_h);
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn bitset_scratch_reuse_matches_scalar_oracle(g in arb_connected(), seeds in proptest::collection::vec(any::<u32>(), 1..6)) {
-        // One reused scratch across several (src, max_h) runs: reuse must
-        // never leak state between centers.
+        // One reused scratch across several (src, max_h, limit) runs on
+        // sparse, dense, small-world and disconnected graphs: a run stops
+        // after the first level whose reached set exceeds its limit, and
+        // reuse never leaks state between centers.
         let n = g.node_count();
-        let mut bit = BitsetScratch::new();
-        let mut sca = DistScratch::new();
-        let mut stats = BfsStats::default();
-        for s in seeds {
-            let src = (s as usize % n) as NodeId;
-            let max_h = (s / 7) % 9;
-            bit.run_bounded(&g, src, max_h, usize::MAX, &mut stats);
-            sca.run_bounded(&g, src, max_h);
-            for v in 0..n as NodeId {
-                prop_assert_eq!(bit.dist(v), sca.dist(v), "src {} h {} v {}", src, max_h, v);
+        let mut s = DistScratch::new();
+        for seed in seeds {
+            let src = (seed as usize % n) as NodeId;
+            let max_h = if seed % 9 == 8 { u32::MAX } else { seed % 9 };
+            let limit = if seed % 5 == 0 { usize::MAX } else { (seed / 45) as usize % (n + 1) };
+            s.run_bounded(&g, src, max_h, limit);
+            let want = distances_bounded(&g, src, max_h);
+            let mut rings = vec![0usize; n + 1];
+            for &d in want.iter().filter(|&&d| d != UNREACHED) {
+                rings[d as usize] += 1;
             }
-            prop_assert_eq!(bit.ball_nodes_sorted(), sca.ball_nodes_sorted());
-            prop_assert_eq!(bit.ring_sizes(max_h), sca.ring_sizes(max_h));
+            let (mut stop, mut reached) = (0, rings[0]);
+            while reached <= limit && rings[stop + 1] > 0 {
+                stop += 1;
+                reached += rings[stop];
+            }
+            for v in 0..n as NodeId {
+                let d = want[v as usize];
+                let expect = if d as usize <= stop { d } else { UNREACHED };
+                prop_assert_eq!(s.dist(v), expect, "src {} h {} limit {} v {}", src, max_h, limit, v);
+            }
+            let mut order: Vec<NodeId> = (0..n as NodeId)
+                .filter(|&v| want[v as usize] as usize <= stop)
+                .collect();
+            order.sort_by_key(|&v| (want[v as usize], v));
+            prop_assert_eq!(s.ball_nodes_sorted(), order);
         }
     }
 

@@ -10,9 +10,9 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use topogen_graph::bfs_bitset::BitsetScratch;
-use topogen_graph::subgraph::{induced_subgraph, SubgraphMap};
-use topogen_graph::{bfs, Graph, NodeId, UNREACHED};
+use topogen_graph::bfs::DistScratch;
+use topogen_graph::subgraph::SubgraphMap;
+use topogen_graph::{Graph, NodeId, UNREACHED};
 use topogen_policy::balls::policy_ball_from_dag;
 use topogen_policy::overlay::RouterOverlay;
 use topogen_policy::rel::AsAnnotations;
@@ -25,14 +25,22 @@ pub trait BallSource: Sync {
 
     /// Grow `center` once, under this source's path notion, out to
     /// radius `max_h`. The growth holds the size of every radius's ball
-    /// and builds any ball of at most `max_ball` nodes; pass 0 when only
-    /// the sizes are wanted.
-    fn grow(&self, center: NodeId, max_h: u32, max_ball: usize) -> Growth<'_>;
+    /// and builds any of them. It may stop after the first radius whose
+    /// ball exceeds `max_nodes`; the sizes past that radius are not
+    /// exact then. A plain source runs its BFS on `scratch` and its
+    /// growth borrows it; the other sources ignore it.
+    fn grow<'s>(
+        &'s self,
+        center: NodeId,
+        max_h: u32,
+        max_nodes: usize,
+        scratch: &'s mut DistScratch,
+    ) -> Growth<'s>;
 
     /// The underlying plain graph, when this source's balls are plain
-    /// shortest-path balls over it — the precondition for the batched
-    /// bitset kernels. Policy/overlay sources return `None` (their path
-    /// notion is not plain BFS) and always grow through [`Self::grow`].
+    /// shortest-path balls over it — the precondition for 64-lane
+    /// expansion passes. Policy/overlay sources return `None` (their
+    /// path notion is not plain BFS).
     fn plain_graph(&self) -> Option<&Graph> {
         None
     }
@@ -42,21 +50,16 @@ pub trait BallSource: Sync {
 /// what the source builds those balls from.
 pub struct Growth<'a> {
     /// `sizes[h]` is the node count of the ball of radius `h`, for every
-    /// `h` in `0..=max_h`. A bitset BFS stopped at its node limit counts
-    /// only through the first radius whose ball exceeds it.
+    /// `h` in `0..=max_h`. A BFS stopped at its node limit counts only
+    /// through the first radius whose ball exceeds it.
     pub sizes: Vec<usize>,
-    pub(crate) balls: Balls<'a>,
+    balls: Balls<'a>,
 }
 
 /// What a [`Growth`] builds its balls from.
-pub(crate) enum Balls<'a> {
-    /// Scalar BFS: the reached nodes in `(distance, id)` order through
-    /// the largest ball within the growth's `max_ball`; every ball is a
-    /// prefix of them.
-    Plain(&'a Graph, Vec<NodeId>),
-    /// Bitset BFS, its reached set sorted the same way
-    /// ([`BitsetScratch::sort_prefix`]).
-    Bitset(&'a Graph, &'a BitsetScratch),
+enum Balls<'a> {
+    /// The BFS from the center, on the scratch it ran on.
+    Plain(&'a Graph, &'a mut DistScratch),
     /// The valley-free DAG from the center.
     Policy(&'a Graph, PolicyDag),
     /// The router distance field from the center.
@@ -66,15 +69,11 @@ pub(crate) enum Balls<'a> {
 impl Growth<'_> {
     /// The ball of radius `h`: the subgraph and node order that
     /// [`topogen_graph::subgraph::ball`], `policy_ball` or
-    /// `policy_router_ball` build for it.
-    ///
-    /// # Panics
-    /// Panics on a plain ball larger than the `max_ball` the center was
-    /// grown for.
-    pub fn ball(&self, h: u32) -> (Graph, SubgraphMap) {
-        match &self.balls {
-            Balls::Plain(g, order) => induced_subgraph(g, &order[..self.sizes[h as usize]]),
-            Balls::Bitset(g, scratch) => scratch.ball(g, &self.sizes, h as usize),
+    /// `policy_router_ball` build for it. A plain growth stopped at its
+    /// node limit builds balls only through the first radius over it.
+    pub fn ball(&mut self, h: u32) -> (Graph, SubgraphMap) {
+        match &mut self.balls {
+            Balls::Plain(g, scratch) => scratch.ball(g, h),
             Balls::Policy(g, dag) => policy_ball_from_dag(g, dag, h),
             Balls::Overlay(overlay, dist) => overlay.policy_router_ball_from_dist(dist, h),
         }
@@ -101,17 +100,6 @@ fn sizes_within(dist: &[u32], max_h: u32) -> Vec<usize> {
     cumulative(rings)
 }
 
-/// The node count of the largest ball in `sizes` with at most `cap`
-/// nodes (0 when even the center's exceeds it).
-pub(crate) fn largest_ball_within(sizes: &[usize], cap: usize) -> usize {
-    sizes
-        .iter()
-        .copied()
-        .take_while(|&size| size <= cap)
-        .last()
-        .unwrap_or(0)
-}
-
 /// Plain shortest-path balls over a graph.
 pub struct PlainBalls<'a> {
     /// The underlying graph.
@@ -123,23 +111,19 @@ impl<'a> BallSource for PlainBalls<'a> {
         self.graph.node_count()
     }
 
-    fn grow(&self, center: NodeId, max_h: u32, max_ball: usize) -> Growth<'_> {
-        // One bounded BFS serves every radius: ball `h` is the prefix of
-        // the `(distance, id)`-sorted reached set up to the cumulative
-        // ring size — the membership and order `subgraph::ball` builds.
-        // The prefix is copied out of this thread's scratch, which a
-        // metric may borrow again while it measures.
-        let (sizes, order) = bfs::with_scratch(|s| {
-            s.run_bounded(self.graph, center, max_h);
-            let sizes = cumulative(s.ring_sizes(max_h));
-            // Reached nodes come in non-decreasing distance order.
-            let mut order = s.touched()[..largest_ball_within(&sizes, max_ball)].to_vec();
-            order.sort_unstable_by_key(|&v| (s.dist(v), v));
-            (sizes, order)
-        });
+    fn grow<'s>(
+        &'s self,
+        center: NodeId,
+        max_h: u32,
+        max_nodes: usize,
+        scratch: &'s mut DistScratch,
+    ) -> Growth<'s> {
+        // One bounded BFS serves every radius: ball `h` is the reached
+        // set through level `h`, which the scratch builds on demand.
+        scratch.run_bounded(self.graph, center, max_h, max_nodes);
         Growth {
-            sizes,
-            balls: Balls::Plain(self.graph, order),
+            sizes: cumulative(scratch.ring_sizes(max_h)),
+            balls: Balls::Plain(self.graph, scratch),
         }
     }
 
@@ -161,7 +145,13 @@ impl<'a> BallSource for PolicyBalls<'a> {
         self.graph.node_count()
     }
 
-    fn grow(&self, center: NodeId, max_h: u32, _max_ball: usize) -> Growth<'_> {
+    fn grow<'s>(
+        &'s self,
+        center: NodeId,
+        max_h: u32,
+        _max_nodes: usize,
+        _scratch: &'s mut DistScratch,
+    ) -> Growth<'s> {
         let dag = policy_shortest_path_dag(self.graph, self.annotations, center);
         Growth {
             sizes: sizes_within(&dag.node_dist, max_h),
@@ -182,7 +172,13 @@ impl<'a> BallSource for OverlayBalls<'a> {
         self.overlay.routers.node_count()
     }
 
-    fn grow(&self, center: NodeId, max_h: u32, _max_ball: usize) -> Growth<'_> {
+    fn grow<'s>(
+        &'s self,
+        center: NodeId,
+        max_h: u32,
+        _max_nodes: usize,
+        _scratch: &'s mut DistScratch,
+    ) -> Growth<'s> {
         let dist = self.overlay.policy_router_distances(center);
         Growth {
             sizes: sizes_within(&dist, max_h),
@@ -248,7 +244,8 @@ mod tests {
     fn plain_balls_radii() {
         let g = path5();
         let src = PlainBalls { graph: &g };
-        let growth = src.grow(2, 2, usize::MAX);
+        let mut scratch = DistScratch::new();
+        let mut growth = src.grow(2, 2, usize::MAX, &mut scratch);
         let balls: Vec<_> = (0..growth.sizes.len() as u32)
             .map(|h| growth.ball(h))
             .collect();
@@ -267,7 +264,8 @@ mod tests {
             graph: &g,
             annotations: &ann,
         };
-        let growth = src.grow(0, 5, usize::MAX);
+        let mut scratch = DistScratch::new();
+        let mut growth = src.grow(0, 5, usize::MAX, &mut scratch);
         assert_eq!(growth.ball(5).0.node_count(), 2);
     }
 

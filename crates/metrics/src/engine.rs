@@ -18,26 +18,25 @@
 //! are bit-identical for any thread count, including one.
 //!
 //! Kernel selection: when the source exposes a plain graph
-//! ([`BallSource::plain_graph`]), the plan picks between the per-center
-//! scalar BFS and the batched bitset kernels of
-//! [`topogen_graph::bfs_bitset`] via [`select_kernel`] — an explicit
-//! heuristic over (n, density, centers requested), overridable with
-//! [`BallPlan::kernel`]. The decision is instrumented (a
-//! `kernel-select` trace span plus nonzero `words_scanned` /
-//! `frontier_passes` counters on the bitset path), and both paths
-//! produce bit-identical distances, ring sizes, ball memberships, and
-//! downstream curve aggregates. Only the growth differs by kernel; the
-//! row loop and the aggregation ([`aggregate_rows`],
-//! [`aggregate_counts`]) are shared.
+//! ([`BallSource::plain_graph`]), the plan decides through
+//! [`select_kernel`] — an explicit heuristic over (n, density, centers
+//! requested), overridable with [`BallPlan::kernel`] — whether its
+//! expansion-only centers share the 64-lane passes of
+//! [`topogen_graph::bfs_bitset`]. Every other center grows through its
+//! source, a plain one on a [`DistScratch`] the plan lends it. The
+//! decision is instrumented (a `kernel-select` trace span plus nonzero
+//! `words_scanned` / `frontier_passes` counters when lanes run), and
+//! lane ring counts equal the scalar ones, so every curve and expansion
+//! value is bit-identical either way. The row loop and the aggregation
+//! ([`aggregate_rows`], [`aggregate_counts`]) are shared.
 
-use crate::balls::{cumulative, largest_ball_within, BallSource, Balls, Growth};
+use crate::balls::{cumulative, BallSource};
 use crate::instrument::{phase, Instrument, TimingReport};
 use crate::partition::min_balanced_cut;
 use crate::CurvePoint;
 use std::sync::Mutex;
-use topogen_graph::bfs_bitset::{
-    select_kernel, BfsStats, BitsetScratch, KernelChoice, LaneScratch, MAX_LANES,
-};
+use topogen_graph::bfs::DistScratch;
+use topogen_graph::bfs_bitset::{select_kernel, BfsStats, KernelChoice, LaneScratch, MAX_LANES};
 use topogen_graph::{Graph, NodeId};
 use topogen_par::{par_map_threads, worker_count};
 
@@ -317,8 +316,9 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
 
     /// Kernel policy for this plan (default [`KernelPolicy::Auto`],
     /// which consults [`select_kernel`]); forcing `Scalar`/`Bitset`
-    /// pins the path. Suite runs pass their run context's policy.
-    /// Either kernel feeds the same row loop.
+    /// pins whether expansion-only centers share lane passes. Suite runs
+    /// pass their run context's policy. Ball centers grow the same way
+    /// under either.
     pub fn kernel(mut self, policy: KernelPolicy) -> Self {
         self.kernel = policy;
         self
@@ -327,8 +327,8 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
     /// Skip *constructing* ball subgraphs larger than `cap` nodes. The
     /// first oversized ball gets the row every metric's decline would
     /// give it (size + NaN per metric) and the rows end there (see
-    /// [`JobOut`]); on the bitset kernel a ball-only center also stops
-    /// its BFS at that radius.
+    /// [`JobOut`]); a plain ball-only center also stops its BFS at that
+    /// radius.
     ///
     /// Only set this when **every** registered metric returns `None` for
     /// balls larger than `cap` (the suite metrics all skip above their
@@ -417,12 +417,12 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         );
         topogen_par::cancel::checkpoint();
         let _plan_span = topogen_par::trace::span("ball-plan");
-        let radii = self.max_radius as usize + 1;
 
-        // Kernel selection: the batched bitset path needs plain
-        // shortest-path balls over an exposed graph; everything else
-        // (policy/overlay sources) grows through the source itself.
-        let choice = match self.source.plain_graph() {
+        // Kernel selection: lane passes need plain shortest-path balls
+        // over an exposed graph; policy/overlay sources grow every
+        // center through the source.
+        let graph = self.source.plain_graph();
+        let choice = match graph {
             Some(g) => select_kernel(self.kernel, g.node_count(), g.edge_count(), jobs.len()),
             None => KernelChoice::Scalar,
         };
@@ -431,14 +431,61 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
             choice.tag(),
         ));
 
-        match (choice, self.source.plain_graph()) {
-            (KernelChoice::Bitset, Some(g)) => self.run_jobs_bitset(g, jobs, instrument, radii),
-            _ => par_map_threads(jobs, self.threads, |&job| {
-                self.run_job(job, instrument, |max_ball| {
-                    self.source.grow(job.0, self.max_radius, max_ball)
-                })
-            }),
+        // One parallel map: first, when the plan picked lanes, a single
+        // lane task that advances the expansion-only centers in 64-lane
+        // passes, one after another; then one `run_job` task per other
+        // job. All BFS scratch is allocated here, before the map, and
+        // lent to the tasks — one `LaneScratch` for the lane task and
+        // one `DistScratch` per worker from a pool — so worker threads
+        // never allocate traversal buffers of their own. Outputs land at
+        // each job's original index, so the aggregation is oblivious to
+        // the kernel.
+        let lane_graph = graph.filter(|_| choice == KernelChoice::Bitset);
+        let laned = |&(_, is_ball, is_exp): &(NodeId, bool, bool)| {
+            lane_graph.is_some() && !is_ball && is_exp
+        };
+        let exp_only: Vec<usize> = (0..jobs.len()).filter(|&i| laned(&jobs[i])).collect();
+        // `None` is the lane task, `Some(i)` the task of job `i`.
+        let tasks: Vec<Option<usize>> = (!exp_only.is_empty())
+            .then_some(None)
+            .into_iter()
+            .chain((0..jobs.len()).filter(|&i| !laned(&jobs[i])).map(Some))
+            .collect();
+
+        let n = graph.map_or(0, Graph::node_count);
+        let lane_nodes = if exp_only.is_empty() { 0 } else { n };
+        let lanes = Mutex::new(LaneScratch::with_nodes(lane_nodes));
+        let workers = worker_count(self.threads, tasks.len()).min(jobs.len() - exp_only.len());
+        let pool = Mutex::new(
+            (0..workers)
+                .map(|_| DistScratch::with_nodes(n))
+                .collect::<Vec<_>>(),
+        );
+        let task_outs = par_map_threads(&tasks, self.threads, |task| match *task {
+            None => {
+                let g = lane_graph.expect("the lane task runs only over a plain graph");
+                let mut lanes = lanes.lock().expect("only the lane task locks it");
+                self.run_lanes_bitset(g, jobs, &exp_only, &mut lanes, instrument)
+            }
+            Some(i) => {
+                let lock = || {
+                    pool.lock()
+                        .expect("the pool is never locked across a panic")
+                };
+                // One scratch per worker: the pool only runs dry if the
+                // map used more workers than `worker_count` said.
+                let mut scratch = lock().pop().unwrap_or_else(|| DistScratch::with_nodes(n));
+                let out = self.run_job(jobs[i], &mut scratch, instrument);
+                lock().push(scratch);
+                vec![(i, out)]
+            }
+        });
+
+        let mut outputs: Vec<JobOut> = vec![(None, None); jobs.len()];
+        for (i, out) in task_outs.into_iter().flatten() {
+            outputs[i] = out;
         }
+        outputs
     }
 
     /// Aggregation phase: fold concatenated per-job outputs (in job
@@ -474,19 +521,21 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         self.ball_size_cap.unwrap_or(usize::MAX)
     }
 
-    /// One job, on either kernel and for every source: grow the center
-    /// once with `grow`, which is given the largest ball the job builds
-    /// (the cap, or 0 for an expansion-only center), then run the row
-    /// loop of a ball center: build each radius's ball in turn, hand it
-    /// to every metric and drop it. The first ball over the cap is not
-    /// built — every metric would decline it and the larger ones after
-    /// it — so its row is `(size, NaN…)` and the rows end there. An
-    /// expansion center's E(h) counts are its ball sizes.
-    fn run_job<'g>(
+    /// One job outside the lane passes, for every source: grow the
+    /// center once through the source, on the lent `scratch` — a ball-only
+    /// center may stop at the first radius over the cap, where its rows
+    /// end, while an expansion center grows to the radius budget because
+    /// it needs every ball size — then run the row loop of a ball
+    /// center: build each radius's ball in turn, hand it to every metric
+    /// and drop it. The first ball over the cap is not built — every
+    /// metric would decline it and the larger ones after it — so its row
+    /// is `(size, NaN…)` and the rows end there. An expansion center's
+    /// E(h) counts are its ball sizes.
+    fn run_job(
         &self,
         (c, is_ball, is_exp): (NodeId, bool, bool),
+        scratch: &mut DistScratch,
         instrument: &Instrument,
-        grow: impl FnOnce(usize) -> Growth<'g>,
     ) -> JobOut {
         let _center_span = topogen_par::trace::span("center");
         let grow_phase = phase(
@@ -494,7 +543,8 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
             if is_ball { "balls" } else { "distances" },
         );
         let cap = self.cap();
-        let growth = grow(if is_ball { cap } else { 0 });
+        let limit = if is_exp { usize::MAX } else { cap };
+        let mut growth = self.source.grow(c, self.max_radius, limit, scratch);
         instrument.add_bfs_runs(1);
         drop(grow_phase);
         if !is_ball {
@@ -502,7 +552,8 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         }
         let center_seed = mix_seed(self.seed, c as u64);
         let mut rows = Vec::new();
-        for (h, &size) in growth.sizes.iter().enumerate() {
+        for h in 0..growth.sizes.len() {
+            let size = growth.sizes[h];
             if size > cap {
                 rows.push((size as f64, vec![f64::NAN; self.metrics.len()]));
                 break;
@@ -541,74 +592,6 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         (Some(rows), is_exp.then_some(growth.sizes))
     }
 
-    /// The batched bitset path over a plain graph, as one parallel map:
-    /// first a single lane task that advances the expansion-only
-    /// centers in 64-lane multi-source passes, one after another, then
-    /// one task per ball center (a single direction-optimizing bounded
-    /// BFS each). All BFS scratch is allocated here, before the map, and
-    /// lent to the tasks — one [`LaneScratch`] for the lane task and one
-    /// [`BitsetScratch`] per worker from a pool — so worker threads never
-    /// allocate traversal buffers of their own. Outputs land at each
-    /// job's original index, so the shared aggregation is oblivious to
-    /// the kernel.
-    fn run_jobs_bitset(
-        &self,
-        g: &Graph,
-        jobs: &[(NodeId, bool, bool)],
-        instrument: &Instrument,
-        radii: usize,
-    ) -> Vec<JobOut> {
-        let n = g.node_count();
-        let exp_only: Vec<usize> = (0..jobs.len())
-            .filter(|&i| !jobs[i].1 && jobs[i].2)
-            .collect();
-        // `None` is the lane task, `Some(i)` the ball task of job `i`.
-        let tasks: Vec<Option<usize>> = (!exp_only.is_empty())
-            .then_some(None)
-            .into_iter()
-            .chain((0..jobs.len()).filter(|&i| jobs[i].1).map(Some))
-            .collect();
-        let ball_tasks = tasks.len() - usize::from(!exp_only.is_empty());
-
-        let lanes = Mutex::new(if exp_only.is_empty() {
-            LaneScratch::new()
-        } else {
-            LaneScratch::with_nodes(n)
-        });
-        let workers = worker_count(self.threads, tasks.len()).min(ball_tasks);
-        let pool = Mutex::new(
-            (0..workers)
-                .map(|_| BitsetScratch::with_nodes(n))
-                .collect::<Vec<_>>(),
-        );
-        let task_outs = par_map_threads(&tasks, self.threads, |task| match *task {
-            None => {
-                let mut lanes = lanes.lock().expect("only the lane task locks it");
-                self.run_lanes_bitset(g, jobs, &exp_only, &mut lanes, instrument, radii)
-            }
-            Some(i) => {
-                let lock = || {
-                    pool.lock()
-                        .expect("the pool is never locked across a panic")
-                };
-                // One scratch per worker: the pool only runs dry if the
-                // map used more workers than `worker_count` said.
-                let mut scratch = lock().pop().unwrap_or_else(|| BitsetScratch::with_nodes(n));
-                let out = self.run_job(jobs[i], instrument, |cap| {
-                    self.grow_bitset(g, jobs[i], cap, &mut scratch, instrument)
-                });
-                lock().push(scratch);
-                vec![(i, out)]
-            }
-        });
-
-        let mut outputs: Vec<JobOut> = vec![(None, None); jobs.len()];
-        for (i, out) in task_outs.into_iter().flatten() {
-            outputs[i] = out;
-        }
-        outputs
-    }
-
     /// The lane task: the expansion-only jobs `exp_only` in 64-lane
     /// multi-source passes over one reused scratch, each pass one
     /// traversal for up to 64 centers. Returns `(job index, output)`.
@@ -619,7 +602,6 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
         exp_only: &[usize],
         lanes: &mut LaneScratch,
         instrument: &Instrument,
-        radii: usize,
     ) -> Vec<(usize, JobOut)> {
         let mut outs = Vec::with_capacity(exp_only.len());
         for chunk in exp_only.chunks(MAX_LANES) {
@@ -630,46 +612,11 @@ impl<'a, S: BallSource> BallPlan<'a, S> {
             instrument.add_bfs_runs(sources.len() as u64);
             instrument.add_words_scanned(stats.words_scanned);
             instrument.add_frontier_passes(stats.frontier_passes);
-            for (&i, mut counts) in chunk.iter().zip(rings) {
-                for h in 1..radii {
-                    counts[h] += counts[h - 1];
-                }
-                outs.push((i, (None, Some(counts))));
+            for (&i, rings) in chunk.iter().zip(rings) {
+                outs.push((i, (None, Some(cumulative(rings)))));
             }
         }
         outs
-    }
-
-    /// A ball center's growth on the bitset path: a single bounded BFS
-    /// yields the distance field; each radius's ball is the
-    /// `(distance, id)`-sorted prefix of the reached set — exactly the
-    /// scalar [`topogen_graph::subgraph::ball`] membership and order,
-    /// without one BFS per radius. Only the prefix up to the largest
-    /// ball within `cap` is sorted. A ball-only center stops its BFS at
-    /// the first radius over the cap, where its rows end; an expansion
-    /// center runs it to the radius budget, because it needs every ring
-    /// size.
-    fn grow_bitset<'g>(
-        &self,
-        g: &'g Graph,
-        (c, _, is_exp): (NodeId, bool, bool),
-        cap: usize,
-        scratch: &'g mut BitsetScratch,
-        instrument: &Instrument,
-    ) -> Growth<'g> {
-        let limit = if is_exp { usize::MAX } else { cap };
-        let mut stats = BfsStats::default();
-        scratch.run_bounded(g, c, self.max_radius, limit, &mut stats);
-        instrument.add_words_scanned(stats.words_scanned);
-        instrument.add_frontier_passes(stats.frontier_passes);
-        // Past the first over-cap radius the ball sizes are exact only
-        // when the BFS ran on (expansion centers), and no row reads them.
-        let sizes = cumulative(scratch.ring_sizes(self.max_radius));
-        scratch.sort_prefix(largest_ball_within(&sizes, cap));
-        Growth {
-            sizes,
-            balls: Balls::Bitset(g, scratch),
-        }
     }
 
     /// Merge the two sorted center lists into one deduplicated job list
@@ -991,7 +938,7 @@ mod tests {
             let (scalar, scalar_report) = run(KernelPolicy::Scalar, 1);
             assert_eq!(
                 scalar_report.words_scanned, 0,
-                "scalar path touches no bitset words"
+                "the scalar path runs no lane pass"
             );
             for threads in [1, 2, 8] {
                 let (bitset, report) = run(KernelPolicy::Bitset, threads);
@@ -1063,9 +1010,10 @@ mod tests {
         assert_eq!(sizes, [1.0, 3.0, 6.0, 10.0, 15.0]);
         assert!(rows[4].1[0].is_nan(), "the over-cap ball is declined");
         assert!(outs[0].1.is_none());
-        // Levels 1..=4 only, not the 10 of the radius budget.
-        let (_, alone) = bitset.run_collect(&jobs[..1]);
-        assert_eq!(alone.frontier_passes, 4);
+        // The BFS stopped at radius 4, not the 10 of the radius budget.
+        let mut scratch = DistScratch::new();
+        bitset.run_job(jobs[0], &mut scratch, &Instrument::new());
+        assert_eq!(scratch.ring_sizes(10), [1, 2, 3, 4, 5, 0, 0, 0, 0, 0, 0]);
 
         for (job, (_, cum)) in jobs.iter().zip(&outs).skip(1) {
             let want: Vec<usize> = topogen_graph::bfs::ring_sizes(&g, job.0, 10)
@@ -1162,8 +1110,8 @@ mod tests {
 
     #[test]
     fn auto_policy_keeps_scalar_on_small_graphs() {
-        // mesh(8) is far below the Auto threshold: the plan must not
-        // touch the bitset kernels (words_scanned stays zero).
+        // mesh(8) is far below the Auto threshold: the plan must run no
+        // lane pass (words_scanned stays zero).
         let g = mesh(8);
         let src = PlainBalls { graph: &g };
         let em = EdgeCount;

@@ -163,11 +163,12 @@ counters! {
     /// Traversal-set bytes the link-value covers gather (offsets + flat
     /// pair buffer, as one arena would hold them), summed over runs.
     arena_bytes: add_arena_bytes, Sum, Always, gated;
-    /// `u64` bitset words touched by the batched BFS kernels (frontier
-    /// OR/AND-NOT sweeps plus bottom-up pulls; zero on the scalar path).
+    /// `u64` lane words touched by the 64-lane BFS passes (frontier
+    /// OR/AND-NOT sweeps plus bottom-up pulls); lane passes only, so
+    /// zero when no plan picked lanes.
     words_scanned: add_words_scanned, Sum, Nonzero, gated;
-    /// Frontier-expansion passes executed by the batched BFS kernels
-    /// (one per level per direction-optimized sweep).
+    /// Frontier-expansion levels executed by the 64-lane BFS passes (one
+    /// per level per pass); lane passes only.
     frontier_passes: add_frontier_passes, Sum, Nonzero, gated;
     /// Peak per-pair scratch bytes of the hierarchy traversal stage: the
     /// raw `(link, share)` contributions of the pair that emitted most.
