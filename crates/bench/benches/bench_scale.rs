@@ -23,8 +23,7 @@ use topogen_generators::plrg::{plrg, plrg_into, PlrgParams};
 use topogen_graph::bfs;
 use topogen_graph::bfs_bitset::{multi_source_ring_counts, BfsStats};
 use topogen_graph::components::largest_component;
-use topogen_graph::stream::StreamingBuilder;
-use topogen_graph::Graph;
+use topogen_graph::{Graph, GraphBuilder};
 use topogen_metrics::balls::sample_centers;
 
 /// Minimum wall time of `reps` runs.
@@ -137,8 +136,8 @@ fn scale_report(_c: &mut Criterion) {
     }
     let all_identical = rows.iter().all(|r| r.identical);
 
-    // The xl probe: a million-node PLRG built through the streaming
-    // spill-and-merge path under a hard 8 MiB edge-scratch budget —
+    // The xl probe: a million-node PLRG built by a budgeted
+    // `GraphBuilder` (spill and merge) under a hard 8 MiB budget —
     // the tier whose raw edge buffer the in-memory builder cannot
     // afford to hold. Runs in quick mode too (seconds in release), so
     // the committed baseline gates its spill count.
@@ -147,7 +146,7 @@ fn scale_report(_c: &mut Criterion) {
     let scratch = std::env::temp_dir().join(format!("topogen-bench-xl-{}", std::process::id()));
     let _ = std::fs::create_dir_all(&scratch);
     let xl_start = Instant::now();
-    let mut sink = StreamingBuilder::new(0, Some(xl_budget), &scratch);
+    let mut sink = GraphBuilder::budgeted(xl_budget, &scratch);
     let mut xl_rng = StdRng::seed_from_u64(77);
     plrg_into(
         &PlrgParams {
@@ -158,7 +157,7 @@ fn scale_report(_c: &mut Criterion) {
         &mut xl_rng,
         &mut sink,
     );
-    let (xl_g, xl_stats) = sink.build();
+    let (xl_g, xl_stats) = sink.build_counted();
     let xl_secs = xl_start.elapsed().as_secs_f64();
     let _ = std::fs::remove_dir_all(&scratch);
     println!(

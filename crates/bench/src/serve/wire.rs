@@ -241,26 +241,47 @@ fn parse_topology(c: &Content, scale: Scale) -> Result<TopologySpec, WireError> 
                     None => Err(WireError(format!("topology kind {kind:?} needs `{key}`"))),
                 }
             };
+            // The generators assert these preconditions; a request that
+            // breaks one is malformed, not a build to attempt.
+            let require = |ok: bool, key: &str, rule: &str, got: &dyn std::fmt::Display| {
+                if ok {
+                    Ok(())
+                } else {
+                    Err(WireError(format!(
+                        "topology kind {kind:?}: `{key}` must be {rule}, got {got}"
+                    )))
+                }
+            };
             match kind.as_str() {
-                "tree" => Ok(TopologySpec::Tree {
-                    k: u("k")?,
-                    depth: u("depth")?,
-                }),
+                "tree" => {
+                    let (k, depth) = (u("k")?, u("depth")?);
+                    require(k >= 2, "k", "at least 2", &k)?;
+                    Ok(TopologySpec::Tree { k, depth })
+                }
                 "mesh" => Ok(TopologySpec::Mesh { side: u("side")? }),
                 "linear" => Ok(TopologySpec::Linear { n: u("n")? }),
                 "complete" => Ok(TopologySpec::Complete { n: u("n")? }),
-                "random" => Ok(TopologySpec::Random {
-                    n: u("n")?,
-                    p: f("p")?,
-                }),
-                "plrg" => Ok(TopologySpec::Plrg(PlrgParams {
-                    n: u("n")?,
-                    alpha: f("alpha")?,
-                    max_degree: match c.get("max_degree") {
+                "random" => {
+                    let (n, p) = (u("n")?, f("p")?);
+                    require((0.0..=1.0).contains(&p), "p", "in [0, 1]", &p)?;
+                    Ok(TopologySpec::Random { n, p })
+                }
+                "plrg" => {
+                    let (n, alpha) = (u("n")?, f("alpha")?);
+                    let max_degree = match c.get("max_degree") {
                         None | Some(Content::Null) => None,
                         Some(v) => Some(usize::from_content(v)?),
-                    },
-                })),
+                    };
+                    require(alpha > 1.0, "alpha", "above 1", &alpha)?;
+                    if let Some(d) = max_degree {
+                        require(d >= 1, "max_degree", "at least 1", &d)?;
+                    }
+                    Ok(TopologySpec::Plrg(PlrgParams {
+                        n,
+                        alpha,
+                        max_degree,
+                    }))
+                }
                 other => Err(WireError(format!(
                     "unknown topology kind {other:?} \
                      (inline kinds: tree, mesh, linear, complete, random, plrg; \
@@ -524,6 +545,22 @@ mod tests {
             (
                 r#"{"schema_version":1,"topology":{"kind":"hypercube"},"seed":1}"#,
                 "unknown topology kind",
+            ),
+            (
+                r#"{"schema_version":1,"topology":{"kind":"plrg","n":200,"alpha":1.0},"seed":1}"#,
+                "`alpha` must be above 1",
+            ),
+            (
+                r#"{"schema_version":1,"topology":{"kind":"plrg","n":200,"alpha":2.2,"max_degree":0},"seed":1}"#,
+                "`max_degree` must be at least 1",
+            ),
+            (
+                r#"{"schema_version":1,"topology":{"kind":"random","n":200,"p":1.5},"seed":1}"#,
+                "`p` must be in [0, 1]",
+            ),
+            (
+                r#"{"schema_version":1,"topology":{"kind":"tree","k":1,"depth":3},"seed":1}"#,
+                "`k` must be at least 2",
             ),
             ("not json at all", "invalid JSON"),
         ] {

@@ -145,6 +145,28 @@ fn gen_rejects_an_unknown_topology_as_a_usage_error() {
 }
 
 #[test]
+fn out_of_range_inline_parameters_are_usage_errors_that_name_the_field() {
+    let cases = [
+        (r#"{"kind":"plrg","n":200,"alpha":1.0}"#, "`alpha`"),
+        (
+            r#"{"kind":"plrg","n":200,"alpha":2.2,"max_degree":0}"#,
+            "`max_degree`",
+        ),
+        (r#"{"kind":"random","n":200,"p":1.5}"#, "`p`"),
+        (r#"{"kind":"tree","k":1,"depth":3}"#, "`k`"),
+    ];
+    for (topology, field) in cases {
+        let doc = format!(r#"{{"schema_version":1,"topology":{topology},"seed":1}}"#);
+        for cmd in ["measure", "gen"] {
+            let out = repro(&[cmd, "-"], Some(&doc));
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(2), "{cmd} {doc}: {err}");
+            assert!(err.contains(field), "{cmd} {doc}: {err}");
+        }
+    }
+}
+
+#[test]
 fn bad_flag_values_are_usage_errors_that_name_the_flag() {
     let cases: [&[&str]; 5] = [
         &["tab1", "--scale", "bogus"],

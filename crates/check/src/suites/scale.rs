@@ -1,5 +1,5 @@
 //! The million-node machinery's two scale contracts: a memory-budgeted
-//! streaming build is bit-identical to the in-memory builder, and a
+//! `GraphBuilder` build is bit-identical to the in-memory one, and a
 //! store-checkpointed batched suite — including a resume forced to
 //! rebuild from persisted batch partials — reproduces the one-shot
 //! curves fingerprint-for-fingerprint.
@@ -12,22 +12,22 @@ use topogen_core::ctx::RunCtx;
 use topogen_core::suite::{plain_curves_key, run_suite_in, SuiteParams, SuiteResult};
 use topogen_core::zoo::{build_in, Scale, TopologySpec};
 use topogen_generators::canonical;
-use topogen_graph::stream::StreamingBuilder;
-use topogen_graph::Graph;
+use topogen_graph::{Graph, GraphBuilder};
 
 /// The `scale` suite.
 pub fn suite() -> Suite {
     Suite {
         name: "scale",
-        description: "budgeted streaming CSR builds and checkpointed suite resumes are \
+        description: "budgeted CSR builds and checkpointed suite resumes are \
                       bit-identical to the unbounded in-memory paths",
         invariants: vec![
             Box::new(Check {
                 name: "streamed-csr-identity",
-                property: "a generator emitted through a budget so tight it spills \
-                           sorted runs to disk and k-way merges them produces exactly \
-                           the in-memory graph (same nodes, same normalized edge list)",
-                oracle: "the unbounded in-memory builder over the same RNG stream",
+                property: "a generator emitted into a budgeted GraphBuilder whose \
+                           budget is so tight it spills sorted runs to disk and k-way \
+                           merges them produces exactly the in-memory graph (same \
+                           nodes, same normalized edge list)",
+                oracle: "the unbudgeted build of the same seed",
                 shrink_hint: "shrink the node count, then raise the budget until the \
                               spill count drops to zero",
                 max_cases: 32,
@@ -59,8 +59,8 @@ fn graph_fingerprint(g: &Graph) -> (usize, Vec<(u32, u32)>) {
 fn streamed_csr_identity(seed: u64) -> Result<(), String> {
     let mut pick = gen::Lcg::new(seed);
     // Dense enough that a 64 KiB budget (4096-edge fill buffer) must
-    // spill at least once; the generic `*_into` bodies guarantee both
-    // paths consume the identical RNG stream.
+    // spill at least once; the one `*_into` body guarantees both builds
+    // consume the identical RNG stream.
     let n = 400 + pick.below(150);
     let p = 0.08;
     let budget = 64 * 1024;
@@ -73,10 +73,10 @@ fn streamed_csr_identity(seed: u64) -> Result<(), String> {
         std::process::id()
     ));
     let _ = std::fs::create_dir_all(&dir);
-    let mut sink = StreamingBuilder::new(0, Some(budget), &dir);
-    let mut stream_rng = StdRng::seed_from_u64(seed);
-    canonical::random_gnp_into(n, p, &mut stream_rng, &mut sink);
-    let (streamed, stats) = sink.build();
+    let mut sink = GraphBuilder::budgeted(budget, &dir);
+    let mut budget_rng = StdRng::seed_from_u64(seed);
+    canonical::random_gnp_into(n, p, &mut budget_rng, &mut sink);
+    let (budgeted, stats) = sink.build_counted();
     let _ = std::fs::remove_dir_all(&dir);
 
     if stats.spill_runs == 0 {
@@ -86,12 +86,12 @@ fn streamed_csr_identity(seed: u64) -> Result<(), String> {
             in_memory.edge_count()
         ));
     }
-    if graph_fingerprint(&streamed) != graph_fingerprint(&in_memory) {
+    if graph_fingerprint(&budgeted) != graph_fingerprint(&in_memory) {
         return Err(format!(
-            "streamed build diverged: {} nodes / {} edges vs in-memory \
+            "budgeted build diverged: {} nodes / {} edges vs in-memory \
              {} nodes / {} edges (spill_runs={})",
-            streamed.node_count(),
-            streamed.edge_count(),
+            budgeted.node_count(),
+            budgeted.edge_count(),
             in_memory.node_count(),
             in_memory.edge_count(),
             stats.spill_runs

@@ -36,8 +36,8 @@ pub struct RunCtx {
     /// off for this run.
     pub trace: Option<Arc<TraceSink>>,
     /// Run-level counter sink. It records what outlives a single call:
-    /// the largest arena a traversal or streaming build held
-    /// ([`Instrument::record_arena_peak`]) and the runs streaming builds
+    /// the largest arena a traversal or budgeted build held
+    /// ([`Instrument::record_arena_peak`]) and the runs budgeted builds
     /// spilled. `repro`'s runner attaches a fresh one per unit attempt
     /// and copies both into the run ledger. Each call's own
     /// `TimingReport` always comes from a private instrument.
@@ -49,8 +49,8 @@ pub struct RunCtx {
     /// benchmarks force one.
     pub kernel: KernelPolicy,
     /// Edge-buffer memory budget (bytes) for topology builds. `Some`
-    /// routes the streaming-capable generators through
-    /// [`topogen_graph::stream::StreamingBuilder`] (bounded buffer,
+    /// builds the canonical and PLRG specs with
+    /// [`topogen_graph::GraphBuilder::budgeted`] (bounded buffer,
     /// spill-to-disk runs, k-way merge); `None` builds in memory.
     /// `repro --mem-budget` sets it. The built graph is identical
     /// either way.

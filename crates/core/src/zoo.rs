@@ -20,7 +20,7 @@ use topogen_generators::transit_stub::TransitStubParams;
 use topogen_generators::waxman::WaxmanParams;
 use topogen_generators::Generate;
 use topogen_graph::components::largest_component;
-use topogen_graph::{Graph, NodeId};
+use topogen_graph::{Graph, GraphBuilder, NodeId};
 use topogen_measured::as_graph::{internet_as, InternetAsParams};
 use topogen_measured::rl_graph::{expand_to_routers, RouterExpansionParams};
 use topogen_policy::rel::AsAnnotations;
@@ -337,50 +337,34 @@ fn build_uncached(
     // arms a `build` entry (optionally scoped to this topology's name).
     topogen_par::faults::inject("build", &name);
     let (graph, annotations, router_as) = match spec {
-        // The canonical and degree-sequence generators all emit through
-        // `EdgeSink`s: under a memory budget (`repro --mem-budget`) they
-        // stream into a bounded spill-to-disk builder instead of an
-        // unbounded in-memory edge vector. One generic body serves both
-        // sinks, so the budgeted graph is identical bit-for-bit.
+        // The canonical and degree-sequence generators emit into the
+        // context's builder: budgeted under `repro --mem-budget`, in
+        // memory otherwise. One body serves both, so the budgeted graph
+        // is identical bit-for-bit.
         TopologySpec::Tree { k, depth } => (
-            match ctx.mem_budget {
-                Some(b) => build_streamed(ctx, b, |s| canonical::kary_tree_into(*k, *depth, s)),
-                None => canonical::kary_tree(*k, *depth),
-            },
+            build_with(ctx, |b| canonical::kary_tree_into(*k, *depth, b)),
             None,
             None,
         ),
         TopologySpec::Mesh { side } => (
-            match ctx.mem_budget {
-                Some(b) => build_streamed(ctx, b, |s| canonical::mesh_into(*side, *side, s)),
-                None => canonical::mesh(*side, *side),
-            },
+            build_with(ctx, |b| canonical::mesh_into(*side, *side, b)),
             None,
             None,
         ),
         TopologySpec::Linear { n } => (
-            match ctx.mem_budget {
-                Some(b) => build_streamed(ctx, b, |s| canonical::linear_into(*n, s)),
-                None => canonical::linear(*n),
-            },
+            build_with(ctx, |b| canonical::linear_into(*n, b)),
             None,
             None,
         ),
         TopologySpec::Complete { n } => (
-            match ctx.mem_budget {
-                Some(b) => build_streamed(ctx, b, |s| canonical::complete_into(*n, s)),
-                None => canonical::complete(*n),
-            },
+            build_with(ctx, |b| canonical::complete_into(*n, b)),
             None,
             None,
         ),
         TopologySpec::Random { n, p } => (
-            largest_component(&match ctx.mem_budget {
-                Some(b) => {
-                    build_streamed(ctx, b, |s| canonical::random_gnp_into(*n, *p, &mut rng, s))
-                }
-                None => canonical::random_gnp(*n, *p, &mut rng),
-            })
+            largest_component(&build_with(ctx, |b| {
+                canonical::random_gnp_into(*n, *p, &mut rng, b)
+            }))
             .0,
             None,
             None,
@@ -392,15 +376,10 @@ fn build_uncached(
         TopologySpec::TransitStub(p) => (p.generate(&mut rng), None, None),
         TopologySpec::Tiers(p) => (p.generate(&mut rng), None, None),
         TopologySpec::Plrg(p) => (
-            match ctx.mem_budget {
-                Some(b) => {
-                    largest_component(&build_streamed(ctx, b, |s| {
-                        topogen_generators::plrg::plrg_into(p, &mut rng, s)
-                    }))
-                    .0
-                }
-                None => p.generate(&mut rng),
-            },
+            largest_component(&build_with(ctx, |b| {
+                topogen_generators::plrg::plrg_into(p, &mut rng, b)
+            }))
+            .0,
             None,
             None,
         ),
@@ -457,23 +436,20 @@ fn build_uncached(
     }
 }
 
-/// Build a graph through the memory-budgeted streaming CSR path: edges
-/// emit into a [`topogen_graph::stream::StreamingBuilder`] whose fill
-/// buffer is bounded by `budget` bytes (overflow spills sorted runs
-/// under `out/`, merged k-way at build time). The peak buffer bytes and
-/// spill-run count go to the context's run-level instrument, which the
-/// bench runner copies into the ledger — the same sink the hierarchy
-/// arenas report their peak to.
-fn build_streamed<F>(ctx: &crate::ctx::RunCtx, budget: u64, emit: F) -> Graph
-where
-    F: FnOnce(&mut topogen_graph::stream::StreamingBuilder),
-{
-    let dir = std::path::PathBuf::from("out");
-    let _ = std::fs::create_dir_all(&dir);
-    let mut b = topogen_graph::stream::StreamingBuilder::new(0, Some(budget), &dir);
+/// Build the graph `emit` adds to the context's builder: a
+/// [`GraphBuilder::budgeted`] one spilling sorted runs under `out/`
+/// when `ctx.mem_budget` is set, an in-memory one otherwise. A budgeted
+/// build's peak scratch bytes and spill-run count go to the context's
+/// run-level instrument, which the bench runner copies into the ledger
+/// — the same sink the hierarchy arenas report their peak to.
+fn build_with(ctx: &crate::ctx::RunCtx, emit: impl FnOnce(&mut GraphBuilder)) -> Graph {
+    let mut b = match ctx.mem_budget {
+        Some(budget) => GraphBuilder::budgeted(budget, std::path::Path::new("out")),
+        None => GraphBuilder::new(0),
+    };
     emit(&mut b);
-    let (g, stats) = b.build();
-    if let Some(ins) = &ctx.instrument {
+    let (g, stats) = b.build_counted();
+    if let (Some(_), Some(ins)) = (ctx.mem_budget, &ctx.instrument) {
         ins.record_arena_peak(stats.peak_bytes);
         ins.add_spill_runs(stats.spill_runs);
     }

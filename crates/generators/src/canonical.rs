@@ -6,22 +6,21 @@
 //! known low/high metric signatures anchor the classification table.
 
 use rand::Rng;
-use topogen_graph::stream::EdgeSink;
 use topogen_graph::{Graph, GraphBuilder, NodeId};
 
-/// Finalize an in-memory sink-built graph: the shared tail of every
-/// `fn xyz() -> Graph` convenience wrapper around its `xyz_into` body.
+/// Build in memory: the shared body of every `fn xyz() -> Graph`
+/// convenience wrapper around its `xyz_into` body.
 fn collect<F: FnOnce(&mut GraphBuilder)>(f: F) -> Graph {
     let mut b = GraphBuilder::new(0);
     f(&mut b);
     b.build()
 }
 
-/// [`kary_tree`] emitting through an arbitrary [`EdgeSink`] — the
-/// memory-budgeted build path. All `*_into` variants share the exact
-/// emission (and RNG-consumption) order of their in-memory wrappers, so
-/// a streamed build is identical to the in-memory one by construction.
-pub fn kary_tree_into<S: EdgeSink>(k: usize, depth: usize, sink: &mut S) {
+/// [`kary_tree`] emitting into `sink`, an in-memory or a
+/// [`budgeted`](GraphBuilder::budgeted) builder. Every `*_into` body is
+/// its wrapper's only implementation, so a budgeted build is identical
+/// to the in-memory one by construction.
+pub fn kary_tree_into(k: usize, depth: usize, sink: &mut GraphBuilder) {
     assert!(k >= 2, "k-ary tree needs k >= 2");
     // Node count: (k^(depth+1) - 1) / (k - 1).
     let mut n: usize = 1;
@@ -52,8 +51,8 @@ pub fn kary_tree(k: usize, depth: usize) -> Graph {
     collect(|b| kary_tree_into(k, depth, b))
 }
 
-/// [`mesh`] emitting through an arbitrary [`EdgeSink`].
-pub fn mesh_into<S: EdgeSink>(rows: usize, cols: usize, sink: &mut S) {
+/// [`mesh`] emitting into `sink`.
+pub fn mesh_into(rows: usize, cols: usize, sink: &mut GraphBuilder) {
     let n = rows * cols;
     sink.ensure_nodes(n);
     for r in 0..rows {
@@ -75,8 +74,8 @@ pub fn mesh(rows: usize, cols: usize) -> Graph {
     collect(|b| mesh_into(rows, cols, b))
 }
 
-/// [`linear`] emitting through an arbitrary [`EdgeSink`].
-pub fn linear_into<S: EdgeSink>(n: usize, sink: &mut S) {
+/// [`linear`] emitting into `sink`.
+pub fn linear_into(n: usize, sink: &mut GraphBuilder) {
     sink.ensure_nodes(n);
     for i in 1..n {
         sink.add_edge((i - 1) as NodeId, i as NodeId);
@@ -101,8 +100,8 @@ pub fn ring(n: usize) -> Graph {
     b.build()
 }
 
-/// [`complete`] emitting through an arbitrary [`EdgeSink`].
-pub fn complete_into<S: EdgeSink>(n: usize, sink: &mut S) {
+/// [`complete`] emitting into `sink`.
+pub fn complete_into(n: usize, sink: &mut GraphBuilder) {
     sink.ensure_nodes(n);
     for i in 0..n {
         for j in (i + 1)..n {
@@ -117,8 +116,8 @@ pub fn complete(n: usize) -> Graph {
     collect(|b| complete_into(n, b))
 }
 
-/// [`random_gnp`] emitting through an arbitrary [`EdgeSink`].
-pub fn random_gnp_into<S: EdgeSink, R: Rng>(n: usize, p: f64, rng: &mut R, sink: &mut S) {
+/// [`random_gnp`] emitting into `sink`.
+pub fn random_gnp_into<R: Rng>(n: usize, p: f64, rng: &mut R, sink: &mut GraphBuilder) {
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     sink.ensure_nodes(n);
     if p <= 0.0 || n < 2 {

@@ -23,14 +23,13 @@
 //! requested sequence.
 
 use rand::Rng;
-use topogen_graph::stream::EdgeSink;
 use topogen_graph::{Graph, GraphBuilder, NodeId};
 
-/// [`match_plrg`] emitting through an arbitrary [`EdgeSink`] — the
-/// memory-budgeted build path. One body serves both builders, so the
-/// RNG consumption (and therefore the matching) is identical whether
-/// the raw pairs land in memory or spill to sorted runs.
-pub fn match_plrg_into<S: EdgeSink, R: Rng>(degrees: &[usize], rng: &mut R, sink: &mut S) {
+/// [`match_plrg`] emitting into `sink`, an in-memory or a
+/// [`budgeted`](GraphBuilder::budgeted) builder. One body serves both,
+/// so the RNG consumption (and therefore the matching) is identical
+/// whether the raw pairs stay in memory or spill to sorted runs.
+pub fn match_plrg_into<R: Rng>(degrees: &[usize], rng: &mut R, sink: &mut GraphBuilder) {
     let mut clones: Vec<NodeId> = Vec::with_capacity(degrees.iter().sum());
     for (v, &d) in degrees.iter().enumerate() {
         clones.extend(std::iter::repeat_n(v as NodeId, d));

@@ -47,69 +47,6 @@ pub fn power_law_degrees<R: Rng>(
         .collect()
 }
 
-/// Draw a *graphical* power-law degree sequence: sample with
-/// [`power_law_degrees`], fix parity with [`evenize`], and accept only
-/// draws passing the Erdős–Gallai test ([`is_graphical`]) — the
-/// "feasibility test" the original Inet tool performs (Appendix D.1).
-/// The resampling loop is bounded at `max_attempts`; exhaustion (which
-/// only happens at adversarial scales, e.g. `n = 2` with a degree cap
-/// above `n`) returns [`GenError::NotGraphical`] carrying the
-/// Erdős–Gallai witness of the last rejected draw — the prefix length
-/// `k`, its degree sum, and the bound it exceeded — instead of
-/// spinning or discarding the diagnosis.
-///
-/// [`GenError::NotGraphical`]: crate::errors::GenError::NotGraphical
-pub fn power_law_degrees_graphical<R: Rng>(
-    n: usize,
-    alpha: f64,
-    max_degree: usize,
-    max_attempts: u64,
-    rng: &mut R,
-) -> Result<Vec<usize>, crate::errors::GenError> {
-    if alpha <= 1.0 {
-        return Err(crate::errors::GenError::BadParam {
-            what: format!("power-law exponent must exceed 1, got {alpha}"),
-        });
-    }
-    if max_degree == 0 {
-        return Err(crate::errors::GenError::BadParam {
-            what: "max_degree must be at least 1".into(),
-        });
-    }
-    if max_attempts == 0 {
-        return Err(crate::errors::GenError::BadParam {
-            what: "max_attempts must be at least 1".into(),
-        });
-    }
-    let mut last_witness = None;
-    for _ in 0..max_attempts {
-        let mut degrees = power_law_degrees(n, alpha, max_degree, rng);
-        evenize(&mut degrees);
-        match erdos_gallai_witness(&degrees) {
-            None => return Ok(degrees),
-            Some(w) => last_witness = Some(w),
-        }
-    }
-    let (k, prefix_sum, bound) = match last_witness {
-        Some(EgWitness::Prefix {
-            k,
-            prefix_sum,
-            bound,
-        }) => (k, prefix_sum, bound),
-        // `evenize` guarantees an even sum, so a parity witness cannot
-        // reach this path; degenerate fields keep the error total.
-        Some(EgWitness::OddSum { sum }) => (0, sum, 0),
-        None => unreachable!("max_attempts >= 1 and graphical draws return early"),
-    };
-    Err(crate::errors::GenError::NotGraphical {
-        stage: "power-law degree sequence",
-        attempts: max_attempts,
-        k,
-        prefix_sum,
-        bound,
-    })
-}
-
 /// Natural max-degree cutoff for an `n`-node power law with exponent
 /// `alpha`: approximately `n^(1/(alpha-1))`, the expected maximum of `n`
 /// i.i.d. Pareto draws.
@@ -300,51 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn graphical_sampling_accepts_reasonable_scales() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let d = power_law_degrees_graphical(500, 2.25, 50, 32, &mut rng).unwrap();
-        assert!(is_graphical(&d));
-        assert_eq!(d.len(), 500);
-    }
-
-    #[test]
-    fn graphical_sampling_bounded_at_adversarial_scale() {
-        // n = 2 with a degree cap of 5: any draw whose evenized max is
-        // >= 2 fails Erdős–Gallai (degree >= n). With a budget of one
-        // attempt, non-graphical draws must surface as a typed error
-        // carrying the violated prefix inequality — scanning a handful
-        // of seeds is guaranteed to hit one.
-        let mut saw_not_graphical = false;
-        for seed in 0..64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            match power_law_degrees_graphical(2, 1.1, 5, 1, &mut rng) {
-                Ok(d) => assert!(is_graphical(&d)),
-                Err(crate::errors::GenError::NotGraphical {
-                    stage,
-                    attempts,
-                    k,
-                    prefix_sum,
-                    bound,
-                }) => {
-                    assert_eq!(stage, "power-law degree sequence");
-                    assert_eq!(attempts, 1);
-                    assert!(k >= 1, "witness must name a prefix, got k={k}");
-                    assert!(
-                        prefix_sum > bound,
-                        "witness must be a genuine violation: {prefix_sum} <= {bound}"
-                    );
-                    saw_not_graphical = true;
-                }
-                Err(e) => panic!("unexpected error variant: {e}"),
-            }
-        }
-        assert!(
-            saw_not_graphical,
-            "no seed in 0..64 produced a non-graphical draw"
-        );
-    }
-
-    #[test]
     fn witness_agrees_with_is_graphical_and_recomputes() {
         // The witness is the reason `is_graphical` says no: absent iff
         // graphical, and its fields recompute from the sorted sequence.
@@ -381,20 +273,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn graphical_sampling_rejects_bad_params() {
-        use crate::errors::GenError;
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(matches!(
-            power_law_degrees_graphical(10, 1.0, 5, 8, &mut rng),
-            Err(GenError::BadParam { .. })
-        ));
-        assert!(matches!(
-            power_law_degrees_graphical(10, 2.2, 0, 8, &mut rng),
-            Err(GenError::BadParam { .. })
-        ));
     }
 
     #[test]

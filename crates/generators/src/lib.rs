@@ -43,6 +43,14 @@
 //! *analysis graph* (the largest connected component when the raw model
 //! output may be disconnected). The per-generator free functions remain
 //! as the raw primitives.
+//!
+//! Each generator has one implementation, and every edge it draws goes
+//! into a [`topogen_graph::GraphBuilder`]. The canonical networks and
+//! the PLRG expose that body as `*_into(…, &mut GraphBuilder)` (for
+//! example [`canonical::mesh_into`] and [`plrg::plrg_into`]), so a
+//! caller can hand them a
+//! [`budgeted`](topogen_graph::GraphBuilder::budgeted) builder; their
+//! `fn xyz() -> Graph` wrappers build the same body in memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +60,6 @@ pub mod brite;
 pub mod canonical;
 pub mod connectivity;
 pub mod degseq;
-pub mod errors;
 pub mod flat;
 pub mod generate;
 pub mod glp;
@@ -63,5 +70,4 @@ pub mod tiers;
 pub mod transit_stub;
 pub mod waxman;
 
-pub use errors::GenError;
 pub use generate::Generate;

@@ -8,11 +8,10 @@
 //! the largest hubs. The graph may be disconnected; the paper (and our
 //! harness) analyzes the largest connected component.
 
-use crate::connectivity::match_plrg;
 use crate::degseq::{evenize, natural_cutoff, power_law_degrees};
 use rand::rngs::StdRng;
 use rand::Rng;
-use topogen_graph::Graph;
+use topogen_graph::{Graph, GraphBuilder};
 
 /// Parameters for the PLRG generator.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -56,63 +55,22 @@ impl PlrgParams {
 /// assert!(lcc.max_degree() as f64 > 5.0 * lcc.average_degree());
 /// ```
 pub fn plrg<R: Rng>(params: &PlrgParams, rng: &mut R) -> Graph {
-    let mut b = topogen_graph::GraphBuilder::new(0);
+    let mut b = GraphBuilder::new(0);
     plrg_into(params, rng, &mut b);
     b.build()
 }
 
-/// [`plrg`] emitting the raw matching through an arbitrary
-/// [`EdgeSink`](topogen_graph::stream::EdgeSink) — the memory-budgeted
-/// build path for the xl tier. Shares one body (and RNG order) with
-/// [`plrg`], so the streamed graph is identical by construction.
-pub fn plrg_into<S: topogen_graph::stream::EdgeSink, R: Rng>(
-    params: &PlrgParams,
-    rng: &mut R,
-    sink: &mut S,
-) {
+/// [`plrg`] emitting the raw matching into `sink`, an in-memory or a
+/// [`budgeted`](GraphBuilder::budgeted) builder (the
+/// xl tier's build path). Shares one body (and RNG order) with
+/// [`plrg`], so the budgeted graph is identical by construction.
+pub fn plrg_into<R: Rng>(params: &PlrgParams, rng: &mut R, sink: &mut GraphBuilder) {
     let cutoff = params
         .max_degree
         .unwrap_or_else(|| natural_cutoff(params.n, params.alpha));
     let mut degrees = power_law_degrees(params.n, params.alpha, cutoff, rng);
     evenize(&mut degrees);
     crate::connectivity::match_plrg_into(&degrees, rng, sink);
-}
-
-/// Fallible PLRG: draws the degree sequence through the bounded
-/// Erdős–Gallai feasibility loop
-/// ([`power_law_degrees_graphical`](crate::degseq::power_law_degrees_graphical))
-/// and returns a typed error instead of panicking on adversarial
-/// parameters. `max_attempts` bounds the resampling loop; the suite
-/// runner retries exhausted draws with a fresh seed.
-pub fn try_plrg<R: Rng>(
-    params: &PlrgParams,
-    max_attempts: u64,
-    rng: &mut R,
-) -> Result<Graph, crate::errors::GenError> {
-    if params.n == 0 {
-        return Err(crate::errors::GenError::BadParam {
-            what: "PLRG needs at least one node".into(),
-        });
-    }
-    let cutoff = params
-        .max_degree
-        .unwrap_or_else(|| natural_cutoff(params.n, params.alpha));
-    let degrees = crate::degseq::power_law_degrees_graphical(
-        params.n,
-        params.alpha,
-        cutoff,
-        max_attempts,
-        rng,
-    )?;
-    Ok(match_plrg(&degrees, rng))
-}
-
-/// Generate a PLRG from an explicit degree sequence (used by the
-/// "Modified B-A"/"Modified Brite" reconnection experiments of Figure 13).
-pub fn plrg_from_degrees<R: Rng>(degrees: &[usize], rng: &mut R) -> Graph {
-    let mut d = degrees.to_vec();
-    evenize(&mut d);
-    match_plrg(&d, rng)
 }
 
 impl crate::generate::Generate for PlrgParams {
@@ -177,67 +135,6 @@ mod tests {
         let g1 = plrg(&p, &mut StdRng::seed_from_u64(1));
         let g2 = plrg(&p, &mut StdRng::seed_from_u64(1));
         assert_eq!(g1.edges(), g2.edges());
-    }
-
-    #[test]
-    fn from_degrees_respects_bound() {
-        // Realized degree can only be <= requested (self-loop/dup removal).
-        let degrees = vec![5, 3, 3, 2, 2, 1, 1, 1];
-        let g = plrg_from_degrees(&degrees, &mut rng());
-        for (v, &want) in degrees.iter().enumerate() {
-            assert!(g.degree(v as u32) <= want);
-        }
-    }
-
-    #[test]
-    fn try_plrg_succeeds_at_paper_scale() {
-        let g = try_plrg(
-            &PlrgParams {
-                n: 500,
-                alpha: 2.246,
-                max_degree: None,
-            },
-            32,
-            &mut rng(),
-        )
-        .unwrap();
-        assert!(g.node_count() == 500);
-        assert!(g.edge_count() > 100);
-    }
-
-    #[test]
-    fn try_plrg_typed_error_at_adversarial_scale() {
-        use crate::errors::GenError;
-        // Degree cap far above n: most draws are non-graphical. With a
-        // one-attempt budget some seed in a small scan must exhaust,
-        // surfacing the Erdős–Gallai witness of the rejected draw.
-        let saw_not_graphical = (0..64).any(|seed| {
-            matches!(
-                try_plrg(
-                    &PlrgParams {
-                        n: 2,
-                        alpha: 1.1,
-                        max_degree: Some(10),
-                    },
-                    1,
-                    &mut StdRng::seed_from_u64(seed),
-                ),
-                Err(GenError::NotGraphical { .. })
-            )
-        });
-        assert!(saw_not_graphical, "no seed in 0..64 exhausted the budget");
-        assert!(matches!(
-            try_plrg(
-                &PlrgParams {
-                    n: 0,
-                    alpha: 2.2,
-                    max_degree: None
-                },
-                8,
-                &mut rng()
-            ),
-            Err(GenError::BadParam { .. })
-        ));
     }
 
     #[test]

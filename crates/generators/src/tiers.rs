@@ -254,33 +254,6 @@ pub fn tiers_full<R: Rng>(params: &TiersParams, rng: &mut R) -> TiersTopology {
     }
 }
 
-/// Fallible Tiers: validates the parameter vector and returns
-/// [`GenError::BadParam`](crate::errors::GenError::BadParam) instead of
-/// panicking. Tiers' construction itself is feasibility-deterministic —
-/// every network is an MST or a star, so unlike Transit-Stub there is no
-/// stochastic connectivity loop to bound — which makes parameter
-/// validation the only failure mode.
-pub fn try_tiers_full<R: Rng>(
-    params: &TiersParams,
-    rng: &mut R,
-) -> Result<TiersTopology, crate::errors::GenError> {
-    use crate::errors::GenError;
-    if params.wans != 1 {
-        return Err(GenError::BadParam {
-            what: format!(
-                "the Tiers tool supports exactly one WAN, got {}",
-                params.wans
-            ),
-        });
-    }
-    if params.wan_nodes < 1 || params.man_nodes < 1 || params.lan_nodes < 1 {
-        return Err(GenError::BadParam {
-            what: "nodes per WAN/MAN/LAN must all be at least 1".into(),
-        });
-    }
-    Ok(tiers_full(params, rng))
-}
-
 /// Connect `ids` with the Euclidean MST of `pts`, then raise redundancy:
 /// iterate node pairs in order of increasing distance and add a link
 /// whenever either endpoint still has fewer than `redundancy` links

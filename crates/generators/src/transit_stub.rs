@@ -234,167 +234,6 @@ pub fn transit_stub<R: Rng>(params: &TransitStubParams, rng: &mut R) -> TransitS
     }
 }
 
-/// Fallible Transit-Stub in the *original* GT-ITM discipline: every
-/// random sub-block (and the domain-level graph) is **resampled until
-/// connected** instead of patched, with the loop bounded at
-/// `max_attempts` per block. Structurally invalid parameters come back
-/// as [`GenError::BadParam`]; a block whose edge probability is too low
-/// to ever connect (the adversarial case: `prob = 0` with two or more
-/// nodes) exhausts its budget and returns [`GenError::Infeasible`]
-/// instead of looping forever. The suite runner retries exhausted draws
-/// with a fresh seed.
-///
-/// [`GenError::BadParam`]: crate::errors::GenError::BadParam
-/// [`GenError::Infeasible`]: crate::errors::GenError::Infeasible
-pub fn try_transit_stub<R: Rng>(
-    params: &TransitStubParams,
-    max_attempts: u64,
-    rng: &mut R,
-) -> Result<TransitStubTopology, crate::errors::GenError> {
-    use crate::errors::GenError;
-    let p = *params;
-    if p.transit_domains < 1 || p.transit_nodes_per_domain < 1 || p.stub_nodes_per_domain < 1 {
-        return Err(GenError::BadParam {
-            what: "transit/stub counts must all be at least 1".into(),
-        });
-    }
-    for (name, prob) in [
-        ("transit_domain_edge_prob", p.transit_domain_edge_prob),
-        ("transit_edge_prob", p.transit_edge_prob),
-        ("stub_edge_prob", p.stub_edge_prob),
-    ] {
-        if !(0.0..=1.0).contains(&prob) {
-            return Err(GenError::BadParam {
-                what: format!("{name} must be in [0, 1], got {prob}"),
-            });
-        }
-    }
-    if max_attempts == 0 {
-        return Err(GenError::BadParam {
-            what: "max_attempts must be at least 1".into(),
-        });
-    }
-
-    let n = p.node_count();
-    let mut b = GraphBuilder::new(n);
-    let mut roles = Vec::with_capacity(n);
-
-    let tn = p.transit_nodes_per_domain;
-    let transit_count = p.transit_domains * tn;
-    let transit_node = |domain: usize, i: usize| (domain * tn + i) as NodeId;
-    for d in 0..p.transit_domains {
-        roles.extend(std::iter::repeat_n(
-            TsRole::Transit { domain: d as u32 },
-            tn,
-        ));
-    }
-
-    // 1. Transit domains: resample each block until connected.
-    for d in 0..p.transit_domains {
-        let edges =
-            sample_connected_gnp(tn, p.transit_edge_prob, max_attempts, "transit domain", rng)?;
-        for (i, j) in edges {
-            b.add_edge(transit_node(d, i), transit_node(d, j));
-        }
-    }
-
-    // 2. Domain-level graph: resample until connected, then one
-    // node-level edge per domain edge.
-    let domain_edges = sample_connected_gnp(
-        p.transit_domains,
-        p.transit_domain_edge_prob,
-        max_attempts,
-        "transit domain graph",
-        rng,
-    )?;
-    for (a, c) in domain_edges {
-        let u = transit_node(a, rng.gen_range(0..tn));
-        let v = transit_node(c, rng.gen_range(0..tn));
-        b.add_edge(u, v);
-    }
-
-    // 3. Stub domains: resampled connected blocks, one uplink each.
-    let sn = p.stub_nodes_per_domain;
-    let mut next = transit_count;
-    let mut stub_domain_start: Vec<NodeId> = Vec::new();
-    for t in 0..transit_count {
-        for _ in 0..p.stubs_per_transit_node {
-            let start = next;
-            next += sn;
-            let domain_idx = stub_domain_start.len() as u32;
-            stub_domain_start.push(start as NodeId);
-            roles.extend(std::iter::repeat_n(TsRole::Stub { domain: domain_idx }, sn));
-            let edges =
-                sample_connected_gnp(sn, p.stub_edge_prob, max_attempts, "stub domain", rng)?;
-            for (i, j) in edges {
-                b.add_edge((start + i) as NodeId, (start + j) as NodeId);
-            }
-            let up = (start + rng.gen_range(0..sn)) as NodeId;
-            b.add_edge(up, t as NodeId);
-        }
-    }
-
-    // 4. Extra cross-hierarchy edges, as in the infallible variant.
-    let stub_domains = stub_domain_start.len();
-    for _ in 0..p.extra_transit_stub_edges {
-        let sd = rng.gen_range(0..stub_domains);
-        let su = stub_domain_start[sd] + rng.gen_range(0..sn) as NodeId;
-        let tv = rng.gen_range(0..transit_count) as NodeId;
-        b.add_edge(su, tv);
-    }
-    for _ in 0..p.extra_stub_stub_edges {
-        if stub_domains < 2 {
-            break;
-        }
-        let d1 = rng.gen_range(0..stub_domains);
-        let mut d2 = rng.gen_range(0..stub_domains - 1);
-        if d2 >= d1 {
-            d2 += 1;
-        }
-        let u = stub_domain_start[d1] + rng.gen_range(0..sn) as NodeId;
-        let v = stub_domain_start[d2] + rng.gen_range(0..sn) as NodeId;
-        b.add_edge(u, v);
-    }
-
-    Ok(TransitStubTopology {
-        graph: b.build(),
-        roles,
-    })
-}
-
-/// Draw G(k, prob) edge sets until one is connected, bounded at
-/// `max_attempts` draws; returns the edge list in local indices.
-fn sample_connected_gnp<R: Rng>(
-    k: usize,
-    prob: f64,
-    max_attempts: u64,
-    stage: &'static str,
-    rng: &mut R,
-) -> Result<Vec<(usize, usize)>, crate::errors::GenError> {
-    if k <= 1 {
-        return Ok(Vec::new());
-    }
-    for _ in 0..max_attempts {
-        let mut edges = Vec::new();
-        let mut uf = UnionFind::new(k);
-        for i in 0..k {
-            for j in (i + 1)..k {
-                if rng.gen::<f64>() < prob {
-                    edges.push((i, j));
-                    uf.union(i as u32, j as u32);
-                }
-            }
-        }
-        if (1..k).all(|i| uf.same(0, i as u32)) {
-            return Ok(edges);
-        }
-    }
-    Err(crate::errors::GenError::Infeasible {
-        stage,
-        attempts: max_attempts,
-    })
-}
-
 /// Add a G(k, prob) random graph over `members`, then patch components
 /// together with random inter-component edges so the block is connected.
 fn connected_random_block<R: Rng>(
@@ -510,51 +349,5 @@ mod tests {
         let t1 = transit_stub(&p, &mut StdRng::seed_from_u64(5));
         let t2 = transit_stub(&p, &mut StdRng::seed_from_u64(5));
         assert_eq!(t1.graph.edges(), t2.graph.edges());
-    }
-
-    #[test]
-    fn try_variant_connected_at_paper_params() {
-        let t = try_transit_stub(&TransitStubParams::paper_default(), 64, &mut rng()).unwrap();
-        assert_eq!(t.graph.node_count(), 1008);
-        assert!(is_connected(&t.graph));
-        assert_eq!(t.roles.len(), 1008);
-    }
-
-    #[test]
-    fn try_variant_bounded_on_unconnectable_block() {
-        use crate::errors::GenError;
-        // Stub blocks with 9 nodes and zero edge probability can never
-        // come out connected: the loop must exhaust, not spin. The
-        // transit layers are pinned at prob 1 so the stub stage is the
-        // only one that can fail, making the stage label deterministic.
-        let mut p = TransitStubParams::paper_default();
-        p.transit_edge_prob = 1.0;
-        p.transit_domain_edge_prob = 1.0;
-        p.stub_edge_prob = 0.0;
-        let err = try_transit_stub(&p, 8, &mut rng()).unwrap_err();
-        assert_eq!(
-            err,
-            GenError::Infeasible {
-                stage: "stub domain",
-                attempts: 8
-            }
-        );
-    }
-
-    #[test]
-    fn try_variant_rejects_bad_params() {
-        use crate::errors::GenError;
-        let mut p = TransitStubParams::paper_default();
-        p.transit_edge_prob = 1.5;
-        assert!(matches!(
-            try_transit_stub(&p, 8, &mut rng()),
-            Err(GenError::BadParam { .. })
-        ));
-        let mut q = TransitStubParams::paper_default();
-        q.transit_domains = 0;
-        assert!(matches!(
-            try_transit_stub(&q, 8, &mut rng()),
-            Err(GenError::BadParam { .. })
-        ));
     }
 }

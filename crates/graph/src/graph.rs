@@ -2,7 +2,9 @@
 //! compressed-sparse-row form, plus the mutable [`GraphBuilder`] used to
 //! construct it.
 
+use crate::stream::{self, Spill, StreamStats};
 use std::fmt;
+use std::path::Path;
 
 /// Node identifier. Node ids are dense: a graph with `n` nodes uses ids
 /// `0..n`. `u32` keeps adjacency arrays compact even for router-level
@@ -56,13 +58,20 @@ impl fmt::Display for Edge {
 ///
 /// Self-loops are silently dropped and duplicate edges are collapsed,
 /// mirroring the paper's treatment of the PLRG generator's "superfluous
-/// links" (footnote 6). The builder tracks how many of each were ignored
-/// so generators can report the raw vs. simple edge counts.
-#[derive(Clone, Debug, Default)]
+/// links" (footnote 6). The builder tracks how many self-loops were
+/// dropped so generators can report the raw vs. simple edge counts.
+///
+/// [`new`](Self::new) holds the raw edge list in memory;
+/// [`budgeted`](Self::budgeted) bounds it, spilling sorted runs to disk
+/// (see [`crate::stream`]). Both build the same graph from the same
+/// edges.
+#[derive(Debug)]
 pub struct GraphBuilder {
     n: usize,
     edges: Vec<Edge>,
     self_loops_dropped: usize,
+    /// The spilled runs of a [`budgeted`](Self::budgeted) builder.
+    spill: Option<Spill>,
 }
 
 impl GraphBuilder {
@@ -72,6 +81,24 @@ impl GraphBuilder {
             n,
             edges: Vec::new(),
             self_loops_dropped: 0,
+            spill: None,
+        }
+    }
+
+    /// A builder with no nodes whose construction scratch stays within
+    /// `budget_bytes`: half of it buys the edge buffer, which is sorted,
+    /// deduplicated and written as a run file under `dir` whenever it
+    /// fills, and [`build`](Self::build) k-way merges the runs (the
+    /// other half buys the merge's read buffers). Run files are removed
+    /// after the merge, or when the builder is dropped unbuilt.
+    ///
+    /// # Panics
+    /// [`add_edge`](Self::add_edge) and [`build`](Self::build) panic if
+    /// a run file cannot be written or read back.
+    pub fn budgeted(budget_bytes: u64, dir: &Path) -> Self {
+        GraphBuilder {
+            spill: Some(Spill::new(budget_bytes, dir)),
+            ..GraphBuilder::new(0)
         }
     }
 
@@ -110,22 +137,11 @@ impl GraphBuilder {
             return;
         }
         self.edges.push(Edge::new(u, v));
-    }
-
-    /// Whether the edge `(u, v)` has already been added (linear scan; for
-    /// hot paths prefer collapsing duplicates at build time).
-    pub fn has_edge_slow(&self, u: NodeId, v: NodeId) -> bool {
-        if u == v {
-            return false;
+        if let Some(spill) = &mut self.spill {
+            if self.edges.len() >= spill.cap {
+                spill.write_run(&mut self.edges);
+            }
         }
-        let e = Edge::new(u, v);
-        self.edges.contains(&e)
-    }
-
-    /// Number of raw edge insertions so far (before dedup, excluding
-    /// dropped self-loops).
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// How many self-loops were dropped.
@@ -135,10 +151,16 @@ impl GraphBuilder {
 
     /// Finalize into an immutable [`Graph`], sorting adjacency lists and
     /// collapsing duplicate edges.
-    pub fn build(mut self) -> Graph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        Graph::from_normalized_edges(self.n, self.edges)
+    pub fn build(self) -> Graph {
+        self.build_counted().0
+    }
+
+    /// [`build`](Self::build), plus the construction-scratch accounting:
+    /// the peak bytes of the edge buffer and merge read buffers, and the
+    /// runs a budgeted builder spilled.
+    pub fn build_counted(self) -> (Graph, StreamStats) {
+        let (edges, stats) = stream::finish(self.spill, self.edges);
+        (Graph::from_normalized_edges(self.n, edges), stats)
     }
 }
 
@@ -351,7 +373,6 @@ mod tests {
         b.add_edge(0, 1); // exact duplicate
         b.add_edge(2, 2); // self loop
         assert_eq!(b.self_loops_dropped(), 1);
-        assert_eq!(b.raw_edge_count(), 3);
         let g = b.build();
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.degree(2), 0);

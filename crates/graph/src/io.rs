@@ -106,8 +106,7 @@ pub fn load_edge_list(path: &str) -> Result<Graph, LoadError> {
 /// Parse an edge list. Self-loops are dropped and duplicate edges
 /// collapsed, matching [`GraphBuilder`] semantics.
 pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut n: usize = 0;
+    let mut b = GraphBuilder::new(0);
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() {
@@ -117,14 +116,14 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
             // Optional "# nodes: N" header.
             if let Some(v) = rest.trim().strip_prefix("nodes:") {
                 if let Ok(k) = v.trim().parse::<usize>() {
-                    n = n.max(k);
+                    b.ensure_nodes(k);
                 }
             }
             continue;
         }
         let mut it = line.split_whitespace();
-        let (a, b) = match (it.next(), it.next(), it.next()) {
-            (Some(a), Some(b), None) => (a, b),
+        let (u, v) = match (it.next(), it.next(), it.next()) {
+            (Some(u), Some(v), None) => (u, v),
             _ => {
                 return Err(ParseError::BadLine {
                     line: i + 1,
@@ -132,19 +131,14 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
                 })
             }
         };
-        let parse = |s: &str, i: usize, line: &str| {
+        let parse = |s: &str| {
             s.parse::<NodeId>().map_err(|_| ParseError::BadLine {
                 line: i + 1,
                 content: line.to_string(),
             })
         };
-        let u = parse(a, i, line)?;
-        let v = parse(b, i, line)?;
-        n = n.max(u as usize + 1).max(v as usize + 1);
-        edges.push((u, v));
-    }
-    let mut b = GraphBuilder::new(n);
-    for (u, v) in edges {
+        let (u, v) = (parse(u)?, parse(v)?);
+        b.ensure_nodes(u.max(v) as usize + 1);
         b.add_edge(u, v);
     }
     Ok(b.build())

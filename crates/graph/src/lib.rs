@@ -12,7 +12,8 @@
 //!
 //! * [`Graph`] — an immutable compressed-sparse-row (CSR) undirected simple
 //!   graph, built through [`GraphBuilder`] which deduplicates multi-edges
-//!   and drops self-loops.
+//!   and drops self-loops — the one builder every generator emits into,
+//!   in memory or under a memory budget.
 //! * [`bfs`] — breadth-first distance fields, hop-bounded balls, shortest
 //!   path counting (σ) and shortest-path DAGs for traversal-set analysis;
 //!   the one single-source BFS scratch ball centers grow on.
@@ -33,9 +34,9 @@
 //!   footnote-22 center-to-surface flow metric).
 //! * [`prune`] — recursive degree-1 pruning ("core" extraction, the
 //!   paper's footnote 29).
-//! * [`stream`] — memory-budgeted streaming CSR construction: generators
-//!   emit through an [`stream::EdgeSink`], spilling sorted runs to disk
-//!   and k-way merging when over budget (the xl-tier build path).
+//! * [`stream`] — the spill-and-merge half of a
+//!   [`GraphBuilder::budgeted`] build: sorted runs on disk, k-way merged
+//!   at build time (the xl-tier build path), and its [`stream::StreamStats`].
 //! * [`apsp`] — all-pairs shortest paths over small subgraphs.
 //! * [`io`] — a tiny edge-list interchange format.
 //!

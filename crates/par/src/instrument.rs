@@ -173,10 +173,11 @@ counters! {
     /// Peak per-pair scratch bytes of the hierarchy traversal stage: the
     /// raw `(link, share)` contributions of the pair that emitted most.
     scratch_bytes: record_scratch_peak, Max, Nonzero, gated;
-    /// Sorted runs spilled to disk by memory-budgeted streaming builds.
+    /// Sorted runs spilled to disk by memory-budgeted graph builds.
     spill_runs: add_spill_runs, Sum, Nonzero, gated;
     /// Largest single buffer held: a hierarchy link-range buffer or a
-    /// streaming build's edge buffer (a max, where `arena_bytes` is a sum).
+    /// budgeted graph build's edge buffer (a max, where `arena_bytes` is
+    /// a sum).
     arena_bytes_peak: record_arena_peak, Max, Nonzero, ungated;
     /// Brandes sources swept by distortion's ball-center computations: the
     /// folded 2-core's sources, plus every node when the reference pass
