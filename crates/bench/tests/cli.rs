@@ -167,6 +167,20 @@ fn out_of_range_inline_parameters_are_usage_errors_that_name_the_field() {
 }
 
 #[test]
+fn plrg_cutoffs_past_the_node_count_are_measured() {
+    // The natural cutoff 200^100 saturates, and the explicit one dwarfs
+    // the node count: both draw degrees up to n - 1.
+    for topology in [
+        r#"{"kind":"plrg","n":200,"alpha":1.01}"#,
+        r#"{"kind":"plrg","n":200,"alpha":2.2,"max_degree":1000000000000}"#,
+    ] {
+        let doc = format!(r#"{{"schema_version":1,"topology":{topology},"seed":1}}"#);
+        let out = repro(&["measure", "-"], Some(&doc));
+        assert_eq!(out.status.code(), Some(0), "{doc}: {}", stderr(&out));
+    }
+}
+
+#[test]
 fn bad_flag_values_are_usage_errors_that_name_the_flag() {
     let cases: [&[&str]; 5] = [
         &["tab1", "--scale", "bogus"],

@@ -5,7 +5,6 @@ use crate::report::TimingReport;
 use crate::zoo::BuiltTopology;
 use serde::{Deserialize, Serialize};
 use topogen_graph::prune::core as core_prune;
-use topogen_hierarchy::classify::HierarchyClass;
 use topogen_hierarchy::correlation::link_value_degree_correlation;
 use topogen_hierarchy::linkvalue::{link_value_stats, link_values_threads, PathMode};
 use topogen_par::Instrument;
@@ -139,15 +138,6 @@ fn cached_link_values(
     values
 }
 
-/// Re-expose the class enum for downstream matching.
-pub fn class_of(report: &HierarchyReport) -> HierarchyClass {
-    match report.class.as_str() {
-        "strict" => HierarchyClass::Strict,
-        "loose" => HierarchyClass::Loose,
-        _ => HierarchyClass::Moderate,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +156,6 @@ mod tests {
         assert_eq!(r.class, "strict");
         assert!(r.max > 0.25);
         assert!(!r.policy);
-        assert_eq!(class_of(&r), HierarchyClass::Strict);
     }
 
     #[test]

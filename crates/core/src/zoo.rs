@@ -542,15 +542,15 @@ mod tests {
 
     #[test]
     fn budgeted_builds_match_unbudgeted() {
-        // A tiny budget forces real spill runs on every streaming-
-        // capable spec; the resulting graphs must be bit-identical to
-        // the in-memory builds (shared generator bodies, same RNG
+        // A tiny budget holds 4,096 edges, so Complete's 11,175 force
+        // real spill runs; the resulting graphs must be bit-identical
+        // to the in-memory builds (shared generator bodies, same RNG
         // draws, order-independent sort+dedup).
         let specs = [
             TopologySpec::Tree { k: 3, depth: 6 },
             TopologySpec::Mesh { side: 20 },
             TopologySpec::Linear { n: 400 },
-            TopologySpec::Complete { n: 60 },
+            TopologySpec::Complete { n: 150 },
             TopologySpec::Random { n: 800, p: 0.004 },
             TopologySpec::Plrg(PlrgParams {
                 n: 900,
@@ -574,9 +574,12 @@ mod tests {
                 spec.name()
             );
         }
-        // The run-level instrument saw the bounded buffer's peak.
-        let peak = ins.report().arena_bytes_peak;
+        // The run-level instrument saw the bounded buffer's peak and
+        // the spilled runs.
+        let report = ins.report();
+        let peak = report.arena_bytes_peak;
         assert!(peak > 0 && peak <= 64 * 1024, "peak {peak}");
+        assert!(report.spill_runs > 0, "no spill runs");
     }
 
     #[test]

@@ -188,28 +188,6 @@ fn unrank_edge(n: u64, e: u64) -> (u64, u64) {
     }
 }
 
-/// Erdős–Rényi `G(n, m)`: exactly `m` distinct edges chosen uniformly
-/// from all possible pairs (rejection sampling; requires
-/// `m <= n(n-1)/2`).
-pub fn random_gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> Graph {
-    let max = n.saturating_mul(n.saturating_sub(1)) / 2;
-    assert!(m <= max, "m = {m} exceeds the {max} possible edges");
-    let mut chosen = std::collections::HashSet::with_capacity(m * 2);
-    let mut b = GraphBuilder::new(n);
-    while chosen.len() < m {
-        let u = rng.gen_range(0..n as NodeId);
-        let v = rng.gen_range(0..n as NodeId);
-        if u == v {
-            continue;
-        }
-        let key = (u.min(v), u.max(v));
-        if chosen.insert(key) {
-            b.add_edge(key.0, key.1);
-        }
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,28 +292,6 @@ mod tests {
         let g1 = random_gnp(100, 0.05, &mut StdRng::seed_from_u64(9));
         let g2 = random_gnp(100, 0.05, &mut StdRng::seed_from_u64(9));
         assert_eq!(g1.edges(), g2.edges());
-    }
-
-    #[test]
-    fn gnm_exact_edge_count() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = random_gnm(50, 200, &mut rng);
-        assert_eq!(g.edge_count(), 200);
-        assert_eq!(g.node_count(), 50);
-    }
-
-    #[test]
-    fn gnm_full_graph() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = random_gnm(6, 15, &mut rng);
-        assert_eq!(g.edge_count(), 15);
-    }
-
-    #[test]
-    #[should_panic]
-    fn gnm_too_many_edges() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let _ = random_gnm(4, 7, &mut rng);
     }
 
     #[test]

@@ -10,8 +10,11 @@ use rand::Rng;
 use topogen_graph::Graph;
 
 /// Draw `n` degrees from a discrete power law: `P(degree = k) ∝ k^(-alpha)`
-/// for `k` in `1..=max_degree`. The PLRG instances of Figure 1 use
-/// `alpha ≈ 2.25`, with the max degree naturally capped near `n^(1/(alpha-1))`.
+/// for `k` in `1..=min(max_degree, n - 1)` (at least `1..=1`): no node of
+/// an `n`-node simple graph has more neighbours, and the bound keeps the
+/// support finite when `n^(1/(alpha-1))` saturates for `alpha` near 1.
+/// The PLRG instances of Figure 1 use `alpha ≈ 2.25`, with the max degree
+/// naturally capped near `n^(1/(alpha-1))`.
 ///
 /// Sampling inverts the CDF over the truncated support — O(max_degree)
 /// setup, O(log max_degree) per draw.
@@ -27,6 +30,7 @@ pub fn power_law_degrees<R: Rng>(
 ) -> Vec<usize> {
     assert!(alpha > 1.0, "power-law exponent must exceed 1");
     assert!(max_degree >= 1);
+    let max_degree = max_degree.min(n.saturating_sub(1)).max(1);
     // Truncated CDF.
     let mut cdf = Vec::with_capacity(max_degree);
     let mut acc = 0.0f64;
@@ -227,6 +231,17 @@ mod tests {
         let d = power_law_degrees(50_000, 2.5, 1000, &mut rng);
         let alpha = fit_power_law_exponent(&d, 2).unwrap();
         assert!((alpha - 2.5).abs() < 0.15, "fitted alpha = {alpha}");
+    }
+
+    #[test]
+    fn power_law_support_stops_at_n_minus_one() {
+        // n^(1/(alpha-1)) = 200^100 saturates to usize::MAX.
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 200;
+        let d = power_law_degrees(n, 1.01, natural_cutoff(n, 1.01), &mut rng);
+        assert_eq!(d.len(), n);
+        assert!(d.iter().all(|&x| (1..n).contains(&x)));
+        assert_eq!(power_law_degrees(1, 2.2, 50, &mut rng), vec![1]);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! > `params.generate(rng)` returns the **analysis graph** — the graph
 //! > the paper's methodology measures. For generators that may produce
-//! > disconnected output (Waxman, PLRG, GLP, Inet, Albert–Barabási,
-//! > the flat edge methods) this is the largest connected component;
+//! > disconnected output (Waxman, PLRG, GLP, Inet, Albert–Barabási)
+//! > this is the largest connected component;
 //! > generators that are connected by construction (B-A, BRITE,
 //! > Transit-Stub, Tiers, N-level) return the full graph.
 //!
@@ -65,7 +65,6 @@ mod tests {
     use super::*;
     use crate::ba::{barabasi_albert, AlbertBarabasiParams, BaParams};
     use crate::brite::BriteParams;
-    use crate::flat::{EdgeMethod, FlatParams};
     use crate::glp::GlpParams;
     use crate::inet::InetParams;
     use crate::nlevel::NLevelParams;
@@ -126,18 +125,6 @@ mod tests {
                     n: 400,
                     alpha: 0.05,
                     beta: 0.3,
-                }
-                .generate(&mut rng()),
-            ),
-            (
-                "flat",
-                FlatParams {
-                    n: 300,
-                    method: EdgeMethod::Locality {
-                        alpha: 0.2,
-                        beta: 0.002,
-                        radius: 0.2,
-                    },
                 }
                 .generate(&mut rng()),
             ),
@@ -217,14 +204,6 @@ mod tests {
             small_tiers().canonical_params(),
             TransitStubParams::paper_default().canonical_params(),
             NLevelParams::three_level_1000().canonical_params(),
-            FlatParams {
-                n: 300,
-                method: EdgeMethod::DoarLeslie {
-                    ke: 20.0,
-                    beta: 0.9,
-                },
-            }
-            .canonical_params(),
         ];
         for p in all {
             assert!(p.contains('='), "{p}");

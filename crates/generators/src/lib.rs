@@ -6,15 +6,13 @@
 //! * **Canonical networks** (§3.1.3, used for calibration):
 //!   [`canonical::kary_tree`], [`canonical::mesh`], [`canonical::linear`],
 //!   [`canonical::ring`], [`canonical::complete`], and Erdős–Rényi random
-//!   graphs [`canonical::random_gnp`] / [`canonical::random_gnm`].
+//!   graphs [`canonical::random_gnp`].
 //! * **Random-graph generator with geography**: [`waxman`] (§3.1.2,
 //!   Waxman \[47\]).
 //! * **Structural generators**: [`transit_stub`] (GT-ITM's Transit-Stub
 //!   \[10\]), [`tiers`] (Tiers \[14\]) and GT-ITM's [`nlevel`]
 //!   hierarchy (the model Zegura et al.'s original comparison \[50\]
-//!   used), which deliberately construct hierarchy; plus the rest of the
-//!   flat-random family ([`flat`]: Waxman-2, Doar–Leslie, exponential,
-//!   locality edge methods).
+//!   used), which deliberately construct hierarchy.
 //! * **Degree-based generators** (all targeting a power-law degree
 //!   distribution): [`plrg`] (power-law random graph \[1\]), [`ba`]
 //!   (Barabási–Albert \[4\] and the Albert–Barabási rewiring variant
@@ -60,7 +58,6 @@ pub mod brite;
 pub mod canonical;
 pub mod connectivity;
 pub mod degseq;
-pub mod flat;
 pub mod generate;
 pub mod glp;
 pub mod inet;

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topogen_generators::ba::{barabasi_albert, BaParams};
-use topogen_generators::canonical::{kary_tree, mesh, random_gnm, random_gnp};
+use topogen_generators::canonical::{kary_tree, mesh, random_gnp};
 use topogen_generators::connectivity::{match_deterministic, match_plrg};
 use topogen_generators::degseq::{degree_ccdf, evenize, is_graphical, power_law_degrees};
 use topogen_generators::glp::{glp, GlpParams};
@@ -45,15 +45,6 @@ proptest! {
         prop_assert_eq!(g.node_count(), n);
         prop_assert!(g.edge_count() <= n * (n - 1) / 2);
         prop_assert!(g.nodes().all(|v| g.degree(v) < n));
-    }
-
-    #[test]
-    fn gnm_exact(n in 2usize..40, seed in any::<u64>()) {
-        let max = n * (n - 1) / 2;
-        let m = seed as usize % (max + 1);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = random_gnm(n, m, &mut rng);
-        prop_assert_eq!(g.edge_count(), m);
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! and able to build the balls of its run. The allocating
 //! [`distances_bounded`] is its test oracle, and the 64-lane passes that
 //! serve many expansion sources at once live in [`crate::bfs_bitset`].
+//!
+//! [`path_dag`] is the one BFS that builds a shortest-path DAG. It runs
+//! over node states with a caller's step rule, so the plain DAG
+//! ([`shortest_path_dag`], one state per node) and the valley-free one
+//! (`topogen_policy::valley`, two) are the same loop.
 
 use crate::subgraph::{induced_subgraph_by, SubgraphMap};
 use crate::{Graph, NodeId, UNREACHED};
@@ -246,58 +251,119 @@ pub fn eccentricity(g: &Graph, src: NodeId) -> u32 {
         .unwrap_or(0)
 }
 
-/// Result of a full single-source shortest-path analysis: distances, the
-/// number of distinct shortest paths σ to each node, and for each node the
-/// list of DAG predecessors (neighbors one hop closer to the source).
+/// The equal-cost shortest-path DAG from one source, over node states:
+/// state `v * states_per_node + phase` is node `v` in `phase`. Plain
+/// paths have one state per node, so states are nodes; valley-free paths
+/// have two (`topogen_policy::valley`).
 #[derive(Clone, Debug)]
-pub struct ShortestPathDag {
-    /// Hop distance from the source (UNREACHED if disconnected).
+pub struct PathDag {
+    /// Hop distance per state (`UNREACHED` where unreached).
     pub dist: Vec<u32>,
-    /// σ\[v\]: number of distinct shortest paths source→v (saturating; the
-    /// count can explode combinatorially on dense graphs, so it is an
-    /// `f64` — only *ratios* of σ are ever consumed, per footnote 27).
+    /// σ per state: the number of distinct shortest paths from the source
+    /// that arrive in it. The count can explode combinatorially on dense
+    /// graphs, so it is an `f64`; only *ratios* of σ are ever consumed
+    /// (footnote 27).
     pub sigma: Vec<f64>,
-    /// Predecessors of each node in the shortest-path DAG.
-    pub preds: Vec<Vec<NodeId>>,
-    /// Nodes in non-decreasing distance order (valid processing order).
-    pub order: Vec<NodeId>,
+    /// Predecessor states of each state, in the order the BFS found them.
+    pub preds: Vec<Vec<u32>>,
+    /// Reached states in BFS (non-decreasing distance) order.
+    pub order: Vec<u32>,
+    /// Per node: the least distance over its states.
+    pub node_dist: Vec<u32>,
+    /// How many states each node has.
+    pub states_per_node: u32,
     /// The source node.
     pub source: NodeId,
 }
 
-/// Compute the shortest-path DAG from `src` (Brandes-style forward pass).
-pub fn shortest_path_dag(g: &Graph, src: NodeId) -> ShortestPathDag {
-    let n = g.node_count();
-    let mut dist = vec![UNREACHED; n];
-    let mut sigma = vec![0.0f64; n];
-    let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    let mut order = Vec::with_capacity(n);
-    dist[src as usize] = 0;
-    sigma[src as usize] = 1.0;
-    let mut q = VecDeque::new();
-    q.push_back(src);
-    while let Some(u) = q.pop_front() {
-        order.push(u);
-        let du = dist[u as usize];
+impl PathDag {
+    /// The node of state `s`.
+    pub fn node_of(&self, s: u32) -> NodeId {
+        s / self.states_per_node
+    }
+
+    /// The states of node `v` that realize its shortest distance (none
+    /// when `v` is unreached).
+    pub fn terminal_states(&self, v: NodeId) -> Vec<u32> {
+        let d = self.node_dist[v as usize];
+        if d == UNREACHED {
+            return Vec::new();
+        }
+        let base = v * self.states_per_node;
+        (base..base + self.states_per_node)
+            .filter(|&s| self.dist[s as usize] == d)
+            .collect()
+    }
+
+    /// Total number of shortest paths from the source to node `v`.
+    pub fn sigma_to(&self, v: NodeId) -> f64 {
+        self.terminal_states(v)
+            .into_iter()
+            .map(|s| self.sigma[s as usize])
+            .sum()
+    }
+}
+
+/// The path DAG from `src` (a Brandes-style forward pass over states).
+/// The path starts at `src` in phase 0; `step(u, v, phase)` gives the
+/// phase a path in `phase` at `u` enters neighbour `v` in, or `None`
+/// when it may not cross that link. Neighbours are scanned in
+/// [`Graph::neighbors`] order, and `order` doubles as the FIFO queue.
+pub fn path_dag(
+    g: &Graph,
+    src: NodeId,
+    states_per_node: u32,
+    mut step: impl FnMut(NodeId, NodeId, u32) -> Option<u32>,
+) -> PathDag {
+    let spn = states_per_node;
+    let ns = g.node_count() * spn as usize;
+    let mut dist = vec![UNREACHED; ns];
+    let mut sigma = vec![0.0f64; ns];
+    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); ns];
+    let mut order = Vec::with_capacity(ns);
+    let s0 = src * spn;
+    dist[s0 as usize] = 0;
+    sigma[s0 as usize] = 1.0;
+    order.push(s0);
+    let mut head = 0;
+    while let Some(&s) = order.get(head) {
+        head += 1;
+        let (u, phase) = (s / spn, s % spn);
+        let du = dist[s as usize];
         for &v in g.neighbors(u) {
-            let dv = dist[v as usize];
-            if dv == UNREACHED {
-                dist[v as usize] = du + 1;
-                q.push_back(v);
+            let Some(next) = step(u, v, phase) else {
+                continue;
+            };
+            let sv = v * spn + next;
+            if dist[sv as usize] == UNREACHED {
+                dist[sv as usize] = du + 1;
+                order.push(sv);
             }
-            if dist[v as usize] == du + 1 {
-                sigma[v as usize] += sigma[u as usize];
-                preds[v as usize].push(u);
+            if dist[sv as usize] == du + 1 {
+                sigma[sv as usize] += sigma[s as usize];
+                preds[sv as usize].push(s);
             }
         }
     }
-    ShortestPathDag {
+    let node_dist = dist
+        .chunks(spn as usize)
+        .map(|states| states.iter().copied().min().unwrap_or(UNREACHED))
+        .collect();
+    PathDag {
         dist,
         sigma,
         preds,
         order,
+        node_dist,
+        states_per_node: spn,
         source: src,
     }
+}
+
+/// The plain shortest-path DAG from `src`: one state per node, and every
+/// link may be crossed.
+pub fn shortest_path_dag(g: &Graph, src: NodeId) -> PathDag {
+    path_dag(g, src, 1, |_, _, _| Some(0))
 }
 
 /// Average shortest-path length over all connected ordered pairs, computed
@@ -485,11 +551,14 @@ pub(crate) mod tests {
         let g = Graph::from_edges(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]);
         let dag = shortest_path_dag(&g, 0);
         assert_eq!(dag.dist, vec![0, 1, 2, 1]);
+        assert_eq!(dag.node_dist, dag.dist);
         assert_eq!(dag.sigma[2], 2.0);
         assert_eq!(dag.sigma[1], 1.0);
-        let mut preds2 = dag.preds[2].clone();
-        preds2.sort_unstable();
-        assert_eq!(preds2, vec![1, 3]);
+        assert_eq!(dag.sigma_to(2), 2.0);
+        assert_eq!(dag.terminal_states(2), vec![2]);
+        assert_eq!(dag.node_of(2), 2);
+        // Predecessors arrive in BFS order: 1 is dequeued before 3.
+        assert_eq!(dag.preds[2], vec![1, 3]);
     }
 
     #[test]

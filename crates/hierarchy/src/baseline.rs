@@ -11,16 +11,20 @@
 //! * **bench baseline** — `bench_hierarchy` measures the arena engine's
 //!   speedup against this code and records it in `BENCH_hierarchy.json`.
 //!
+//! Each source's DAG is the graph crate's `bfs::shortest_path_dag` or
+//! `valley::policy_shortest_path_dag`, one `PathDag` type for both.
+//!
 //! Do not use it for real workloads: it makes millions of small
 //! allocations (one map per pair, one `Vec` per link) and runs on one
 //! core.
 
 use crate::cover::covers_all;
-use crate::dag::PathDag;
 use crate::linkvalue::PathMode;
 use crate::traversal::PairWeight;
 use std::collections::HashMap;
+use topogen_graph::bfs::{shortest_path_dag, PathDag};
 use topogen_graph::{Graph, NodeId, UNREACHED};
+use topogen_policy::valley::policy_shortest_path_dag;
 
 /// Serial traversal sets as per-link vectors (the pre-arena layout).
 pub fn link_traversals_ref(g: &Graph, mode: &PathMode<'_>) -> Vec<Vec<PairWeight>> {
@@ -31,11 +35,11 @@ pub fn link_traversals_ref(g: &Graph, mode: &PathMode<'_>) -> Vec<Vec<PairWeight
     let mut touched: Vec<u32> = Vec::new();
     for u in 0..n as NodeId {
         let dag = match mode {
-            PathMode::Shortest => PathDag::plain(g, u),
-            PathMode::Policy(ann) => PathDag::policy(g, ann, u),
+            PathMode::Shortest => shortest_path_dag(g, u),
+            PathMode::Policy(ann) => policy_shortest_path_dag(g, ann, u),
         };
         frac.clear();
-        frac.resize(dag.state_count(), 0.0);
+        frac.resize(dag.dist.len(), 0.0);
         for v in (u + 1)..n as NodeId {
             if dag.node_dist[v as usize] == UNREACHED || dag.node_dist[v as usize] == 0 {
                 continue;
@@ -77,10 +81,10 @@ fn accumulate_pair_ref(
         if fs <= 0.0 {
             continue;
         }
-        let node_s = dag.node_of[s as usize];
+        let node_s = dag.node_of(s);
         for &p in &dag.preds[s as usize] {
             let share = fs * dag.sigma[p as usize] / dag.sigma[s as usize];
-            let node_p = dag.node_of[p as usize];
+            let node_p = dag.node_of(p);
             if node_p != node_s {
                 let idx = g
                     .edge_index(node_p, node_s)

@@ -28,8 +28,8 @@
 //! at any thread count), [`cover`] (weighted vertex cover on a dense
 //! node-indexed scratch), [`linkvalue`] (end-to-end link values and
 //! rank distributions, with optional instrumentation), [`baseline`]
-//! (the serial pre-arena pipeline, kept as correctness oracle and bench
-//! baseline), [`dag`] (the baseline's per-source path DAGs),
+//! (the serial pre-arena pipeline over the graph crate's per-source
+//! `bfs::PathDag`, kept as correctness oracle and bench baseline),
 //! [`classify`] (strict/moderate/loose), [`correlation`] (link-value ↔
 //! degree).
 
@@ -40,7 +40,6 @@ pub mod baseline;
 pub mod classify;
 pub mod correlation;
 pub mod cover;
-pub mod dag;
 pub mod linkvalue;
 pub mod traversal;
 

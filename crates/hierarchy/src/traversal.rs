@@ -495,8 +495,7 @@ impl Dag {
     }
 
     /// BFS from `src` over the state graph, in the order of
-    /// `topogen_graph::bfs::shortest_path_dag` /
-    /// `valley::policy_shortest_path_dag`: the same σ sums and the same
+    /// `topogen_graph::bfs::path_dag`: the same σ sums and the same
     /// predecessor order.
     fn build(&mut self, t: &Tables<'_>, src: NodeId) {
         for &s in &self.order {

@@ -10,13 +10,13 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use topogen_graph::bfs::DistScratch;
+use topogen_graph::bfs::{DistScratch, PathDag};
 use topogen_graph::subgraph::SubgraphMap;
 use topogen_graph::{Graph, NodeId, UNREACHED};
 use topogen_policy::balls::policy_ball_from_dag;
 use topogen_policy::overlay::RouterOverlay;
 use topogen_policy::rel::AsAnnotations;
-use topogen_policy::valley::{policy_shortest_path_dag, PolicyDag};
+use topogen_policy::valley::policy_shortest_path_dag;
 
 /// A source of ball subgraphs over some underlying topology.
 pub trait BallSource: Sync {
@@ -61,7 +61,7 @@ enum Balls<'a> {
     /// The BFS from the center, on the scratch it ran on.
     Plain(&'a Graph, &'a mut DistScratch),
     /// The valley-free DAG from the center.
-    Policy(&'a Graph, PolicyDag),
+    Policy(&'a Graph, PathDag),
     /// The router distance field from the center.
     Overlay(&'a RouterOverlay<'a>, Vec<u32>),
 }

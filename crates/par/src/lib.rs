@@ -26,5 +26,5 @@ pub use cancel::{CancelToken, Cancelled, Deadline};
 pub use ctx::EngineCtx;
 pub use faults::IoFault;
 pub use instrument::{phase, Instrument, TimingReport};
-pub use par::{panic_message, par_map, par_map_catch, par_map_threads, worker_count};
+pub use par::{panic_message, par_map, par_map_threads, worker_count};
 pub use trace::{SpanGuard, SpanRollup, TraceEvent, TraceSink};

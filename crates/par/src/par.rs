@@ -139,31 +139,6 @@ pub fn worker_count(threads: Option<usize>, items: usize) -> usize {
         .max(1)
 }
 
-/// [`par_map_threads`] with per-item panic isolation: a panicking item
-/// yields `Err(message)` in its slot while every other item completes,
-/// and output order still matches input order — so results (including
-/// which item failed and with what message) are bit-identical at any
-/// thread count. Deadline cancellations are *not* caught: a `Cancelled`
-/// payload unwinds the whole map so timed-out runs stop promptly.
-pub fn par_map_catch<T, R, F>(items: &[T], threads: Option<usize>, f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_threads(items, threads, |item| {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))) {
-            Ok(r) => Ok(r),
-            Err(payload) => {
-                if cancel::is_cancelled_payload(payload.as_ref()) {
-                    std::panic::resume_unwind(payload);
-                }
-                Err(panic_message(payload.as_ref()))
-            }
-        }
-    })
-}
-
 /// Extract a short, single-line message from a panic payload: the
 /// `&str`/`String` panics carry, a fixed marker for deadline
 /// cancellations, and a placeholder for exotic payloads. Truncated to
@@ -236,38 +211,6 @@ mod tests {
         assert_eq!(worker_count(Some(2), 100), 2);
         assert_eq!(worker_count(Some(0), 100), 1);
         assert!(worker_count(None, 100) >= 1);
-    }
-
-    #[test]
-    fn catch_isolates_panicking_item_bit_identical_across_threads() {
-        let items: Vec<usize> = (0..97).collect();
-        let run = |threads: usize| {
-            par_map_catch(&items, Some(threads), |&x| {
-                if x == 41 {
-                    panic!("item {x} exploded");
-                }
-                x.wrapping_mul(0x9E3779B97F4A7C15)
-            })
-        };
-        let seq = run(1);
-        assert_eq!(seq.len(), 97);
-        assert_eq!(seq[41], Err("item 41 exploded".to_string()));
-        assert!(seq.iter().enumerate().all(|(i, r)| (i == 41) != r.is_ok()));
-        for threads in [2, 8] {
-            assert_eq!(run(threads), seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn catch_does_not_swallow_cancellation() {
-        let d = cancel::Deadline::cancel_only();
-        d.token().cancel();
-        let items: Vec<usize> = (0..64).collect();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cancel::with_deadline(d, || par_map_catch(&items, Some(4), |&x| x))
-        }))
-        .expect_err("cancelled map must unwind");
-        assert!(cancel::is_cancelled_payload(err.as_ref()));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! to those nodes."
 
 use crate::rel::AsAnnotations;
-use crate::valley::{policy_shortest_path_dag, state_node, PolicyDag};
+use crate::valley::policy_shortest_path_dag;
+use topogen_graph::bfs::PathDag;
 use topogen_graph::subgraph::SubgraphMap;
 use topogen_graph::{Graph, GraphBuilder, NodeId, UNREACHED};
 
@@ -30,7 +31,7 @@ pub fn policy_ball(g: &Graph, ann: &AsAnnotations, center: NodeId, h: u32) -> (G
 
 /// Ball extraction from a precomputed DAG (lets callers grow radii
 /// without re-running the BFS).
-pub fn policy_ball_from_dag(g: &Graph, dag: &PolicyDag, h: u32) -> (Graph, SubgraphMap) {
+pub fn policy_ball_from_dag(g: &Graph, dag: &PathDag, h: u32) -> (Graph, SubgraphMap) {
     let n = g.node_count();
     let mut keep: Vec<NodeId> = (0..n as NodeId)
         .filter(|&v| dag.node_dist[v as usize] <= h)
@@ -59,10 +60,10 @@ pub fn policy_ball_from_dag(g: &Graph, dag: &PolicyDag, h: u32) -> (Graph, Subgr
         if !marked[s as usize] || dag.dist[s as usize] == UNREACHED {
             continue;
         }
-        let v = state_node(s);
+        let v = dag.node_of(s);
         for &p in &dag.preds[s as usize] {
             marked[p as usize] = true;
-            let u = state_node(p);
+            let u = dag.node_of(p);
             edges.push((u, v));
         }
     }

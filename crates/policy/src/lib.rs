@@ -15,9 +15,10 @@
 //!
 //! * [`rel`] — the relationship vocabulary ([`Relationship`]) and
 //!   per-edge annotation table ([`AsAnnotations`]).
-//! * [`valley`] — valley-free shortest paths via a two-phase state
-//!   machine BFS: distances, path DAGs with equal-cost path counts (the
-//!   σ-weights the hierarchy analysis of §5 needs), and reachability.
+//! * [`valley`] — valley-free shortest paths: a two-phase step rule run
+//!   by the graph crate's path-DAG BFS over states, giving distances,
+//!   path DAGs with equal-cost path counts (the σ-weights the hierarchy
+//!   analysis of §5 needs), and reachability.
 //! * [`balls`] — policy-induced ball growing (Appendix E): the subgraph
 //!   of nodes within policy distance `h` of a center, using only links on
 //!   policy-compliant shortest paths.
@@ -46,4 +47,4 @@ pub mod rel;
 pub mod valley;
 
 pub use rel::{AsAnnotations, Relationship};
-pub use valley::{policy_distances, PolicyDag};
+pub use valley::policy_distances;

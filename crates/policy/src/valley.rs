@@ -17,27 +17,22 @@
 //! Each physical valley-free path corresponds to exactly one state
 //! trajectory, so path counts (σ) over the state DAG equal physical
 //! equal-cost path counts — which the hierarchy analysis (§5, footnote
-//! 27) relies on.
+//! 27) relies on. The BFS is the graph crate's [`path_dag`] with two
+//! states per node and [`step`] as its rule.
 
 use crate::rel::{AsAnnotations, Relationship};
-use std::collections::VecDeque;
-use topogen_graph::{Graph, NodeId, UNREACHED};
+use topogen_graph::bfs::{path_dag, PathDag};
+use topogen_graph::{Graph, NodeId};
 
 /// Phase of the valley-free automaton.
 pub const PHASE_UP: u32 = 0;
 /// See [`PHASE_UP`].
 pub const PHASE_DOWN: u32 = 1;
 
-/// State id for `(node, phase)`.
+/// State id for `(node, phase)`, as [`PathDag`] numbers it.
 #[inline]
 pub fn state(node: NodeId, phase: u32) -> u32 {
     node * 2 + phase
-}
-
-/// Node of a state id.
-#[inline]
-pub fn state_node(s: u32) -> NodeId {
-    s / 2
 }
 
 /// The valley-free step rule: the phase a path in `phase` at `u` enters
@@ -66,7 +61,8 @@ pub fn step(rel: Relationship, u: NodeId, v: NodeId, phase: u32) -> Option<u32> 
 }
 
 /// Shortest valley-free distances (in AS hops) from `src` to every node.
-/// Unreachable-under-policy nodes get [`UNREACHED`].
+/// Unreachable-under-policy nodes get
+/// [`UNREACHED`](topogen_graph::UNREACHED).
 ///
 /// ```
 /// use topogen_graph::{Graph, UNREACHED};
@@ -88,105 +84,27 @@ pub fn policy_distances(g: &Graph, ann: &AsAnnotations, src: NodeId) -> Vec<u32>
     policy_shortest_path_dag(g, ann, src).node_dist
 }
 
-/// The full state-level shortest-path structure from one source: per-state
-/// distances, equal-cost path counts σ, and DAG predecessors — everything
-/// the policy-aware hierarchy and ball-growing computations consume.
-#[derive(Clone, Debug)]
-pub struct PolicyDag {
-    /// Distance per state (`2 * node_count` states), UNREACHED if not
-    /// reachable in that phase.
-    pub dist: Vec<u32>,
-    /// Number of distinct shortest valley-free paths arriving in each
-    /// state.
-    pub sigma: Vec<f64>,
-    /// Predecessor states in the shortest-path state DAG.
-    pub preds: Vec<Vec<u32>>,
-    /// States in BFS (non-decreasing distance) order.
-    pub order: Vec<u32>,
-    /// Per-node distance: min over the node's two states.
-    pub node_dist: Vec<u32>,
-    /// The source node.
-    pub source: NodeId,
-}
-
-impl PolicyDag {
-    /// The states of `v` that realize its shortest policy distance
-    /// (0, 1 or 2 states).
-    pub fn terminal_states(&self, v: NodeId) -> Vec<u32> {
-        let d = self.node_dist[v as usize];
-        if d == UNREACHED {
-            return Vec::new();
-        }
-        [state(v, PHASE_UP), state(v, PHASE_DOWN)]
-            .into_iter()
-            .filter(|&s| self.dist[s as usize] == d)
-            .collect()
-    }
-
-    /// Total number of shortest policy paths from the source to `v`.
-    pub fn sigma_to(&self, v: NodeId) -> f64 {
-        self.terminal_states(v)
-            .into_iter()
-            .map(|s| self.sigma[s as usize])
-            .sum()
-    }
-}
-
-/// Compute the policy shortest-path DAG from `src`.
-pub fn policy_shortest_path_dag(g: &Graph, ann: &AsAnnotations, src: NodeId) -> PolicyDag {
-    let n = g.node_count();
-    let ns = 2 * n;
-    let mut dist = vec![UNREACHED; ns];
-    let mut sigma = vec![0.0f64; ns];
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); ns];
-    let mut order: Vec<u32> = Vec::with_capacity(ns);
-    let s0 = state(src, PHASE_UP);
-    dist[s0 as usize] = 0;
-    sigma[s0 as usize] = 1.0;
-    let mut q = VecDeque::new();
-    q.push_back(s0);
-    while let Some(s) = q.pop_front() {
-        order.push(s);
-        let u = state_node(s);
-        let phase = s % 2;
-        let du = dist[s as usize];
-        for &v in g.neighbors(u) {
-            let rel = ann.get(g, u, v).expect("annotated graph covers every edge");
-            let Some(next_phase) = step(rel, u, v, phase) else {
-                continue;
-            };
-            let sv = state(v, next_phase);
-            if dist[sv as usize] == UNREACHED {
-                dist[sv as usize] = du + 1;
-                q.push_back(sv);
-            }
-            if dist[sv as usize] == du + 1 {
-                sigma[sv as usize] += sigma[s as usize];
-                preds[sv as usize].push(s);
-            }
-        }
-    }
-    let node_dist: Vec<u32> = (0..n).map(|v| dist[2 * v].min(dist[2 * v + 1])).collect();
-    PolicyDag {
-        dist,
-        sigma,
-        preds,
-        order,
-        node_dist,
-        source: src,
-    }
+/// The valley-free shortest-path DAG from `src`: per-state distances,
+/// equal-cost path counts σ and predecessors, with state
+/// [`state`]`(v, phase)` — everything the policy-aware hierarchy and
+/// ball-growing computations consume.
+pub fn policy_shortest_path_dag(g: &Graph, ann: &AsAnnotations, src: NodeId) -> PathDag {
+    path_dag(g, src, 2, |u, v, phase| {
+        let rel = ann.get(g, u, v).expect("annotated graph covers every edge");
+        step(rel, u, v, phase)
+    })
 }
 
 /// Reconstruct one shortest policy path from the DAG's source to `v`
 /// (first-predecessor choice; deterministic). Returns the node sequence
 /// source..=v, or `None` if unreachable.
-pub fn one_policy_path(dag: &PolicyDag, v: NodeId) -> Option<Vec<NodeId>> {
+pub fn one_policy_path(dag: &PathDag, v: NodeId) -> Option<Vec<NodeId>> {
     let terminals = dag.terminal_states(v);
     let mut s = *terminals.first()?;
-    let mut rev = vec![state_node(s)];
+    let mut rev = vec![dag.node_of(s)];
     while dag.dist[s as usize] > 0 {
         s = dag.preds[s as usize][0];
-        rev.push(state_node(s));
+        rev.push(dag.node_of(s));
     }
     rev.reverse();
     Some(rev)
@@ -196,7 +114,7 @@ pub fn one_policy_path(dag: &PolicyDag, v: NodeId) -> Option<Vec<NodeId>> {
 mod tests {
     use super::*;
     use crate::rel::annotations_from_pairs;
-    use topogen_graph::Graph;
+    use topogen_graph::{Graph, UNREACHED};
 
     /// The paper's Appendix E example (Figure 15):
     /// provider→customer: A→B, A→C, A→H(?) — we reconstruct the figure:
@@ -420,6 +338,21 @@ mod tests {
         let ann = annotations_from_pairs(&g, &[(0, 1), (2, 1)], &[], &[]);
         let dag = policy_shortest_path_dag(&g, &ann, 0);
         assert!(one_policy_path(&dag, 2).is_none());
+        assert!(dag.terminal_states(2).is_empty());
         assert_eq!(dag.sigma_to(2), 0.0);
+    }
+
+    #[test]
+    fn up_then_down_ends_in_the_descending_state() {
+        // 0 → 1 → 2 with 1 the provider of both.
+        let g = Graph::from_edges(3, vec![(0, 1), (1, 2)]);
+        let ann = annotations_from_pairs(&g, &[(1, 0), (1, 2)], &[], &[]);
+        let dag = policy_shortest_path_dag(&g, &ann, 0);
+        assert_eq!(dag.dist.len(), 6);
+        assert_eq!(dag.node_dist[2], 2);
+        assert_eq!(dag.sigma_to(2), 1.0);
+        // Node 2 is reached only in the descending phase.
+        assert_eq!(dag.terminal_states(2), vec![state(2, PHASE_DOWN)]);
+        assert_eq!(dag.node_of(state(2, PHASE_DOWN)), 2);
     }
 }

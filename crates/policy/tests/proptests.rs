@@ -3,14 +3,16 @@
 #![allow(clippy::needless_range_loop)]
 
 use proptest::prelude::*;
-use topogen_graph::bfs::distances;
+use topogen_graph::bfs::{distances, shortest_path_dag};
 use topogen_graph::{Graph, NodeId, UNREACHED};
 use topogen_policy::balls::{policy_ball, policy_ball_nodes};
 use topogen_policy::bgp::routing_table;
 use topogen_policy::bgp_sim::routes_to;
 use topogen_policy::gao::{infer_relationships, GaoConfig};
 use topogen_policy::rel::{AsAnnotations, Relationship};
-use topogen_policy::valley::{policy_distances, policy_shortest_path_dag};
+use topogen_policy::valley::{
+    policy_distances, policy_shortest_path_dag, state, PHASE_DOWN, PHASE_UP,
+};
 
 /// A connected graph with random per-edge relationships.
 fn arb_annotated() -> impl Strategy<Value = (Graph, AsAnnotations)> {
@@ -90,6 +92,27 @@ proptest! {
             let d = policy_distances(&g, &ann, v);
             for &w in g.neighbors(v) {
                 prop_assert_eq!(d[w as usize], 1);
+            }
+        }
+    }
+
+    #[test]
+    fn all_sibling_dag_is_the_plain_dag((g, _) in arb_annotated()) {
+        // Sibling links never leave the ascending phase, so the
+        // valley-free DAG is the plain one on the ascending states.
+        let ann = AsAnnotations::new(&g, vec![Relationship::Sibling; g.edge_count()]);
+        for src in g.nodes() {
+            let plain = shortest_path_dag(&g, src);
+            let pol = policy_shortest_path_dag(&g, &ann, src);
+            prop_assert_eq!(&pol.node_dist, &plain.dist);
+            let order: Vec<NodeId> = pol.order.iter().map(|&s| pol.node_of(s)).collect();
+            prop_assert_eq!(&order, &plain.order);
+            for v in g.nodes() {
+                let up = state(v, PHASE_UP) as usize;
+                let preds: Vec<NodeId> = pol.preds[up].iter().map(|&s| pol.node_of(s)).collect();
+                prop_assert_eq!(&preds, &plain.preds[v as usize]);
+                prop_assert_eq!(pol.sigma[up].to_bits(), plain.sigma[v as usize].to_bits());
+                prop_assert_eq!(pol.dist[state(v, PHASE_DOWN) as usize], UNREACHED);
             }
         }
     }
